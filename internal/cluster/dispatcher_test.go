@@ -408,6 +408,9 @@ func TestDispatcherDrain(t *testing.T) {
 			t.Error("worker should report a drained exit")
 		}
 	}
+	// A worker's exit reaches the dispatcher asynchronously: its last
+	// result and the disconnect are read after Wait returns here.
+	waitSnapshot(t, d, func(st Status) bool { return len(st.Workers) == 0 })
 	st := d.Snapshot()
 	if !st.Draining {
 		t.Error("snapshot should show draining")

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math/bits"
 
 	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
@@ -101,6 +102,11 @@ type matrixScratch struct {
 	masks      []uint32
 	waveCycles []float64
 	ctas       simt.CTACache
+
+	// compactMem and compactQ are the message queue the compaction
+	// kernel runs over, re-initialized per call (the memory only grows).
+	compactMem *simt.Memory
+	compactQ   queue.Queue
 
 	// scan carries the per-window state of the parallel scan so the
 	// worker body can be one persistent method value: a fresh closure
@@ -256,37 +262,27 @@ func (m *MatrixMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []
 // interference term (they compete for issue slots and the memory
 // pipeline but their dependent chains run on different warps).
 func (m *MatrixMatcher) combineWaves(ctaCycles []float64, occ int) float64 {
-	sms := m.cfg.SMs
-	if sms <= 1 {
-		return serializeWaves(ctaCycles, occ)
-	}
-	if sms > m.cfg.Arch.SMCount {
-		sms = m.cfg.Arch.SMCount
-	}
-	buckets := make([][]float64, sms)
-	for i, c := range ctaCycles {
-		buckets[i%sms] = append(buckets[i%sms], c)
-	}
+	sms := max(1, min(m.cfg.SMs, m.cfg.Arch.SMCount))
+	// CTAs are dealt round-robin: SM s runs CTAs s, s+sms, s+2·sms, ...
 	worst := 0.0
-	for _, b := range buckets {
-		if t := serializeWaves(b, occ); t > worst {
+	for s := 0; s < sms; s++ {
+		if t := serializeWaves(ctaCycles, s, sms, occ); t > worst {
 			worst = t
 		}
 	}
 	return worst
 }
 
-// serializeWaves runs one SM's CTA list in occupancy-sized waves.
-func serializeWaves(ctaCycles []float64, occ int) float64 {
+// serializeWaves runs one SM's CTA list — ctaCycles[first],
+// ctaCycles[first+stride], ... — in occupancy-sized waves. Walking the
+// stride in place keeps the multi-SM split allocation-free.
+func serializeWaves(ctaCycles []float64, first, stride, occ int) float64 {
 	const interference = 0.25
 	total := 0.0
-	for start := 0; start < len(ctaCycles); start += occ {
-		end := start + occ
-		if end > len(ctaCycles) {
-			end = len(ctaCycles)
-		}
+	for start := first; start < len(ctaCycles); start += occ * stride {
 		max, sum := 0.0, 0.0
-		for _, c := range ctaCycles[start:end] {
+		for i, k := start, 0; i < len(ctaCycles) && k < occ; i, k = i+stride, k+1 {
+			c := ctaCycles[i]
 			sum += c
 			if c > max {
 				max = c
@@ -400,7 +396,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		for i := wStart; i < wEnd; i++ {
 			col := i - wStart
 			// Skip columns already claimed by an earlier CTA or round.
-			w0.Exec(1, func(lane int) {})
+			w0.Issue(1)
 			if assign[i] != NoMatch {
 				continue
 			}
@@ -410,7 +406,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 					func(lane int) int { return lane*stride + col },
 					func(lane int, v uint64) { colVotes[lane] = uint32(v) })
 			})
-			w0.Exec(1, func(lane int) {}) // vote & mask
+			w0.Issue(1) // vote & mask
 			bidders := w0.Ballot(func(lane int) bool {
 				return lane < msgWarps && colVotes[lane]&masks[lane] != 0
 			})
@@ -421,7 +417,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			// set bit within its masked vote.
 			winner := simt.Ffs(bidders) - 1
 			w0.WithMask(simt.LaneMask(winner), func() {
-				w0.Exec(3, func(lane int) {}) // ffs, mask clear, index math
+				w0.Issue(3) // ffs, mask clear, index math
 				bit := simt.Ffs(colVotes[winner]&masks[winner]) - 1
 				masks[winner] &^= 1 << uint(bit)
 				assign[i] = blockStart + winner*simt.LaneCount + bit
@@ -435,7 +431,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			// why a reversed receive queue degrades performance while
 			// an ordered one does not).
 			if matchedInBlock == blockLen {
-				w0.Exec(1, func(lane int) {})
+				w0.Issue(1)
 				break
 			}
 		}
@@ -463,15 +459,26 @@ func (m *MatrixMatcher) scanWarp(wi int) {
 		w.LoadShared(cta.Shared,
 			func(lane int) int { return simt.MaxWarpsPerCTA*stride + col },
 			func(lane int, v uint64) { req = v })
-		var vote uint32
-		w.Exec(2, func(lane int) {}) // header compare ALU work
-		vote = w.Ballot(func(lane int) bool {
-			return regs[lane] != 0 && envelope.MatchesPacked(req, regs[lane])
-		})
+		w.Issue(2) // header compare ALU work
+		vote := w.BallotMask(matchVotes(w.Active(), regs, req))
 		w.StoreShared(cta.Shared,
 			func(lane int) int { return wi*stride + col },
 			func(lane int) uint64 { return uint64(vote) })
 	}
+}
+
+// matchVotes computes the scan and fused ballots' votes inline, for
+// BallotMask: bit l is set for each lane l of lanes whose register
+// holds a message (the zero sentinel means none) matching req.
+func matchVotes(lanes uint32, regs *[simt.LaneCount]uint64, req uint64) uint32 {
+	var votes uint32
+	for ; lanes != 0; lanes &= lanes - 1 {
+		lane := bits.TrailingZeros32(lanes)
+		if regs[lane] != 0 && envelope.MatchesPacked(req, regs[lane]) {
+			votes |= simt.LaneMask(lane)
+		}
+	}
+	return votes
 }
 
 // blockCycles combines the scan and reduce phases of one CTA: when the
@@ -546,19 +553,17 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			w.StoreShared(cta.Shared, func(lane int) int { return lane }, func(lane int) uint64 { return 0 })
 		}
 		w.LoadShared(cta.Shared, func(lane int) int { return i % simt.LaneCount }, func(lane int, v uint64) {})
-		w.Exec(2, func(lane int) {})
+		w.Issue(2)
 		if assign[i] != NoMatch {
 			continue
 		}
 		req := reqs[i]
-		w.Exec(2, func(lane int) {}) // compares
-		voteLo := w.Ballot(func(lane int) bool {
-			return maskLo&simt.LaneMask(lane) != 0 && lo[lane] != 0 && envelope.MatchesPacked(req, lo[lane])
-		})
+		w.Issue(2) // compares
+		voteLo := w.BallotMask(matchVotes(w.Active()&maskLo, &lo, req))
 		if voteLo != 0 {
 			bit := simt.Ffs(voteLo) - 1
 			w.WithMask(simt.LaneMask(bit), func() {
-				w.Exec(2, func(lane int) {})
+				w.Issue(2)
 				maskLo &^= 1 << uint(bit)
 				assign[i] = blockStart + bit
 				matched++
@@ -568,13 +573,11 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		if blockLen <= simt.LaneCount {
 			continue
 		}
-		voteHi := w.Ballot(func(lane int) bool {
-			return maskHi&simt.LaneMask(lane) != 0 && hi[lane] != 0 && envelope.MatchesPacked(req, hi[lane])
-		})
+		voteHi := w.BallotMask(matchVotes(w.Active()&maskHi, &hi, req))
 		if voteHi != 0 {
 			bit := simt.Ffs(voteHi) - 1
 			w.WithMask(simt.LaneMask(bit), func() {
-				w.Exec(2, func(lane int) {})
+				w.Issue(2)
 				maskHi &^= 1 << uint(bit)
 				assign[i] = blockStart + simt.LaneCount + bit
 				matched++
@@ -590,8 +593,12 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 // queue holding the unmatched residue and returns its cycle cost (the
 // step the paper measures at roughly 10% of the matching rate).
 func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float64 {
-	mem := simt.NewMemory(len(msgs) + 1)
-	q := queue.New(mem, 0, len(msgs))
+	sc := &m.scratch
+	if sc.compactMem == nil || sc.compactMem.Len() < len(msgs) {
+		sc.compactMem = simt.NewMemory(len(msgs))
+	}
+	q := &sc.compactQ
+	q.Init(sc.compactMem, 0, len(msgs))
 	for _, w := range msgs {
 		q.Push(w) //nolint:errcheck // capacity is exact
 	}
@@ -600,7 +607,7 @@ func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float
 			q.Clear(mi)
 		}
 	}
-	cta := simt.NewCTA(0, 1024, simt.MaxWarpsPerCTA)
+	cta := sc.ctas.Get(0, 1024, simt.MaxWarpsPerCTA)
 	q.Compact(cta)
 	// Both the message and the request queue are compacted; beyond the
 	// header prefix-scan, full descriptors move and head/tail pointers

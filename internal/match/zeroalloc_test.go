@@ -8,13 +8,16 @@ import (
 	"simtmp/internal/workload"
 )
 
-// reusableCases builds steady-state MatchInto cases per GPU engine:
-// default configurations (no compaction, sequential workers) on
-// representative workloads, each both telemetry-disabled (nil
-// recorder) and telemetry-enabled with a small ring that wraps within
-// warm-up. Both are the configurations the zero-allocation contract
-// covers: a full flight-recorder ring overwrites in place, so enabling
-// telemetry must not reintroduce steady-state allocations.
+// reusableCases builds steady-state MatchInto cases per GPU engine on
+// representative workloads: the default configurations, plus the
+// compacting matrix and partitioned engines the runtime builds (on
+// workloads where half the messages find no receive, so compaction
+// keeps a residue) and multi-SM variants. Each runs both
+// telemetry-disabled (nil recorder) and telemetry-enabled with a small
+// ring that wraps within warm-up. All are configurations the
+// zero-allocation contract covers: a full flight-recorder ring
+// overwrites in place, so enabling telemetry must not reintroduce
+// steady-state allocations.
 func reusableCases() []struct {
 	name string
 	m    ReusableMatcher
@@ -24,6 +27,7 @@ func reusableCases() []struct {
 	fullMsgs, fullReqs := workload.FullyMatching(256, 1)
 	partMsgs, partReqs := workload.Generate(workload.Config{N: 1024, Peers: 64, Tags: 32, Seed: 1})
 	uniqMsgs, uniqReqs := workload.UniqueTuples(1024, 1)
+	residueReqs, partResidueReqs := fullReqs[:len(fullReqs)/2], partReqs[:len(partReqs)/2]
 
 	type c = struct {
 		name string
@@ -56,6 +60,20 @@ func reusableCases() []struct {
 			m := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Recorder: rec})
 			cases = append(cases, c{"hash" + suffix, m, func(res *Result) error {
 				return m.MatchInto(res, uniqMsgs, uniqReqs)
+			}})
+		}
+		for _, sms := range []int{1, 2} {
+			name := "+compact"
+			if sms > 1 {
+				name = "+compact+sms2"
+			}
+			mm := NewMatrixMatcher(MatrixConfig{Arch: a, Compact: true, SMs: sms, Recorder: rec})
+			cases = append(cases, c{"matrix" + name + suffix, mm, func(res *Result) error {
+				return mm.MatchInto(res, fullMsgs, residueReqs)
+			}})
+			pm := NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Compact: true, SMs: sms, Recorder: rec})
+			cases = append(cases, c{"partitioned" + name + suffix, pm, func(res *Result) error {
+				return pm.MatchInto(res, partMsgs, partResidueReqs)
 			}})
 		}
 	}

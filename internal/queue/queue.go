@@ -9,6 +9,7 @@ package queue
 
 import (
 	"fmt"
+	"math/bits"
 
 	"simtmp/internal/simt"
 )
@@ -25,11 +26,21 @@ type Queue struct {
 // New creates a queue over mem[base, base+capacity). The region is
 // zeroed (all slots invalid).
 func New(mem *simt.Memory, base, capacity int) *Queue {
+	q := &Queue{}
+	q.Init(mem, base, capacity)
+	return q
+}
+
+// Init (re)initializes q in place as an empty queue over
+// mem[base, base+capacity), zeroing the region exactly as New does but
+// without allocating, so a caller-owned Queue can be reused across
+// kernel invocations.
+func (q *Queue) Init(mem *simt.Memory, base, capacity int) {
 	if capacity < 0 || base < 0 || base+capacity > mem.Len() {
 		panic(fmt.Sprintf("queue: region [%d,%d) outside memory of %d words", base, base+capacity, mem.Len()))
 	}
 	mem.Fill(base, capacity, 0)
-	return &Queue{mem: mem, base: base, cap: capacity}
+	*q = Queue{mem: mem, base: base, cap: capacity}
 }
 
 // Cap returns the queue capacity in entries.
@@ -154,28 +165,41 @@ func (q *Queue) CompactHost() int {
 // cross-warp via a shared-memory scan by warp 0), and survivors are
 // scattered forward. Order is preserved. It returns the new length.
 //
-// The CTA's shared memory must hold at least NumWarps words.
+// The CTA's shared memory must hold at least NumWarps words. Compact
+// allocates nothing: the per-tile state lives in stack arrays sized for
+// the largest CTA.
 func (q *Queue) Compact(cta *simt.CTA) int {
 	warps := cta.Warps()
 	tile := len(warps) * simt.LaneCount
 	writeBase := 0
 	for tileStart := 0; tileStart < q.count; tileStart += tile {
-		// Per-lane loaded words and keep masks, indexed [warp][lane].
-		words := make([][simt.LaneCount]uint64, len(warps))
-		masks := make([]uint32, len(warps))
+		// Per-lane loaded words and keep masks, indexed [warp][lane]. A
+		// lane's word is read only when the lane loaded it this tile.
+		var words [simt.MaxWarpsPerCTA][simt.LaneCount]uint64
+		var masks [simt.MaxWarpsPerCTA]uint32
 
 		for wi, w := range warps {
 			start := tileStart + wi*simt.LaneCount
-			inRange := func(lane int) bool { return start+lane < q.count }
-			valid := w.Ballot(inRange)
+			var inRange uint32
+			if n := q.count - start; n >= simt.LaneCount {
+				inRange = simt.FullMask
+			} else if n > 0 {
+				inRange = simt.FullMask >> uint(simt.LaneCount-n)
+			}
+			valid := w.BallotMask(inRange)
 			w.WithMask(valid, func() {
 				w.LoadGlobal(q.mem,
 					func(lane int) int { return q.base + start + lane },
 					func(lane int, v uint64) { words[wi][lane] = v })
 			})
-			masks[wi] = w.Ballot(func(lane int) bool {
-				return inRange(lane) && words[wi][lane] != 0
-			})
+			var keep uint32
+			for m := valid; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				if words[wi][lane] != 0 {
+					keep |= simt.LaneMask(lane)
+				}
+			}
+			masks[wi] = w.BallotMask(keep)
 		}
 		cta.SyncThreads()
 
@@ -183,17 +207,14 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		// in shared memory (a ≤32-element scan: one warp suffices).
 		w0 := warps[0]
 		nw := len(warps)
-		warpOffsets := make([]int, nw)
+		var warpOffsets [simt.MaxWarpsPerCTA]int
 		w0.WithMask(simt.FullMask>>(uint(simt.LaneCount-min(nw, simt.LaneCount))), func() {
-			w0.Exec(2, func(lane int) {
-				if lane < nw {
-					sum := 0
-					for i := 0; i < lane; i++ {
-						sum += simt.Popc(masks[i])
-					}
-					warpOffsets[lane] = sum
-				}
-			})
+			w0.Issue(2)
+			sum := 0
+			for i := 0; i < nw; i++ {
+				warpOffsets[i] = sum
+				sum += simt.Popc(masks[i])
+			}
 			if cta.Shared.Len() > 0 {
 				w0.StoreShared(cta.Shared,
 					func(lane int) int { return lane % cta.Shared.Len() },
@@ -207,7 +228,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		for wi, w := range warps {
 			mask := masks[wi]
 			w.WithMask(mask, func() {
-				w.Exec(2, func(lane int) {}) // offset computation (popc + add)
+				w.Issue(2) // offset computation (popc + add)
 				w.StoreGlobal(q.mem,
 					func(lane int) int {
 						prefix := simt.Popc(mask & (simt.LaneMask(lane) - 1))
@@ -219,7 +240,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		cta.SyncThreads()
 
 		kept := 0
-		for _, m := range masks {
+		for _, m := range masks[:nw] {
 			kept += simt.Popc(m)
 		}
 		writeBase += kept

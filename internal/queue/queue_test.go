@@ -135,6 +135,64 @@ func TestCompactSIMTMatchesHost(t *testing.T) {
 	}
 }
 
+// TestCompactReusedMatchesFresh pins the allocation-free reuse path the
+// matrix engine's compaction takes: a queue re-Init'ed over dirty
+// memory, compacted on a CTA handed back by CTACache.Get after earlier
+// use, must produce the entries and the counters of a New queue
+// compacted on a NewCTA. Sizes cover the empty queue, one entry, a
+// partial tile, exactly one 1024-thread tile and several tiles.
+func TestCompactReusedMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var cc simt.CTACache
+	dirty := simt.NewMemory(4096)
+	var reused Queue
+	for _, n := range []int{0, 1, 31, 1024, 1025, 3000} {
+		for trial := 0; trial < 3; trial++ {
+			words := make([]uint64, n)
+			for i := range words {
+				if rng.Intn(3) != 0 { // a zero word is a bubble
+					words[i] = packedEnv(i, rng.Intn(100))
+				}
+			}
+			fresh := New(simt.NewMemory(n), 0, n)
+			reused.Init(dirty, 0, n)
+			for _, w := range words {
+				fresh.Push(w)
+				reused.Push(w)
+			}
+			freshCTA := simt.NewCTA(0, 1024, simt.MaxWarpsPerCTA)
+			cachedCTA := cc.Get(0, 1024, simt.MaxWarpsPerCTA)
+			nf, nr := fresh.Compact(freshCTA), reused.Compact(cachedCTA)
+			if nf != nr {
+				t.Fatalf("n=%d trial %d: reused kept %d, fresh %d", n, trial, nr, nf)
+			}
+			for i := 0; i < nf; i++ {
+				if fresh.At(i) != reused.At(i) {
+					t.Fatalf("n=%d trial %d: entry %d = %#x, fresh %#x", n, trial, i, reused.At(i), fresh.At(i))
+				}
+			}
+			if err := reused.Invariants(); err != nil {
+				t.Fatalf("n=%d trial %d: %v", n, trial, err)
+			}
+			if fc, rc := freshCTA.Counters(), cachedCTA.Counters(); fc != rc {
+				t.Fatalf("n=%d trial %d: reused counters %+v, fresh %+v", n, trial, rc, fc)
+			}
+			// Leave the cached CTA dirty for the next Get.
+			cachedCTA.Warp(0).SetActive(0x3)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		reused.Init(dirty, 0, 3000)
+		for i := 0; i < 3000; i += 2 {
+			reused.Push(packedEnv(i, 1))
+			reused.Push(0)
+		}
+		reused.Compact(cc.Get(0, 1024, simt.MaxWarpsPerCTA))
+	}); allocs != 0 {
+		t.Errorf("reused Init+Compact allocates %v per call, want 0", allocs)
+	}
+}
+
 func TestCompactSIMTBillsInstructions(t *testing.T) {
 	m := simt.NewMemory(128)
 	q := New(m, 0, 100)

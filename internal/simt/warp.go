@@ -87,6 +87,25 @@ func (w *Warp) Exec(n int, f func(lane int)) {
 	w.forEachActive(f)
 }
 
+// Issue bills n ALU instructions without running a lane body: the
+// mask-form of Exec for kernels that account for register work they
+// compute inline. Billing is identical to Exec(n, f) for any f.
+func (w *Warp) Issue(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("simt: negative instruction count %d", n))
+	}
+	w.ctrs.ALU += uint64(n)
+}
+
+// BallotMask is the mask-form of Ballot: the caller computes the
+// per-lane votes itself (bit i = lane i's predicate) and BallotMask
+// bills one ballot and returns votes restricted to the active lanes —
+// the same value and billing as Ballot with the equivalent predicate.
+func (w *Warp) BallotMask(votes uint32) uint32 {
+	w.ctrs.Ballot++
+	return votes & w.active
+}
+
 // Ballot evaluates pred on every active lane and returns the 32-bit
 // vote vector: bit i is set iff lane i is active and pred(i) is true
 // (CUDA __ballot).
