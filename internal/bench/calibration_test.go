@@ -16,7 +16,9 @@ import (
 
 // The sweeps are deterministic, so tests share one result set instead
 // of regenerating per test (the full Figure 5 sweep alone costs
-// seconds of host time).
+// seconds of host time). The shared sets run on 4 host workers, the
+// count TestFiguresIndependentOfWorkers checks against a sequential
+// run.
 var (
 	fig4Once sync.Once
 	fig4Pts  []Fig4Point
@@ -29,17 +31,17 @@ var (
 )
 
 func figure4Cached() []Fig4Point {
-	fig4Once.Do(func() { fig4Pts = Figure4() })
+	fig4Once.Do(func() { fig4Pts = Figure4Workers(4) })
 	return fig4Pts
 }
 
 func figure5Cached() []Fig5Point {
-	fig5Once.Do(func() { fig5Pts = Figure5() })
+	fig5Once.Do(func() { fig5Pts = Figure5Workers(4) })
 	return fig5Pts
 }
 
 func figure6bCached() []Fig6bPoint {
-	fig6Once.Do(func() { fig6Pts = Figure6b() })
+	fig6Once.Do(func() { fig6Pts = Figure6bWorkers(4) })
 	return fig6Pts
 }
 

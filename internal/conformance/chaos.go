@@ -399,11 +399,6 @@ func chaosWorkload(level mpx.Level, seed int64, i int, mix fault.Config, tcfg *t
 }
 
 // addStats accumulates the counters of b into a.
-// MergeStats folds b's counters into a — the same aggregation the
-// chaos reports use, exported so sharded runners (internal/cluster)
-// can merge per-shard workload stats identically to an in-process run.
-func MergeStats(a *mpx.Stats, b mpx.Stats) { addStats(a, b) }
-
 func addStats(a *mpx.Stats, b mpx.Stats) {
 	a.Matches += b.Matches
 	a.SimSeconds += b.SimSeconds

@@ -139,30 +139,6 @@ func (s *Streamer) Err() error {
 	return s.enc.err
 }
 
-// Flush emits the finalized events buffered so far as one partial
-// chunk without waiting for the watermark, and returns the stream's
-// first error. Events still pending above the clock horizon are not
-// emitted (a later emission could still have to sort before them);
-// Close is the operation that drains those. Cluster workers call
-// Flush at job progress boundaries so the dispatcher sees telemetry
-// while a long job runs, and Close at job completion so the final
-// partial chunk is never stranded behind a batch boundary. A flush
-// with nothing finalized is a no-op, so chunk boundaries stay
-// deterministic when callers flush at deterministic points.
-func (s *Streamer) Flush() error {
-	if s == nil {
-		return nil
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	if s.closed {
-		return s.enc.err
-	}
-	s.ingestLocked()
-	s.flushLocked()
-	return s.enc.err
-}
-
 // Close finalizes the stream: ingests and flushes everything still
 // buffered or retained, writes the trace footer, and returns the first
 // error. Idempotent. Recorder.CloseStream is the same operation.
