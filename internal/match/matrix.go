@@ -422,9 +422,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 				masks[winner] &^= 1 << uint(bit)
 				assign[i] = blockStart + winner*simt.LaneCount + bit
 				matchedInBlock++
-				w0.StoreShared(cta.Shared,
-					func(lane int) int { return winner*stride + col },
-					func(lane int) uint64 { return uint64(assign[i]) })
+				w0.StoreSharedUniform(cta.Shared, winner*stride+col, uint64(assign[i]))
 			})
 			// Early exit: once every message of the block is claimed
 			// the remaining columns cannot match here (§V-B: this is
@@ -455,15 +453,10 @@ func (m *MatrixMatcher) scanWarp(wi int) {
 	regs := &m.scratch.msgRegs[wi]
 	for i := sc.wStart; i < sc.wEnd; i++ {
 		col := i - sc.wStart
-		var req uint64
-		w.LoadShared(cta.Shared,
-			func(lane int) int { return simt.MaxWarpsPerCTA*stride + col },
-			func(lane int, v uint64) { req = v })
+		req := w.LoadSharedUniform(cta.Shared, simt.MaxWarpsPerCTA*stride+col)
 		w.Issue(2) // header compare ALU work
 		vote := w.BallotMask(matchVotes(w.Active(), regs, req))
-		w.StoreShared(cta.Shared,
-			func(lane int) int { return wi*stride + col },
-			func(lane int) uint64 { return uint64(vote) })
+		w.StoreSharedUniform(cta.Shared, wi*stride+col, uint64(vote))
 	}
 }
 
@@ -552,7 +545,7 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			}, func(lane int, v uint64) {})
 			w.StoreShared(cta.Shared, func(lane int) int { return lane }, func(lane int) uint64 { return 0 })
 		}
-		w.LoadShared(cta.Shared, func(lane int) int { return i % simt.LaneCount }, func(lane int, v uint64) {})
+		w.LoadSharedUniform(cta.Shared, i%simt.LaneCount)
 		w.Issue(2)
 		if assign[i] != NoMatch {
 			continue

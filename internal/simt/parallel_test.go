@@ -2,9 +2,11 @@ package simt
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"simtmp/internal/arch"
 )
@@ -219,5 +221,115 @@ func TestCTACacheReusesByShape(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { cc.Get(1, 1024, 128) }); allocs != 0 {
 		t.Fatalf("cache hit allocates %.1f, want 0", allocs)
+	}
+}
+
+// mallocs counts the heap allocations of calls calls of f at the
+// current GOMAXPROCS. Unlike testing.AllocsPerRun it does not pin
+// GOMAXPROCS to 1, so it sees the multi-worker paths.
+func mallocs(calls int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// steadyMallocs returns the fewest allocations any batch of calls
+// consecutive calls of f made, over up to 20 batches (stopping at the
+// first clean one). The first batches start the pool's workers, and on
+// a loaded host the runtime itself allocates now and then when it
+// starts another OS thread to run a woken goroutine; a clean batch
+// shows the steady state allocates nothing. An allocation on f's own
+// path recurs in every batch, so it can never read 0.
+func steadyMallocs(calls int, f func()) uint64 {
+	best := mallocs(calls, f)
+	for b := 1; b < 20 && best != 0; b++ {
+		best = min(best, mallocs(calls, f))
+	}
+	return best
+}
+
+// TestParallelForMultiWorkerZeroAlloc pins the pool: with several
+// workers available, a steady-state ParallelFor call with a persistent
+// body allocates nothing.
+func TestParallelForMultiWorkerZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var sink [64]atomic.Int64
+	body := func(i int) { sink[i].Add(1) }
+	for _, workers := range []int{0, 2, 4} {
+		const calls = 1000
+		if got := steadyMallocs(calls, func() { ParallelFor(len(sink), workers, body) }); got != 0 {
+			t.Errorf("workers=%d: every batch of %d ParallelFor calls allocated, at least %d times; want a batch with 0",
+				workers, calls, got)
+		}
+	}
+}
+
+// TestParallelForNestedCompletes runs ParallelFor inside ParallelFor
+// iterations, as the chaos conformance runner does over runtimes whose
+// engines fan out again. The handoff takes only idle workers, so every
+// level must finish and cover its iterations exactly once.
+func TestParallelForNestedCompletes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const outer, inner = 16, 32
+	var hits [outer][inner]atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ParallelFor(outer, 0, func(i int) {
+			ParallelFor(inner, 0, func(j int) {
+				ParallelFor(3, 0, func(int) {})
+				hits[i][j].Add(1)
+			})
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("nested ParallelFor did not complete")
+	}
+	for i := range hits {
+		for j := range hits[i] {
+			if got := hits[i][j].Load(); got != 1 {
+				t.Fatalf("iteration (%d,%d) ran %d times, want 1", i, j, got)
+			}
+		}
+	}
+}
+
+// TestParallelForSurvivesGoexit covers t.Fatal inside an iteration:
+// an iteration that calls runtime.Goexit on a pool worker ends that
+// worker without hanging the call, and the pool keeps serving later
+// calls. The caller claims iteration 0 first and sleeps in it, so a
+// worker runs iteration 1 in nearly every trial.
+func TestParallelForSurvivesGoexit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for trial := 0; trial < 10; trial++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ParallelFor(2, 2, func(i int) {
+				if i == 0 {
+					time.Sleep(10 * time.Millisecond)
+					return
+				}
+				runtime.Goexit()
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("trial %d: ParallelFor with a Goexit iteration did not finish", trial)
+		}
+	}
+	var hits [256]atomic.Int32
+	ParallelFor(len(hits), 0, func(i int) { hits[i].Add(1) })
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("after Goexit trials: iteration %d ran %d times, want 1", i, got)
+		}
 	}
 }

@@ -301,28 +301,27 @@ const bankCount = 32
 
 // bankConflicts returns the serialization degree minus one of a warp
 // shared-memory access: the worst bank's count of DISTINCT addresses
-// (same-address lanes broadcast and do not conflict). At most 32
-// addresses arrive, so duplicates are found by a linear rescan and the
-// per-bank tallies live in a stack array — no allocation on a path that
-// runs once per simulated shared-memory instruction.
+// (same-address lanes broadcast and do not conflict). At most one
+// address per lane arrives, so seen[b] records, as a bitmask over
+// positions in addrs, the distinct addresses already counted in bank b;
+// a new address is compared only against those. A conflict-free access
+// touches each bank once and costs one pass, and the tallies live in
+// stack arrays — no allocation on a path that runs once per simulated
+// shared-memory instruction.
 func bankConflicts(addrs []int) uint64 {
-	var cnt [bankCount]uint8
-	worst := uint8(1)
+	var seen [bankCount]uint32
+	worst := 1
+next:
 	for i, a := range addrs {
-		dup := false
-		for _, b := range addrs[:i] {
-			if b == a {
-				dup = true
-				break
+		bank := a % bankCount
+		for m := seen[bank]; m != 0; m &= m - 1 {
+			if addrs[bits.TrailingZeros32(m)] == a {
+				continue next
 			}
 		}
-		if dup {
-			continue
-		}
-		bank := a % bankCount
-		cnt[bank]++
-		if cnt[bank] > worst {
-			worst = cnt[bank]
+		seen[bank] |= 1 << uint(i)
+		if n := bits.OnesCount32(seen[bank]); n > worst {
+			worst = n
 		}
 	}
 	return uint64(worst - 1)
@@ -355,4 +354,29 @@ func (w *Warp) StoreShared(m *Memory, addr func(lane int) int, val func(lane int
 		m.Store(a, val(lane))
 	})
 	w.ctrs.SMemConflict += bankConflicts(w.addrBuf)
+}
+
+// LoadSharedUniform is the broadcast form of LoadShared: every active
+// lane reads the one address addr, so the warp issues one load, the
+// lanes share the word without a bank conflict, and the value is
+// returned once instead of delivered per lane. Billing is identical to
+// LoadShared with a constant address; with no lane active it bills the
+// issue slot, reads nothing and returns 0.
+func (w *Warp) LoadSharedUniform(m *Memory, addr int) uint64 {
+	w.ctrs.SMemLoad++
+	if w.active == 0 {
+		return 0
+	}
+	return m.Load(addr)
+}
+
+// StoreSharedUniform is the broadcast form of StoreShared: every active
+// lane writes v to the one address addr, which leaves memory and the
+// counters exactly as StoreShared with a constant address and value
+// does. With no lane active it bills the issue slot and writes nothing.
+func (w *Warp) StoreSharedUniform(m *Memory, addr int, v uint64) {
+	w.ctrs.SMemStore++
+	if w.active != 0 {
+		m.Store(addr, v)
+	}
 }
