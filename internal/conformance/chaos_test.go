@@ -47,17 +47,13 @@ func TestChaosConformance(t *testing.T) {
 }
 
 // TestChaosWorkloadReplayDeterminism: the replay handle reproduces a
-// workload bit-for-bit — same stats, same verdict. Host wall-clock
-// metering (Stats.DrainWallSeconds) is inherently non-deterministic
-// and sits outside the simulated-determinism contract, so it is
-// normalized before comparing.
+// workload bit-for-bit — same stats, same verdict.
 func TestChaosWorkloadReplayDeterminism(t *testing.T) {
 	mix := ChaosMix()
 	for _, level := range ChaosLevels() {
 		for i := 0; i < 5; i++ {
 			s1, n1, e1 := ChaosWorkload(level, 77, i, mix)
 			s2, n2, e2 := ChaosWorkload(level, 77, i, mix)
-			s1.DrainWallSeconds, s2.DrainWallSeconds = 0, 0
 			if s1 != s2 || n1 != n2 || (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%v workload %d replay diverged:\n%+v %d %v\n%+v %d %v",
 					level, i, s1, n1, e1, s2, n2, e2)
@@ -142,7 +138,6 @@ func TestChaosBackpressureReplayDeterminism(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			s1, n1, e1 := ChaosBackpressureWorkload(level, 77, i, mix)
 			s2, n2, e2 := ChaosBackpressureWorkload(level, 77, i, mix)
-			s1.DrainWallSeconds, s2.DrainWallSeconds = 0, 0
 			if s1 != s2 || n1 != n2 || (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%v backpressure workload %d replay diverged:\n%+v %d %v\n%+v %d %v",
 					level, i, s1, n1, e1, s2, n2, e2)
@@ -202,5 +197,56 @@ func TestRunChaosParallelMatchesSequential(t *testing.T) {
 				t.Errorf("%v: failure %d differs:\n%s\n%s", s.Level, j, s.Failures[j], p.Failures[j])
 			}
 		}
+	}
+}
+
+// TestMergedReportsSumEveryField: a merged report's Stats is exactly
+// the Stats.Add-sum of its per-index workloads, so no counter is
+// dropped in the merge — including those no coverage check reads.
+func TestMergedReportsSumEveryField(t *testing.T) {
+	const seed, n = 5, 6
+	for _, bp := range []bool{false, true} {
+		mix, run, workload := ChaosMix(), RunChaosParallel, ChaosWorkload
+		if bp {
+			mix, run, workload = ChaosBackpressureMix(), RunChaosBackpressure, ChaosBackpressureWorkload
+		}
+		for _, rep := range run(seed, n, mix, 0) {
+			var want mpx.Stats
+			for i := 0; i < n; i++ {
+				st, _, _ := workload(rep.Level, seed, i, mix)
+				want.Add(st)
+			}
+			if rep.Stats != want {
+				t.Errorf("%v chaos report (backpressure %t):\n got %+v\nwant %+v", rep.Level, bp, rep.Stats, want)
+			}
+			checkMergedNonzero(t, rep.Level, rep.Stats)
+			// Endpoint health is polled only when queue caps are set.
+			if bp && rep.Stats.HealthySeconds == 0 {
+				t.Errorf("%v backpressure report dropped HealthySeconds: %+v", rep.Level, rep.Stats)
+			}
+		}
+	}
+	for _, rep := range RunPersistent(seed, n, 0) {
+		var cached, plain mpx.Stats
+		for i := 0; i < n; i++ {
+			c, p, _ := PersistentWorkload(rep.Level, seed, i)
+			cached.Add(c)
+			plain.Add(p)
+		}
+		if rep.Stats != cached || rep.NoCacheStats != plain {
+			t.Errorf("%v persistent report:\n got %+v / %+v\nwant %+v / %+v",
+				rep.Level, rep.Stats, rep.NoCacheStats, cached, plain)
+		}
+		checkMergedNonzero(t, rep.Level, rep.Stats)
+	}
+}
+
+// checkMergedNonzero asserts that fields a hand-listed merge once
+// dropped carry a value in a merged report.
+func checkMergedNonzero(t *testing.T, level mpx.Level, st mpx.Stats) {
+	t.Helper()
+	if st.Counters.ALU == 0 || st.BytesMoved == 0 || st.EagerMsgs == 0 {
+		t.Errorf("%v report dropped fields: ALU %d, BytesMoved %d, EagerMsgs %d",
+			level, st.Counters.ALU, st.BytesMoved, st.EagerMsgs)
 	}
 }

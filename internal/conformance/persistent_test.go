@@ -44,15 +44,12 @@ func TestPersistentConformance(t *testing.T) {
 
 // TestPersistentWorkloadReplayDeterminism: the replay handle
 // reproduces a differential workload bit-for-bit — same stats in both
-// arms, same verdict. Host wall-clock metering is normalized as in the
-// chaos suite.
+// arms, same verdict.
 func TestPersistentWorkloadReplayDeterminism(t *testing.T) {
 	for _, level := range ChaosLevels() {
 		for i := 0; i < 5; i++ {
 			c1, p1, e1 := PersistentWorkload(level, 77, i)
 			c2, p2, e2 := PersistentWorkload(level, 77, i)
-			c1.DrainWallSeconds, c2.DrainWallSeconds = 0, 0
-			p1.DrainWallSeconds, p2.DrainWallSeconds = 0, 0
 			if c1 != c2 || p1 != p2 || (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%v workload %d replay diverged:\ncached %+v vs %+v\nplain %+v vs %+v\nerrs %v vs %v",
 					level, i, c1, c2, p1, p2, e1, e2)
@@ -69,8 +66,6 @@ func TestPersistentParallelMatchesSerial(t *testing.T) {
 	parallel := RunPersistent(9, 12, 4)
 	for i := range serial {
 		s, p := serial[i], parallel[i]
-		s.Stats.DrainWallSeconds, p.Stats.DrainWallSeconds = 0, 0
-		s.NoCacheStats.DrainWallSeconds, p.NoCacheStats.DrainWallSeconds = 0, 0
 		if len(s.Failures) != 0 || len(p.Failures) != 0 {
 			t.Fatalf("%v: failures in determinism run: %v / %v", s.Level, s.Failures, p.Failures)
 		}

@@ -1,10 +1,12 @@
 package mpx
 
 import (
+	"reflect"
 	"testing"
 
 	"simtmp/internal/envelope"
 	"simtmp/internal/fault"
+	"simtmp/internal/simt"
 )
 
 // TestStatsLongRunCounters audits the Stats counters across a
@@ -125,5 +127,71 @@ func TestResetStats(t *testing.T) {
 	}
 	if after.Drops == 0 {
 		t.Log("note: no drops in post-reset window (legal, seed-dependent)")
+	}
+}
+
+// TestStatsAdd sets every numeric leaf of two Stats values, including
+// the nested simt.Counters, to distinct nonzero values and asserts that
+// Add sums each one: a field without its Add line fails here.
+func TestStatsAdd(t *testing.T) {
+	var a, b Stats
+	k := 0
+	statLeaves(t, reflect.ValueOf(&a).Elem(), "", func(_ string, f reflect.Value) { k++; setLeaf(f, k) })
+	statLeaves(t, reflect.ValueOf(&b).Elem(), "", func(_ string, f reflect.Value) { k++; setLeaf(f, 1000*k) })
+	sum := a
+	sum.Add(b)
+
+	var want []float64
+	statLeaves(t, reflect.ValueOf(a), "", func(_ string, f reflect.Value) { want = append(want, leafValue(f)) })
+	i := 0
+	statLeaves(t, reflect.ValueOf(b), "", func(_ string, f reflect.Value) { want[i] += leafValue(f); i++ })
+	i = 0
+	statLeaves(t, reflect.ValueOf(sum), "", func(path string, f reflect.Value) {
+		if got := leafValue(f); got != want[i] {
+			t.Errorf("Add: Stats%s = %v, want %v", path, got, want[i])
+		}
+		i++
+	})
+	if n := reflect.TypeOf(Stats{}).NumField() - 1 + reflect.TypeOf(simt.Counters{}).NumField(); i != n {
+		t.Fatalf("walked %d numeric leaves, want %d (every Stats field, Counters expanded)", i, n)
+	}
+}
+
+// statLeaves calls visit on every numeric leaf of v in field order,
+// descending into nested structs; any other field kind fails the test,
+// so a new field type must teach this walk (and Add) about itself.
+func statLeaves(t *testing.T, v reflect.Value, path string, visit func(path string, f reflect.Value)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			statLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		visit(path, v)
+	default:
+		t.Fatalf("Stats%s has unsupported kind %v", path, v.Kind())
+	}
+}
+
+func setLeaf(f reflect.Value, x int) {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.SetInt(int64(x))
+	case reflect.Uint64:
+		f.SetUint(uint64(x))
+	case reflect.Float64:
+		f.SetFloat(float64(x))
+	}
+}
+
+func leafValue(f reflect.Value) float64 {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		return float64(f.Int())
+	case reflect.Uint64:
+		return float64(f.Uint())
+	default:
+		return f.Float()
 	}
 }

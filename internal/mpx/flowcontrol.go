@@ -266,7 +266,6 @@ func (rt *Runtime) grantCreditsLocked(fl *txFlow) {
 // rejected send burns no sequence number.
 func (rt *Runtime) shedSendLocked(fl *txFlow, newFrame func() *frame) (accepted bool, err error) {
 	rt.stats.Sheds++
-	rt.mSheds.Add(1)
 	rt.healthNoteShedLocked(fl.src)
 	switch rt.cfg.Shed {
 	case ShedDropOldest:
@@ -361,7 +360,6 @@ func (rt *Runtime) nackGapsLocked(g int) int {
 		fl := rt.tx[src][g]
 		for f := from; f < minHeld; f++ {
 			rt.stats.Nacks++
-			rt.mNacks.Add(1)
 			rt.rec.Instant(g, evNack, argDst, int64(src), argFlow, int64(f))
 			if fl == nil {
 				continue
@@ -471,7 +469,6 @@ func (rt *Runtime) stepHealthLocked() {
 			}
 			h.since = rt.now
 			rt.stats.StateTransitions++
-			rt.mStates.Add(1)
 			rt.rec.Instant(g, evHealth, argState, int64(h.state), argOcc, int64(occ*1000))
 		}
 		switch h.state {

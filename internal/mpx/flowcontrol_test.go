@@ -315,9 +315,7 @@ func TestFlowControlDeterminism(t *testing.T) {
 		if ok, err := rt.Drain(200_000); err != nil || !ok {
 			t.Fatalf("drain: ok=%v err=%v", ok, err)
 		}
-		st := rt.Stats()
-		st.DrainWallSeconds = 0 // host time, legitimately differs
-		return st
+		return rt.Stats()
 	}
 	seq, par := run(1), run(0)
 	if seq != par {
@@ -331,11 +329,11 @@ func TestFlowControlDeterminism(t *testing.T) {
 	}
 }
 
-// TestResetStatsOverloadCounters mirrors the PR 6 counter audit for the
-// overload plane: after an overloaded warmup, ResetStats must re-base
-// every shed/credit/state counter, the merged SlowDrains counter, and
-// the queue-depth histograms, so steady-state windows exclude warmup
-// noise.
+// TestResetStatsOverloadCounters audits the overload plane's
+// accounting: after an overloaded warmup, ResetStats must re-base every
+// shed/credit/state counter, the merged SlowDrains counter, the
+// registry counters published from Stats, and the queue-depth
+// histograms, so steady-state windows exclude warmup noise.
 func TestResetStatsOverloadCounters(t *testing.T) {
 	rt := New(Config{
 		Level: FullMPI, GPUs: 2, UMQCap: 4, StagingCap: 4, Shed: ShedDropOldest,
@@ -362,6 +360,7 @@ func TestResetStatsOverloadCounters(t *testing.T) {
 	if warm.Sheds == 0 || warm.CreditStalls == 0 || warm.StateTransitions == 0 || warm.SlowDrains == 0 {
 		t.Fatalf("warmup exercised no overload machinery: %+v", warm)
 	}
+	checkCountersFollowStats(t, rt, "after the overloaded warmup")
 	depthN := func() uint64 {
 		var n uint64
 		for _, s := range rt.Recorder().Metrics().Snapshots() {
@@ -382,6 +381,7 @@ func TestResetStatsOverloadCounters(t *testing.T) {
 	if n := depthN(); n != 0 {
 		t.Errorf("queue-depth histograms hold %d samples after ResetStats, want 0", n)
 	}
+	checkCountersFollowStats(t, rt, "right after ResetStats")
 
 	// Post-reset steady window: uncongested traffic (drained message by
 	// message, so no queue ever fills) must account from the new zero
@@ -403,5 +403,19 @@ func TestResetStatsOverloadCounters(t *testing.T) {
 	}
 	if after.Sheds != 0 || after.ShedDrops != 0 || after.RecvRejects != 0 {
 		t.Errorf("post-reset window inherited warmup overload counters: %+v", after)
+	}
+	checkCountersFollowStats(t, rt, "after the post-reset window")
+}
+
+// checkCountersFollowStats asserts that every statCounters row's
+// registry counter reads its Stats field (the runtime publishes both
+// at step boundaries and from ResetStats).
+func checkCountersFollowStats(t *testing.T, rt *Runtime, when string) {
+	t.Helper()
+	reg, st := rt.Recorder().Metrics(), rt.Stats()
+	for _, row := range statCounters {
+		if got, want := reg.Counter(row.name).Value(), int64(row.field(&st)); got != want {
+			t.Errorf("%s: registry %s = %d, Stats field = %d", when, row.name, got, want)
+		}
 	}
 }

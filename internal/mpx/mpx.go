@@ -24,9 +24,7 @@ package mpx
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
@@ -138,11 +136,6 @@ type Config struct {
 	// Drain tolerates with work still in flight before returning a
 	// *StallError (default 100).
 	StallPatience int
-	// MeasureAllocs samples runtime.MemStats around every Drain call to
-	// fill the Stats.DrainAllocs/DrainAllocBytes counters (-benchmem
-	// style). Off by default: ReadMemStats briefly stops the world, so
-	// it is opt-in for benchmarking and regression runs.
-	MeasureAllocs bool
 
 	// EngineWorkers bounds the host goroutines each matching engine
 	// uses to simulate its device-parallel phases (0 = GOMAXPROCS, the
@@ -241,10 +234,15 @@ func (r *Recv) Message() (gas.Message, error) {
 	return r.msg, nil
 }
 
-// Stats accumulates the simulated matching work of a runtime.
+// Stats accumulates the simulated matching work of a runtime. It is the
+// only definition of the runtime's counter set: reports merge it with
+// Add, and the telemetry registry publishes its counters from it (see
+// statCounters). Every field is deterministic, so replays of one
+// workload compare Stats values with ==.
 //
 // Overflow and reset semantics: every counter is a monotone total
-// since the runtime was created (or since the last ResetStats call).
+// since the runtime was created (or since the last ResetStats call),
+// except Unmatched, which is a level.
 // Counters are plain ints, which the compile-time guard below pins to
 // 64 bits, so even a soak pushing 10^9 messages per host-second would
 // take centuries to wrap one — overflow is out of the design envelope
@@ -257,7 +255,7 @@ type Stats struct {
 	SimSeconds  float64
 	Iterations  int
 	Counters    simt.Counters
-	Unmatched   int // messages left pending after the last progress
+	Unmatched   int // a level: messages pending after the last step (Add sums it as total residue)
 	PostedRecvs int
 	Sends       int
 
@@ -278,14 +276,6 @@ type Stats struct {
 	Invalid       int // wire words discarded for a missing valid bit
 	StallSteps    int // drain rounds suppressed by injected stalls
 	ProgressSteps int // progress steps executed (Progress + Drain)
-
-	// Host-side drain-loop profile (-benchmem style). Wall time is
-	// always metered; the allocation counters fill only when
-	// Config.MeasureAllocs is set.
-	Drains           int     // Drain calls completed
-	DrainWallSeconds float64 // host wall-clock spent inside Drain
-	DrainAllocs      uint64  // heap allocations during Drain calls
-	DrainAllocBytes  uint64  // heap bytes allocated during Drain calls
 
 	// Overload protection (the flow-control layer; all zero unless
 	// queue caps are configured — Config.UMQCap/PRQCap/StagingCap).
@@ -342,31 +332,52 @@ func (s Stats) Rate() float64 {
 	return float64(s.Matches) / s.SimSeconds
 }
 
-// DrainRate returns matched messages per host wall-clock second spent
-// draining, or 0 before any Drain completed.
-func (s Stats) DrainRate() float64 {
-	if s.DrainWallSeconds <= 0 {
-		return 0
-	}
-	return float64(s.Matches) / s.DrainWallSeconds
-}
-
-// AllocsPerDrain returns heap allocations per Drain call (0 unless
-// Config.MeasureAllocs was set).
-func (s Stats) AllocsPerDrain() float64 {
-	if s.Drains == 0 {
-		return 0
-	}
-	return float64(s.DrainAllocs) / float64(s.Drains)
-}
-
-// AllocBytesPerDrain returns heap bytes allocated per Drain call (0
-// unless Config.MeasureAllocs was set).
-func (s Stats) AllocBytesPerDrain() float64 {
-	if s.Drains == 0 {
-		return 0
-	}
-	return float64(s.DrainAllocBytes) / float64(s.Drains)
+// Add accumulates o into s, field by field. Reports that merge several
+// runs use it, so a new counter needs one line here; TestStatsAdd fails
+// until it has one.
+func (s *Stats) Add(o Stats) {
+	s.Matches += o.Matches
+	s.SimSeconds += o.SimSeconds
+	s.Iterations += o.Iterations
+	s.Counters.Add(o.Counters)
+	s.Unmatched += o.Unmatched
+	s.PostedRecvs += o.PostedRecvs
+	s.Sends += o.Sends
+	s.BytesMoved += o.BytesMoved
+	s.TransferSeconds += o.TransferSeconds
+	s.EagerMsgs += o.EagerMsgs
+	s.RendezvousMsgs += o.RendezvousMsgs
+	s.PrePostedMsgs += o.PrePostedMsgs
+	s.Retries += o.Retries
+	s.Acks += o.Acks
+	s.Duplicates += o.Duplicates
+	s.Drops += o.Drops
+	s.Corrupt += o.Corrupt
+	s.Invalid += o.Invalid
+	s.StallSteps += o.StallSteps
+	s.ProgressSteps += o.ProgressSteps
+	s.Sheds += o.Sheds
+	s.ShedRejects += o.ShedRejects
+	s.ShedDrops += o.ShedDrops
+	s.ShedRecovered += o.ShedRecovered
+	s.RecvRejects += o.RecvRejects
+	s.Nacks += o.Nacks
+	s.NackRetransmits += o.NackRetransmits
+	s.CreditStalls += o.CreditStalls
+	s.StateTransitions += o.StateTransitions
+	s.HealthySeconds += o.HealthySeconds
+	s.CongestedSeconds += o.CongestedSeconds
+	s.SheddingSeconds += o.SheddingSeconds
+	s.RecoveringSeconds += o.RecoveringSeconds
+	s.SlowDrains += o.SlowDrains
+	s.StreamSends += o.StreamSends
+	s.CrossStreamReleases += o.CrossStreamReleases
+	s.PersistentSends += o.PersistentSends
+	s.PersistentRecvs += o.PersistentRecvs
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheSeals += o.CacheSeals
+	s.CacheInvalidations += o.CacheInvalidations
 }
 
 // Runtime is a GAS cluster with per-GPU matching engines. It is safe
@@ -438,27 +449,19 @@ type Runtime struct {
 	// deciding pre-postedness per message.
 	seq   uint64
 	stats Stats
-	// base holds the external cumulative counters (cluster link stats,
-	// fault-plane injections) observed at the last ResetStats, so the
-	// merged Stats view resets consistently even though those sources
-	// cannot be zeroed themselves.
-	base struct{ corrupt, invalid, drops, stallSteps, slowDrains int }
+	// base holds the external counters (see externalStatsLocked)
+	// observed at the last ResetStats, so the merged Stats view resets
+	// consistently even though those sources cannot be zeroed
+	// themselves.
+	base Stats
 
 	// Telemetry plane (all nil when Config.Telemetry is off; every
 	// handle is nil-safe, so emission sites are unconditional).
-	rec           *telemetry.Recorder
-	mSends        *telemetry.Counter
-	mRetries      *telemetry.Counter
-	mSheds        *telemetry.Counter
-	mNacks        *telemetry.Counter
-	mCreditStalls *telemetry.Counter
-	mStates       *telemetry.Counter
-	mUMQDepth     *telemetry.Histogram
-	mPRQDepth     *telemetry.Histogram
-	mCacheHits    *telemetry.Counter
-	mCacheMisses  *telemetry.Counter
-	mCacheSeals   *telemetry.Counter
-	mCacheInvalids *telemetry.Counter
+	// counters[i] is the registry handle of statCounters[i].
+	rec       *telemetry.Recorder
+	counters  []*telemetry.Counter
+	mUMQDepth *telemetry.Histogram
+	mPRQDepth *telemetry.Histogram
 }
 
 // Normalize validates the config and applies every construction-time
@@ -691,7 +694,6 @@ func (rt *Runtime) noteSendLocked(src, dst int, stream envelope.Stream, fl *txFl
 	if stream != envelope.DefaultStream {
 		rt.stats.StreamSends++
 	}
-	rt.mSends.Add(1)
 	rt.rec.Instant(src, evSend, argDst, int64(dst), argFlow, int64(fl.nextFlow))
 }
 
@@ -931,8 +933,10 @@ func (rt *Runtime) progressStepLocked() (int, error) {
 		rt.stats.Unmatched += len(rt.pendingMsgs[g])
 	}
 	rt.stepHealthLocked()
-	// Batch boundary: hand this step's emissions to the live streamer
-	// (if any) before a later step's ring wrap could overwrite them.
+	// Batch boundary: publish the registry counters, and hand this
+	// step's emissions to the live streamer (if any) before a later
+	// step's ring wrap could overwrite them.
+	rt.publishCountersLocked()
 	rt.rec.Pump()
 	return progress, nil
 }
@@ -952,21 +956,6 @@ func (rt *Runtime) progressStepLocked() (int, error) {
 func (rt *Runtime) Drain(maxSteps int) (bool, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	start := time.Now()
-	var m0 runtime.MemStats
-	if rt.cfg.MeasureAllocs {
-		runtime.ReadMemStats(&m0)
-	}
-	defer func() {
-		rt.stats.Drains++
-		rt.stats.DrainWallSeconds += time.Since(start).Seconds()
-		if rt.cfg.MeasureAllocs {
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			rt.stats.DrainAllocs += m1.Mallocs - m0.Mallocs
-			rt.stats.DrainAllocBytes += m1.TotalAlloc - m0.TotalAlloc
-		}
-	}()
 	idle := 0
 	for step := 0; step < maxSteps; step++ {
 		progress, err := rt.progressStepLocked()
@@ -1007,19 +996,29 @@ func (rt *Runtime) Stats() Stats {
 }
 
 func (rt *Runtime) mergedStatsLocked() Stats {
-	st := rt.stats
+	st, ext := rt.stats, rt.externalStatsLocked()
+	st.Corrupt = ext.Corrupt - rt.base.Corrupt
+	st.Invalid = ext.Invalid - rt.base.Invalid
+	st.Drops = ext.Drops - rt.base.Drops
+	st.StallSteps = ext.StallSteps - rt.base.StallSteps
+	st.SlowDrains = ext.SlowDrains - rt.base.SlowDrains
+	return st
+}
+
+// externalStatsLocked reads the cumulative counters kept outside the
+// runtime: link-level detection (Corrupt, Invalid, summed over GPUs)
+// and, when the fault plane is active, its injections (Drops,
+// StallSteps, SlowDrains).
+func (rt *Runtime) externalStatsLocked() Stats {
+	var st Stats
 	for g := 0; g < rt.cluster.Size(); g++ {
 		ls := rt.cluster.GPU(g).LinkStats()
 		st.Corrupt += ls.Corrupt
 		st.Invalid += ls.Invalid
 	}
-	st.Corrupt -= rt.base.corrupt
-	st.Invalid -= rt.base.invalid
 	if rt.injector != nil {
 		c := rt.injector.Counters()
-		st.Drops = c.Drops - rt.base.drops
-		st.StallSteps = c.StallSteps - rt.base.stallSteps
-		st.SlowDrains = c.SlowDrains - rt.base.slowDrains
+		st.Drops, st.StallSteps, st.SlowDrains = c.Drops, c.StallSteps, c.SlowDrains
 	}
 	return st
 }
@@ -1027,25 +1026,17 @@ func (rt *Runtime) mergedStatsLocked() Stats {
 // ResetStats zeroes the cumulative Stats view: the runtime's own
 // counters are cleared and the externally sourced counters (link-level
 // corruption detection, fault-plane injections) are re-based so the
-// next Stats call reads zero everywhere. Load drivers use it to
-// exclude a warmup phase from steady-state accounting. In-flight
-// state — pending messages, posted receives, flow windows, the
-// simulated clock — is untouched; only the accounting restarts.
+// next Stats call reads zero everywhere. The telemetry registry's
+// counters and queue-depth histograms restart with it. Load drivers
+// use it to exclude a warmup phase from steady-state accounting.
+// In-flight state — pending messages, posted receives, flow windows,
+// the simulated clock — is untouched; only the accounting restarts.
 func (rt *Runtime) ResetStats() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.stats = Stats{}
-	rt.base.corrupt, rt.base.invalid = 0, 0
-	for g := 0; g < rt.cluster.Size(); g++ {
-		ls := rt.cluster.GPU(g).LinkStats()
-		rt.base.corrupt += ls.Corrupt
-		rt.base.invalid += ls.Invalid
-	}
-	if rt.injector != nil {
-		c := rt.injector.Counters()
-		rt.base.drops, rt.base.stallSteps = c.Drops, c.StallSteps
-		rt.base.slowDrains = c.SlowDrains
-	}
+	rt.base = rt.externalStatsLocked()
+	rt.publishCountersLocked()
 	// The queue-depth histograms feed the steady-state occupancy view,
 	// so a warmup exclusion must re-base them too (nil-safe no-ops when
 	// telemetry is off).

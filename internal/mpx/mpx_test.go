@@ -375,54 +375,3 @@ func TestRandomTrafficConformance(t *testing.T) {
 		t.Errorf("delivered %d of %d", delivered, wantTotal)
 	}
 }
-
-// TestDrainStats covers the -benchmem-style drain metering: Drains and
-// wall-clock are always tracked; allocation counters only under
-// Config.MeasureAllocs (runtime.ReadMemStats is a stop-the-world, so
-// it is opt-in).
-func TestDrainStats(t *testing.T) {
-	run := func(measure bool) Stats {
-		rt := New(Config{GPUs: 2, MeasureAllocs: measure})
-		for i := 0; i < 8; i++ {
-			if err := rt.Send(0, 1, envelope.Tag(i), 0, []byte{byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rt.PostRecv(1, 0, envelope.Tag(i), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ok, err := rt.Drain(100); !ok || err != nil {
-			t.Fatalf("Drain = %v, %v", ok, err)
-		}
-		return rt.Stats()
-	}
-
-	st := run(true)
-	if st.Drains != 1 {
-		t.Errorf("Drains = %d, want 1", st.Drains)
-	}
-	if st.DrainWallSeconds <= 0 {
-		t.Errorf("DrainWallSeconds = %v, want > 0", st.DrainWallSeconds)
-	}
-	if st.DrainRate() <= 0 {
-		t.Errorf("DrainRate() = %v, want > 0", st.DrainRate())
-	}
-	// A measured drain performs at least some allocations (runtime
-	// bookkeeping, cold scratch growth); the per-drain views must agree
-	// with the raw counters.
-	if got, want := st.AllocsPerDrain(), float64(st.DrainAllocs)/float64(st.Drains); got != want {
-		t.Errorf("AllocsPerDrain() = %v, want %v", got, want)
-	}
-	if got, want := st.AllocBytesPerDrain(), float64(st.DrainAllocBytes)/float64(st.Drains); got != want {
-		t.Errorf("AllocBytesPerDrain() = %v, want %v", got, want)
-	}
-
-	st = run(false)
-	if st.DrainAllocs != 0 || st.DrainAllocBytes != 0 {
-		t.Errorf("alloc counters without MeasureAllocs: %d allocs, %d bytes; want 0",
-			st.DrainAllocs, st.DrainAllocBytes)
-	}
-	if st.Drains != 1 {
-		t.Errorf("Drains = %d, want 1", st.Drains)
-	}
-}

@@ -227,7 +227,6 @@ func (h *PersistentSend) fireLocked(i int) error {
 	h.firedCount++
 	rt.stats.Sends++
 	rt.stats.PersistentSends++
-	rt.mSends.Add(1)
 	rt.rec.Instant(h.src, evSend, argDst, int64(h.dst), argFlow, int64(fl.nextFlow))
 	_, err := rt.flushOutbox(fl)
 	return err
@@ -632,7 +631,6 @@ func (rt *Runtime) persistDeliverLocked(g int, m gas.Message) bool {
 		return false
 	}
 	rt.stats.CacheHits++
-	rt.mCacheHits.Add(1)
 	rt.rec.Instant(g, evCacheHit, argHandle, int64(best.id), argFlow, int64(m.Flow))
 	rt.persistAcceptLocked(best, m, true)
 	return true
@@ -646,7 +644,6 @@ func (rt *Runtime) persistForwardLocked(r *Recv, tr proto.Transfer) {
 	h := r.ph
 	h.inner--
 	rt.stats.CacheMisses++
-	rt.mCacheMisses.Add(1)
 	h.transfer.Bytes += tr.Bytes
 	h.transfer.Mode = tr.Mode
 	h.transfer.WireSeconds += tr.WireSeconds
@@ -791,7 +788,6 @@ func (rt *Runtime) persistUnsealedLocked(g int, ids []match.HandleID) {
 	}
 	c := rt.pcaches[g]
 	rt.stats.CacheInvalidations += len(ids)
-	rt.mCacheInvalids.Add(int64(len(ids)))
 	for _, id := range ids {
 		rt.rec.Instant(g, evCacheInvalidate, argHandle, int64(id), 0, 0)
 		h, _ := c.User(id).(*PersistentRecv)
@@ -838,7 +834,6 @@ func (rt *Runtime) persistStepLocked(g int) {
 		}
 		if err := c.Seal(h.id); err == nil {
 			rt.stats.CacheSeals++
-			rt.mCacheSeals.Add(1)
 			rt.rec.Instant(g, evCacheSeal, argHandle, int64(h.id), argParts, int64(h.parts))
 		}
 	}

@@ -287,14 +287,12 @@ func (rt *Runtime) flushOutbox(fl *txFlow) (int, error) {
 			// step refreshes the grant even if no ack arrives.
 			fl.probe = true
 			rt.stats.CreditStalls++
-			rt.mCreditStalls.Add(1)
 			rt.rec.Instant(fl.src, evCreditStall, argDst, int64(fl.dst), argQueued, int64(fl.staged()))
 			break
 		}
 		if err := rt.transport.PutStream(fl.dst, fr.env, fr.payload, fr.seq, fr.flow, fr.sseq); err != nil {
 			if retryable(err) {
 				rt.stats.CreditStalls++
-				rt.mCreditStalls.Add(1)
 				rt.rec.Instant(fl.src, evCreditStall, argDst, int64(fl.dst), argQueued, int64(fl.staged()))
 				break
 			}
@@ -332,7 +330,6 @@ func (rt *Runtime) checkRetransmits(fl *txFlow) (int, error) {
 		fr.attempts++
 		fr.deadline = rt.now + rt.rto(fr.attempts)
 		rt.stats.Retries++
-		rt.mRetries.Add(1)
 		rt.rec.Instant(fl.src, evRetransmit, argDst, int64(fl.dst), argAttempts, int64(fr.attempts))
 		moved++
 	}

@@ -2,7 +2,6 @@ package mpx
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"simtmp/internal/envelope"
@@ -268,7 +267,7 @@ func TestChaosRecoveryExactlyOnce(t *testing.T) {
 // TestChaosReplayDeterminism: the same seed gives the same merged
 // stats — the whole chaos run replays bit-for-bit.
 func TestChaosReplayDeterminism(t *testing.T) {
-	run := func() string {
+	run := func() Stats {
 		rt := New(Config{GPUs: 3, Fault: &fault.Config{
 			Seed: 5, Drop: 0.1, Duplicate: 0.1, Corrupt: 0.1, Delay: 0.1, AckDrop: 0.1,
 		}})
@@ -284,12 +283,9 @@ func TestChaosReplayDeterminism(t *testing.T) {
 		if ok, err := rt.Drain(1000); !ok || err != nil {
 			t.Fatalf("Drain = %v, %v", ok, err)
 		}
-		// Host wall-clock is outside the simulated-determinism contract.
-		st := rt.Stats()
-		st.DrainWallSeconds = 0
-		return fmt.Sprintf("%+v", st)
+		return rt.Stats()
 	}
 	if a, b := run(), run(); a != b {
-		t.Fatalf("chaos replay diverged:\n%s\n%s", a, b)
+		t.Fatalf("chaos replay diverged:\n%+v\n%+v", a, b)
 	}
 }

@@ -36,6 +36,36 @@ var (
 	argParts          = telemetry.Name("parts")
 )
 
+// statCounters is the runtime's registry counter set: each row names a
+// metric and the Stats field it follows. The runtime publishes the
+// table at every progress-step boundary and again from ResetStats, so
+// a registry counter reads its Stats field as of the last step and
+// re-bases with it.
+var statCounters = []struct {
+	name  string
+	field func(*Stats) int
+}{
+	{"mpx.sends", func(s *Stats) int { return s.Sends }},
+	{"mpx.retries", func(s *Stats) int { return s.Retries }},
+	{"mpx.sheds", func(s *Stats) int { return s.Sheds }},
+	{"mpx.nacks", func(s *Stats) int { return s.Nacks }},
+	{"mpx.credit_stalls", func(s *Stats) int { return s.CreditStalls }},
+	{"mpx.health_transitions", func(s *Stats) int { return s.StateTransitions }},
+	{"match.cache.hits", func(s *Stats) int { return s.CacheHits }},
+	{"match.cache.misses", func(s *Stats) int { return s.CacheMisses }},
+	{"match.cache.seals", func(s *Stats) int { return s.CacheSeals }},
+	{"match.cache.invalidations", func(s *Stats) int { return s.CacheInvalidations }},
+}
+
+// publishCountersLocked stores every statCounters row into its registry
+// counter (a no-op when telemetry is off). None of the rows is an
+// external counter, so the runtime's own stats are the merged view.
+func (rt *Runtime) publishCountersLocked() {
+	for i, c := range rt.counters {
+		c.Set(int64(statCounters[i].field(&rt.stats)))
+	}
+}
+
 // setupTelemetry builds the runtime's recorder (one track per GPU),
 // registers its metrics, and attaches the recorder to the fault plane.
 // Called from New before the engines are built so they can share the
@@ -54,16 +84,10 @@ func (rt *Runtime) setupTelemetry() {
 		rt.rec.SetTrackName(g, fmt.Sprintf("GPU %d", g))
 	}
 	reg := rt.rec.Metrics()
-	rt.mSends = reg.Counter("mpx.sends")
-	rt.mRetries = reg.Counter("mpx.retries")
-	rt.mSheds = reg.Counter("mpx.sheds")
-	rt.mNacks = reg.Counter("mpx.nacks")
-	rt.mCreditStalls = reg.Counter("mpx.credit_stalls")
-	rt.mStates = reg.Counter("mpx.health_transitions")
-	rt.mCacheHits = reg.Counter("match.cache.hits")
-	rt.mCacheMisses = reg.Counter("match.cache.misses")
-	rt.mCacheSeals = reg.Counter("match.cache.seals")
-	rt.mCacheInvalids = reg.Counter("match.cache.invalidations")
+	rt.counters = make([]*telemetry.Counter, len(statCounters))
+	for i, row := range statCounters {
+		rt.counters[i] = reg.Counter(row.name)
+	}
 	depths := stats.ExpBuckets(1, 2, 12)
 	rt.mUMQDepth = reg.Histogram("mpx.umq.depth", depths)
 	rt.mPRQDepth = reg.Histogram("mpx.prq.depth", depths)

@@ -77,9 +77,7 @@ func TestOverloadBoundedDeterministic(t *testing.T) {
 	}
 
 	// Engine-mode equivalence, down to every per-message latency and
-	// every shed slot. Wall-clock accounting is the one legitimately
-	// nondeterministic field.
-	seq.Stats.DrainWallSeconds, par.Stats.DrainWallSeconds = 0, 0
+	// every shed slot.
 	if !reflect.DeepEqual(seq.Records, par.Records) {
 		t.Fatalf("per-message records diverge across engine modes")
 	}
@@ -104,9 +102,7 @@ func TestOverloadReplayIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Stats.DrainWallSeconds, b.Stats.DrainWallSeconds = 0, 0
-	if a.SheddedArrivals != b.SheddedArrivals || a.Stats.Sheds != b.Stats.Sheds ||
-		a.Stats.ShedDrops != b.Stats.ShedDrops || a.UMQPeak != b.UMQPeak || a.PRQPeak != b.PRQPeak {
+	if a.SheddedArrivals != b.SheddedArrivals || a.Stats != b.Stats || a.UMQPeak != b.UMQPeak || a.PRQPeak != b.PRQPeak {
 		t.Fatalf("replay diverged: %+v vs %+v", a.Stats, b.Stats)
 	}
 	if !reflect.DeepEqual(a.Records, b.Records) {

@@ -37,7 +37,7 @@ func TestSnapshotConcurrentWithEmission(t *testing.T) {
 				r.Instant(g, evSnapInst, 0, int64(step), 0, 0)
 				r.Counter(g, evSnapCtr, float64(step))
 			}
-			ctr.Add(1)
+			ctr.Set(int64(step + 1))
 			r.Pump()
 		}
 		if err := r.CloseStream(); err != nil {

@@ -1,6 +1,6 @@
 // Package telemetry is the runtime's observability plane: a typed
 // event model, a bounded per-track ring-buffer flight recorder, a
-// metrics registry (counters, gauges, fixed-bucket histograms), and a
+// metrics registry (counters, fixed-bucket histograms), and a
 // unified Exporter family — Chrome/Perfetto trace-event JSON, a
 // human-readable summary, and chunked live streaming.
 //

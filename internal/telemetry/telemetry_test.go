@@ -51,11 +51,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatal("nil recorder returned non-nil registry")
 	}
 	c := reg.Counter("x")
-	c.Add(1)
+	c.Set(1)
 	if c.Value() != 0 {
-		t.Error("nil counter accumulated")
+		t.Error("nil counter stored a value")
 	}
-	reg.Gauge("g").Set(2)
 	reg.Histogram("h", stats.LinearBuckets(0, 1, 4)).Observe(1)
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -164,11 +163,9 @@ func TestMetricsZeroAlloc(t *testing.T) {
 	r := New(Config{Enabled: true})
 	reg := r.Metrics()
 	c := reg.Counter("c")
-	g := reg.Gauge("g")
 	h := reg.Histogram("h", stats.ExpBuckets(1, 2, 8))
 	allocs := testing.AllocsPerRun(200, func() {
-		c.Add(1)
-		g.Set(2)
+		c.Set(1)
 		h.Observe(3)
 	})
 	if allocs != 0 {
@@ -182,28 +179,21 @@ func TestRegistryFindOrCreate(t *testing.T) {
 	if reg.Counter("x") != reg.Counter("x") {
 		t.Error("Counter find-or-create returned distinct handles")
 	}
-	if reg.Gauge("x") != reg.Gauge("x") {
-		t.Error("Gauge find-or-create returned distinct handles")
-	}
 	if reg.Histogram("x", []float64{1}) != reg.Histogram("x", nil) {
 		t.Error("Histogram find-or-create returned distinct handles")
 	}
-	reg.Counter("x").Add(3)
-	reg.Gauge("x").Set(1.5)
+	reg.Counter("x").Set(3)
 	reg.Histogram("x", nil).Observe(2)
 	snaps := reg.Snapshots()
-	if len(snaps) != 3 {
-		t.Fatalf("got %d snapshots, want 3", len(snaps))
+	if len(snaps) != 2 {
+		t.Fatalf("got %d snapshots, want 2", len(snaps))
 	}
-	// Sorted by kind: counter, gauge, histogram.
+	// Sorted by kind: counter, histogram.
 	if snaps[0].Kind != "counter" || snaps[0].Value != 3 {
 		t.Errorf("snaps[0] = %+v", snaps[0])
 	}
-	if snaps[1].Kind != "gauge" || snaps[1].Value != 1.5 {
+	if snaps[1].Kind != "histogram" || snaps[1].Dist.N != 1 {
 		t.Errorf("snaps[1] = %+v", snaps[1])
-	}
-	if snaps[2].Kind != "histogram" || snaps[2].Dist.N != 1 {
-		t.Errorf("snaps[2] = %+v", snaps[2])
 	}
 }
 
@@ -211,7 +201,7 @@ func TestWriteSummaryIncludesMetrics(t *testing.T) {
 	r := New(Config{Enabled: true, Tracks: 1})
 	r.SetTrackName(0, "GPU 0")
 	r.Instant(0, tName, 0, 0, 0, 0)
-	r.Metrics().Counter("mpx.sends").Add(5)
+	r.Metrics().Counter("mpx.sends").Set(5)
 	var buf bytes.Buffer
 	if err := r.WriteSummary(&buf); err != nil {
 		t.Fatal(err)

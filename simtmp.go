@@ -480,10 +480,10 @@ var (
 	ChartFigure6b        = bench.ChartFigure6b
 	ChartTableII         = bench.ChartTableII
 	// WriteCSV renders any experiment's rows as CSV.
-	WriteCSV              = bench.WriteCSV
-	Figure4Workers        = bench.Figure4Workers
-	Figure5Workers        = bench.Figure5Workers
-	Figure6bWorkers       = bench.Figure6bWorkers
+	WriteCSV        = bench.WriteCSV
+	Figure4Workers  = bench.Figure4Workers
+	Figure5Workers  = bench.Figure5Workers
+	Figure6bWorkers = bench.Figure6bWorkers
 	// StreamScaling measures the MPIX Stream relaxation across stream
 	// counts against the full-MPI matrix on identical workloads.
 	StreamScaling      = bench.StreamScaling
