@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"simtmp"
+	"simtmp/internal/bench"
 )
 
 // section is one runnable experiment.
@@ -123,18 +124,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	csvOut := fs.Bool("csv", false, "emit CSV instead of formatted tables")
 	all := fs.Bool("all", false, "run everything")
-	regress := fs.Bool("regress", false, "run the benchmark regression suite against the latest BENCH_*.json baseline")
+	regress := fs.Bool("regress", false, "run the benchmark regression suite and compare it exactly against the latest BENCH_*.json baseline")
 	regressDir := fs.String("regress.dir", ".", "directory holding BENCH_*.json baselines")
-	tolerance := fs.Float64("tolerance", 0.15, "relative tolerance for simulated-rate records under -regress")
 	regressWrite := fs.Bool("regress.write", false, "write a fresh BENCH_<date>.json baseline after the -regress run")
-	regressWall := fs.Bool("regress.wall", false, "also compare wall-clock records under -regress (host-dependent)")
 	soakRun := fs.Bool("soak", false, "run the open-loop traffic soak profiles (per-message latency SLOs)")
-	soakRegress := fs.Bool("soak.regress", false, "with -soak: compare the soak/* records against the latest BENCH_*.json baseline")
-	soakWrite := fs.Bool("soak.write", false, "with -soak: merge this run's soak/* records into the latest baseline as BENCH_<date>.json")
 	soakSeed := fs.Int64("soak.seed", 0, "with -soak: override the base seed (0 = the tracked default)")
 	soakMessages := fs.Int("soak.messages", 0, "with -soak: per-seed message count (0 = the tracked default)")
-	soakInflate := fs.Float64("soak.inflate", 1, "with -soak: multiply latency records (gate-validation hook; leave at 1)")
-	soakUncap := fs.Bool("soak.uncap", false, "with -soak: strip the overload profiles' queue caps (gate-validation hook; a capped baseline must fail)")
+	soakUncap := fs.Bool("soak.uncap", false, "with -soak or -regress: strip the overload profiles' queue caps (gate-validation hook; a capped baseline must fail)")
 	persistent := fs.Bool("persistent", false, "run the persistent-channel sweep (first-iteration cost, steady-state re-fire rate, cache hit rate)")
 	persistNoCache := fs.Bool("persist.nocache", false, "with -persistent or -regress: disable the seal cache (gate-validation hook; a cached baseline must fail)")
 	var trace simtmp.TraceFlags
@@ -150,17 +146,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *regress {
-		return runRegress(stdout, stderr, *regressDir, *tolerance, *regressWrite, *regressWall, *persistNoCache)
+		return runRegress(stdout, stderr, *regressDir, *regressWrite, *soakUncap, *persistNoCache)
 	}
 	if *persistent {
 		return runPersistent(stdout, stderr, *csvOut, *persistNoCache)
 	}
 	if *soakRun {
-		return runSoak(stdout, stderr, soakOpts{
-			csv: *csvOut, dir: *regressDir, tol: *tolerance,
-			seed: *soakSeed, messages: *soakMessages, inflate: *soakInflate,
-			uncap: *soakUncap, regress: *soakRegress, write: *soakWrite,
-		})
+		return runSoak(stdout, stderr, *csvOut, *soakSeed, *soakMessages, *soakUncap)
 	}
 	if trace.Active() {
 		return trace.Run(stdout, stderr, "matchbench", func(cfg simtmp.TelemetryConfig) (*simtmp.TelemetryRecorder, error) {
@@ -190,22 +182,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runRegress executes the benchmark regression suite, compares it
-// against the latest committed baseline in dir, and optionally writes
-// the run as the new baseline. Exit codes: 0 clean, 1 regressions (or
-// a missing baseline without -regress.write).
-func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, persistNoCache bool) int {
-	if write && persistNoCache {
-		fmt.Fprintln(stderr, "matchbench: refusing to bless a nocache run as a baseline; drop -persist.nocache")
+// exactly against the latest committed baseline in dir, and optionally
+// writes the run as the new baseline. Exit codes: 0 clean, 1 on any
+// changed, missing or new record (or a missing baseline without
+// -regress.write), 2 when asked to bless a gate-validation run.
+func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistNoCache bool) int {
+	if write && (soakUncap || persistNoCache) {
+		fmt.Fprintln(stderr, "matchbench: refusing to bless a gate-validation run as a baseline; drop -soak.uncap and -persist.nocache")
 		return 2
 	}
-	rep := simtmp.RunRegressOpt(0, persistNoCache)
-	base, path, err := simtmp.LoadLatestBenchBaseline(dir)
+	rep := bench.RunRegress(soakUncap, persistNoCache)
+	base, path, err := bench.LoadLatestBaseline(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		if !write {
 			fmt.Fprintf(stderr, "matchbench: no BENCH_*.json baseline in %s (rerun with -regress.write to create one)\n", dir)
 			return 1
 		}
-		p, werr := simtmp.WriteBenchBaseline(dir, rep)
+		p, werr := bench.WriteBaseline(dir, rep)
 		if werr != nil {
 			fmt.Fprintln(stderr, "matchbench:", werr)
 			return 1
@@ -217,10 +210,10 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	regs := simtmp.CompareBench(base, rep, tol, wall)
-	simtmp.PrintRegress(stdout, rep, path, tol, regs)
+	regs := bench.Compare(base, rep)
+	bench.PrintRegress(stdout, rep, path, regs)
 	if write {
-		p, werr := simtmp.WriteBenchBaseline(dir, rep)
+		p, werr := bench.WriteBaseline(dir, rep)
 		if werr != nil {
 			fmt.Fprintln(stderr, "matchbench:", werr)
 			return 1
@@ -254,41 +247,19 @@ func runPersistent(stdout, stderr io.Writer, csv, nocache bool) int {
 	return 0
 }
 
-// soakOpts bundles the -soak.* flag surface.
-type soakOpts struct {
-	csv            bool
-	dir            string
-	tol            float64
-	seed           int64
-	messages       int
-	inflate        float64
-	uncap          bool
-	regress, write bool
-}
-
-// runSoak executes the tracked open-loop soak profiles, prints their
-// latency SLOs, and optionally compares (-soak.regress) or blesses
-// (-soak.write) the soak/* records against the latest BENCH_*.json
-// baseline. Exit codes: 0 clean, 1 on SLO regressions, a tripped
-// cross-seed spread budget, or run failure.
-func runSoak(stdout, stderr io.Writer, o soakOpts) int {
-	if (o.regress || o.write) && (o.seed != 0 || o.messages != 0) {
-		fmt.Fprintln(stderr, "matchbench: -soak.regress/-soak.write track the default profiles; drop -soak.seed/-soak.messages")
-		return 2
-	}
-	if o.write && o.uncap {
-		fmt.Fprintln(stderr, "matchbench: refusing to bless an uncapped run as a baseline; drop -soak.uncap")
-		return 2
-	}
-	results, err := simtmp.RunSoakProfiles(0, o.messages, o.seed, o.uncap)
+// runSoak executes the tracked open-loop soak profiles and prints
+// their latency SLOs (-csv: every soak/* record). -regress gates the
+// same records against the baseline. Exit codes: 0 clean, 1 on a
+// tripped cross-seed spread budget or run failure.
+func runSoak(stdout, stderr io.Writer, csv bool, seed int64, messages int, uncap bool) int {
+	results, err := bench.RunSoak(messages, seed, uncap)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	recs := simtmp.SoakBenchRecords(results, o.inflate)
 
-	if o.csv {
-		if err := simtmp.WriteCSV(stdout, recs); err != nil {
+	if csv {
+		if err := simtmp.WriteCSV(stdout, bench.SoakRecords(results)); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
@@ -304,7 +275,7 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 	// so only a default-configuration run is held to them; smoke runs
 	// with -soak.seed/-soak.messages just report their spread.
 	code := 0
-	if o.seed == 0 && o.messages == 0 {
+	if seed == 0 && messages == 0 {
 		for _, r := range results {
 			if !r.Suite.SpreadOK {
 				fmt.Fprintf(stderr, "matchbench: soak profile %s cross-seed spread %.1f%% exceeds its stability budget\n",
@@ -312,33 +283,6 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 				code = 1
 			}
 		}
-	}
-
-	if o.regress {
-		base, path, err := simtmp.LoadLatestBenchBaseline(o.dir)
-		if err != nil {
-			fmt.Fprintln(stderr, "matchbench:", err)
-			return 1
-		}
-		soakBase := simtmp.SoakOnlyBaseline(base)
-		if len(soakBase.Records) == 0 {
-			fmt.Fprintf(stderr, "matchbench: baseline %s has no soak/* records (rerun with -soak.write to add them)\n", path)
-			return 1
-		}
-		cur := simtmp.BenchReport{Records: recs}
-		regs := simtmp.CompareBench(soakBase, cur, o.tol, false)
-		simtmp.PrintRegress(stdout, cur, path, o.tol, regs)
-		if len(regs) > 0 {
-			code = 1
-		}
-	}
-	if o.write {
-		p, err := simtmp.MergeSoakBaseline(o.dir, recs)
-		if err != nil {
-			fmt.Fprintln(stderr, "matchbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "soak: wrote baseline %s (%d soak records)\n", p, len(recs))
 	}
 	return code
 }

@@ -241,48 +241,22 @@ func TestRunSoakCSV(t *testing.T) {
 	}
 }
 
-// TestRunSoakRegressGate is the acceptance path end to end: bless a
-// baseline, pass a clean comparison, then fail on an injected 2×
-// latency regression.
-func TestRunSoakRegressGate(t *testing.T) {
-	dir := t.TempDir()
-	var out, errOut strings.Builder
-	if code := run([]string{"-soak", "-soak.write", "-regress.dir", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("bless run exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "soak: wrote baseline") {
-		t.Fatalf("bless run did not write a baseline:\n%s", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-soak", "-soak.regress", "-regress.dir", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("clean regress exit %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "regress: ok") {
-		t.Errorf("clean regress did not report ok:\n%s", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-soak", "-soak.regress", "-soak.inflate", "2", "-regress.dir", dir}, &out, &errOut); code != 1 {
-		t.Fatalf("injected 2x regression exit %d, want 1\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION: soak/steady/p99_us") {
-		t.Errorf("inflated run did not flag the p99 SLO:\n%s", out.String())
-	}
-}
-
-// TestRunSoakOverrideGuard: blessing or comparing with non-default
-// seed/messages is a usage error — the baseline tracks the default
-// profiles only.
-func TestRunSoakOverrideGuard(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-soak", "-soak.write", "-soak.seed", "5"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "default profiles") {
-		t.Errorf("guard message missing:\n%s", errOut.String())
+// TestRunRegressWriteRefusesHooks: blessing a gate-validation run is a
+// usage error, refused before anything runs or is written — the
+// uncapped and nocache runs exist only to prove the gate fails.
+func TestRunRegressWriteRefusesHooks(t *testing.T) {
+	for _, hook := range []string{"-soak.uncap", "-persist.nocache"} {
+		dir := t.TempDir()
+		var out, errOut strings.Builder
+		if code := run([]string{"-regress", "-regress.write", "-regress.dir", dir, hook}, &out, &errOut); code != 2 {
+			t.Fatalf("%s: exit code %d, want 2", hook, code)
+		}
+		if !strings.Contains(errOut.String(), "refusing to bless") {
+			t.Errorf("%s: guard message missing:\n%s", hook, errOut.String())
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s: refused run left %v in the baseline dir (err %v)", hook, entries, err)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 // allreduce), and persist/churn (halo traffic with periodic wildcard
 // injections forcing seal invalidation and recovery). All headline
 // metrics are simulated (cycle-model) and deterministic; the
-// steady-state re-fire additionally carries the zero-allocation
-// contract as a KindAlloc record.
+// zero-allocation contract of the steady-state re-fire is measured on
+// the halo profile and asserted by its acceptance test.
 package bench
 
 import (
@@ -334,21 +334,16 @@ func RunPersistProfiles(nocache bool) ([]PersistResult, error) {
 }
 
 // PersistRecords converts profile outcomes into tracked regression
-// records. Simulated metrics are KindSim (deterministic); the re-fire
-// allocation count is KindAlloc (exact, any increase fails).
+// records, all simulated and deterministic.
 func PersistRecords(results []PersistResult) []BenchRecord {
 	var recs []BenchRecord
 	for _, r := range results {
 		name := "persist/" + r.Profile
 		recs = append(recs,
-			BenchRecord{Name: name + "/refire_speedup", Kind: KindSim, Value: r.Speedup, Unit: "x", HigherIsBetter: true},
-			BenchRecord{Name: name + "/hit_rate", Kind: KindSim, Value: r.HitRate, Unit: "ratio", HigherIsBetter: true},
-			BenchRecord{Name: name + "/refire_us", Kind: KindSim, Value: r.RefireUs, Unit: "us/iter"},
+			BenchRecord{Name: name + "/refire_speedup", Value: r.Speedup, Unit: "x", HigherIsBetter: true},
+			BenchRecord{Name: name + "/hit_rate", Value: r.HitRate, Unit: "ratio", HigherIsBetter: true},
+			BenchRecord{Name: name + "/refire_us", Value: r.RefireUs, Unit: "us/iter"},
 		)
-		if r.AllocsPerOp >= 0 {
-			recs = append(recs, BenchRecord{Name: name + "/refire_allocs_op", Kind: KindAlloc,
-				Value: r.AllocsPerOp, Unit: "allocs/iter"})
-		}
 	}
 	return recs
 }

@@ -77,7 +77,7 @@ func TestPersistNoCacheTripsGate(t *testing.T) {
 	}
 	base := BenchReport{Records: PersistRecords(cached)}
 	cur := BenchReport{Records: PersistRecords(nocache)}
-	regs := Compare(base, cur, 0.15, false)
+	regs := Compare(base, cur)
 	if len(regs) == 0 {
 		t.Fatal("disabling the cache did not trip the regression gate")
 	}

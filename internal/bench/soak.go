@@ -6,12 +6,7 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
-	"time"
 
 	"simtmp/internal/fault"
 	"simtmp/internal/mpx"
@@ -47,7 +42,7 @@ type SoakProfile struct {
 // the defaults when positive / non-zero (the CLI smoke hooks). uncap
 // strips the overload profiles' queue caps — the gate-validation hook
 // behind matchbench -soak.uncap: an uncapped 2× overload run must fail
-// -soak.regress on exploded residency peaks and vanished shed counts,
+// -regress on exploded residency peaks and vanished shed counts,
 // proving the overload gates actually bite. It is false in every real
 // run.
 func SoakProfiles(messages int, seed int64, uncap bool) []SoakProfile {
@@ -151,14 +146,13 @@ type SoakResult struct {
 	Suite   *soak.SuiteReport
 }
 
-// RunSoak executes every tracked profile as a 3-seed suite. workers
-// bounds the per-suite host fan-out (0 = GOMAXPROCS); results are
-// identical either way. uncap is the overload gate-validation hook
-// (see SoakProfiles).
-func RunSoak(workers, messages int, seed int64, uncap bool) ([]SoakResult, error) {
+// RunSoak executes every tracked profile as a 3-seed suite across all
+// host cores (results do not depend on the worker count). uncap is the
+// overload gate-validation hook (see SoakProfiles).
+func RunSoak(messages int, seed int64, uncap bool) ([]SoakResult, error) {
 	var out []SoakResult
 	for _, p := range SoakProfiles(messages, seed, uncap) {
-		sr, err := soak.RunSuite(soak.SuiteConfig{Base: p.Base, Workers: workers, MaxSpread: p.MaxSpread})
+		sr, err := soak.RunSuite(soak.SuiteConfig{Base: p.Base, MaxSpread: p.MaxSpread})
 		if err != nil {
 			return nil, fmt.Errorf("soak profile %s: %w", p.Name, err)
 		}
@@ -167,68 +161,25 @@ func RunSoak(workers, messages int, seed int64, uncap bool) ([]SoakResult, error
 	return out, nil
 }
 
-// MergeSoakBaseline writes a BENCH_<date>.json that carries the given
-// soak records on top of the latest baseline's non-soak records (the
-// "bless" workflow: refresh the SLOs without rerunning the figure
-// sweeps). With no baseline present it writes a soak-only report.
-func MergeSoakBaseline(dir string, recs []BenchRecord) (string, error) {
-	rep := BenchReport{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	rep.fingerprint()
-	base, _, err := LoadLatestBaseline(dir)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return "", err
-	}
-	for _, r := range base.Records {
-		if !strings.HasPrefix(r.Name, "soak/") {
-			rep.Records = append(rep.Records, r)
-		}
-	}
-	rep.Records = append(rep.Records, recs...)
-	return WriteBaseline(dir, rep)
-}
-
-// SoakOnlyBaseline filters a report down to its soak/* records — the
-// slice -soak.regress compares.
-func SoakOnlyBaseline(rep BenchReport) BenchReport {
-	out := rep
-	out.Records = nil
-	for _, r := range rep.Records {
-		if strings.HasPrefix(r.Name, "soak/") {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}
-
 // SoakRecords converts suite outcomes into tracked records:
 // soak/<profile>/{p50,p99,p999}_us latency SLOs (lower is better),
 // soak/<profile>/{prq,umq}_peak residency high-watermarks, and
 // soak/<profile>/seed_spread_ok — the beads-style cross-seed stability
 // gate (1 when the spread over 3 seeds stays within 10%), which turns a
 // stability loss into a regression against any baseline that recorded 1.
-//
-// inflate multiplies the latency values; it exists solely to validate
-// the regression gate end to end (an injected 2× SLO regression must
-// fail -regress) and is 1 in every real run.
-func SoakRecords(results []SoakResult, inflate float64) []BenchRecord {
-	if inflate <= 0 {
-		inflate = 1
-	}
+func SoakRecords(results []SoakResult) []BenchRecord {
 	slo := func(name string, v float64) BenchRecord {
-		return BenchRecord{Name: name, Kind: KindSim, Value: v * inflate, Unit: "us", HigherIsBetter: false}
+		return BenchRecord{Name: name, Value: v, Unit: "us", HigherIsBetter: false}
 	}
 	peak := func(name string, v int) BenchRecord {
-		return BenchRecord{Name: name, Kind: KindSim, Value: float64(v), Unit: "msgs", HigherIsBetter: false}
+		return BenchRecord{Name: name, Value: float64(v), Unit: "msgs", HigherIsBetter: false}
 	}
 	boolRec := func(name string, v bool) BenchRecord {
 		val := 0.0
 		if v {
 			val = 1
 		}
-		return BenchRecord{Name: name, Kind: KindSim, Value: val, Unit: "bool", HigherIsBetter: true}
+		return BenchRecord{Name: name, Value: val, Unit: "bool", HigherIsBetter: true}
 	}
 	var recs []BenchRecord
 	for _, r := range results {
@@ -280,17 +231,17 @@ func overloadRecords(pfx string, runs []*soak.Report) []BenchRecord {
 		if v {
 			val = 1
 		}
-		return BenchRecord{Name: name, Kind: KindSim, Value: val, Unit: "bool", HigherIsBetter: true}
+		return BenchRecord{Name: name, Value: val, Unit: "bool", HigherIsBetter: true}
 	}
 	recs := []BenchRecord{
 		boolRec(pfx+"caps_ok", capsOK),
-		{Name: pfx + "shed_total", Kind: KindSim, Value: float64(shed), Unit: "msgs", HigherIsBetter: true},
+		{Name: pfx + "shed_total", Value: float64(shed), Unit: "msgs", HigherIsBetter: true},
 	}
 	if recAttempted {
 		recs = append(recs, boolRec(pfx+"recovery_ok", recovered))
 		if recovered {
 			recs = append(recs, BenchRecord{
-				Name: pfx + "recovery_s", Kind: KindSim,
+				Name:  pfx + "recovery_s",
 				Value: recSecs / float64(len(runs)), Unit: "s", HigherIsBetter: false,
 			})
 		}

@@ -10,7 +10,7 @@ import (
 // in this file (the pipeline is deterministic, so reuse is sound).
 func soakOnce(t *testing.T) []SoakResult {
 	t.Helper()
-	res, err := RunSoak(0, 0, 0, false)
+	res, err := RunSoak(0, 0, false)
 	if err != nil {
 		t.Fatalf("RunSoak: %v", err)
 	}
@@ -26,13 +26,13 @@ var soakProfileNames = []string{
 // TestSoakRecordsShape pins the record inventory: every profile
 // contributes its three latency SLOs, two residency peaks, and the
 // spread gate; the overload profiles add their caps/shed/recovery
-// gates. All deterministic sim records.
+// gates.
 func TestSoakRecordsShape(t *testing.T) {
 	res := soakOnce(t)
 	if len(res) != 7 {
 		t.Fatalf("profiles = %d, want 7", len(res))
 	}
-	recs := SoakRecords(res, 1)
+	recs := SoakRecords(res)
 	// 6 per profile, plus caps_ok+shed_total for each overload profile
 	// and recovery_ok+recovery_s for the two rate-excursion profiles.
 	if len(recs) != 52 {
@@ -40,9 +40,6 @@ func TestSoakRecordsShape(t *testing.T) {
 	}
 	byName := map[string]BenchRecord{}
 	for _, r := range recs {
-		if r.Kind != KindSim {
-			t.Errorf("%s: kind %q, want sim (soak metrics are deterministic)", r.Name, r.Kind)
-		}
 		if !strings.HasPrefix(r.Name, "soak/") {
 			t.Errorf("record %q lacks the soak/ prefix", r.Name)
 		}
@@ -104,15 +101,15 @@ func TestSoakRecordsShape(t *testing.T) {
 
 // TestSoakUncapFailsGate is the overload acceptance check: stripping
 // the queue caps (matchbench -soak.uncap) must fail the comparison
-// against a capped baseline — residency peaks explode past tolerance
-// and the shed records vanish or zero out.
+// against a capped baseline — residency peaks explode and the shed
+// records vanish or zero out — while the uncapped profiles stay equal.
 func TestSoakUncapFailsGate(t *testing.T) {
-	base := BenchReport{Records: SoakRecords(soakOnce(t), 1)}
-	uncapped, err := RunSoak(0, 0, 0, true)
+	base := BenchReport{Records: SoakRecords(soakOnce(t))}
+	uncapped, err := RunSoak(0, 0, true)
 	if err != nil {
 		t.Fatalf("RunSoak uncapped: %v", err)
 	}
-	regs := Compare(base, BenchReport{Records: SoakRecords(uncapped, 1)}, 0.15, false)
+	regs := Compare(base, BenchReport{Records: SoakRecords(uncapped)})
 	flagged := map[string]bool{}
 	for _, r := range regs {
 		flagged[r.Name] = true
@@ -136,20 +133,29 @@ func TestSoakUncapFailsGate(t *testing.T) {
 
 // TestSoakInjectedRegression is the acceptance check for the SLO gate:
 // an artificially injected 2× latency regression must fail the
-// comparison on every latency record, while an unchanged run passes.
+// comparison on every latency record, each labelled worse, while an
+// unchanged run passes.
 func TestSoakInjectedRegression(t *testing.T) {
 	res := soakOnce(t)
-	base := BenchReport{Records: SoakRecords(res, 1)}
+	base := BenchReport{Records: SoakRecords(res)}
 
-	if regs := Compare(base, BenchReport{Records: SoakRecords(res, 1)}, 0.15, false); len(regs) != 0 {
+	if regs := Compare(base, BenchReport{Records: SoakRecords(res)}); len(regs) != 0 {
 		t.Fatalf("identical soak run flagged: %v", regs)
 	}
 
-	cur := BenchReport{Records: SoakRecords(res, 2)} // injected 2× SLO regression
-	regs := Compare(base, cur, 0.15, false)
+	cur := BenchReport{Records: SoakRecords(res)}
+	for i, r := range cur.Records {
+		if strings.HasSuffix(r.Name, "_us") {
+			cur.Records[i].Value *= 2 // injected 2× SLO regression
+		}
+	}
+	regs := Compare(base, cur)
 	flagged := map[string]bool{}
 	for _, r := range regs {
 		flagged[r.Name] = true
+		if !strings.HasSuffix(r.String(), "(worse)") {
+			t.Errorf("doubled latency not labelled worse: %s", r)
+		}
 	}
 	for _, p := range soakProfileNames {
 		for _, q := range []string{"p50_us", "p99_us", "p999_us"} {
@@ -168,14 +174,14 @@ func TestSoakInjectedRegression(t *testing.T) {
 // against a baseline that recorded 1.
 func TestSoakSpreadGateTripsCompare(t *testing.T) {
 	res := soakOnce(t)
-	base := BenchReport{Records: SoakRecords(res, 1)}
-	cur := BenchReport{Records: SoakRecords(res, 1)}
+	base := BenchReport{Records: SoakRecords(res)}
+	cur := BenchReport{Records: SoakRecords(res)}
 	for i := range cur.Records {
 		if cur.Records[i].Name == "soak/steady/seed_spread_ok" {
 			cur.Records[i].Value = 0
 		}
 	}
-	regs := Compare(base, cur, 0.15, false)
+	regs := Compare(base, cur)
 	if len(regs) != 1 || regs[0].Name != "soak/steady/seed_spread_ok" {
 		t.Errorf("Compare = %v, want exactly the tripped spread gate", regs)
 	}
@@ -184,8 +190,8 @@ func TestSoakSpreadGateTripsCompare(t *testing.T) {
 // TestSoakRecordsDeterministic: two full soak executions emit identical
 // record sets — the property the committed baseline depends on.
 func TestSoakRecordsDeterministic(t *testing.T) {
-	a := SoakRecords(soakOnce(t), 1)
-	b := SoakRecords(soakOnce(t), 1)
+	a := SoakRecords(soakOnce(t))
+	b := SoakRecords(soakOnce(t))
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}

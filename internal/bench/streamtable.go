@@ -78,7 +78,7 @@ func StreamScalingRecords(rows []StreamScalingRow) []BenchRecord {
 		out = append(out, simRecord(fmt.Sprintf("stream/s%d", r.Streams), r.RateM))
 		if r.Streams == 8 {
 			out = append(out, BenchRecord{
-				Name: "stream/speedup_s8_vs_full", Kind: KindSim,
+				Name:  "stream/speedup_s8_vs_full",
 				Value: r.Speedup, Unit: "x", HigherIsBetter: true,
 			})
 		}

@@ -47,8 +47,8 @@ func TestStreamRecordsShape(t *testing.T) {
 		if !strings.HasPrefix(r.Name, "stream/") {
 			t.Errorf("record %q outside the stream/ namespace", r.Name)
 		}
-		if r.Kind != KindSim || !r.HigherIsBetter {
-			t.Errorf("record %q: kind %q higher=%v, want gated sim record", r.Name, r.Kind, r.HigherIsBetter)
+		if !r.HigherIsBetter {
+			t.Errorf("record %q: higher=%v, want a higher-is-better rate", r.Name, r.HigherIsBetter)
 		}
 		if r.Name == "stream/speedup_s8_vs_full" {
 			sawSpeedup = true

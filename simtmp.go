@@ -497,35 +497,9 @@ var (
 	VerifyStreamOrderedResult = match.VerifyStreamOrdered
 )
 
-// Benchmark regression tracking (cmd/matchbench -regress).
-type (
-	// BenchRecord is one tracked benchmark metric.
-	BenchRecord = bench.BenchRecord
-	// BenchReport is one full regression run (a BENCH_<date>.json).
-	BenchReport = bench.BenchReport
-	// BenchRegression is one record that got worse than its baseline.
-	BenchRegression = bench.Regression
-)
-
-var (
-	// RunRegress executes the tracked benchmark suite.
-	RunRegress = bench.RunRegress
-	// RunRegressOpt is RunRegress with the persistent nocache
-	// gate-validation hook.
-	RunRegressOpt = bench.RunRegressOpt
-	// CompareBench diffs a run against a baseline with a tolerance.
-	CompareBench = bench.Compare
-	// WriteBenchBaseline writes a report as BENCH_<date>.json.
-	WriteBenchBaseline = bench.WriteBaseline
-	// LoadLatestBenchBaseline loads the newest BENCH_*.json in a dir.
-	LoadLatestBenchBaseline = bench.LoadLatestBaseline
-	// PrintRegress renders a regression comparison outcome.
-	PrintRegress = bench.PrintRegress
-)
-
 // Open-loop traffic soak (cmd/matchbench -soak): arrivals at a
 // configured rate in simulated time, per-message arrival→match latency
-// SLOs, and the multi-seed suite the regression gate tracks.
+// SLOs, and multi-seed suites.
 type (
 	// SoakConfig parameterizes one open-loop soak run.
 	SoakConfig = soak.Config
@@ -541,11 +515,6 @@ type (
 	SoakSuiteConfig = soak.SuiteConfig
 	// SoakSuiteReport aggregates a multi-seed soak.
 	SoakSuiteReport = soak.SuiteReport
-	// SoakProfileSpec is one tracked soak profile in the regression
-	// suite.
-	SoakProfileSpec = bench.SoakProfile
-	// SoakProfileResult is one tracked profile's suite outcome.
-	SoakProfileResult = bench.SoakResult
 )
 
 // Arrival process selectors.
@@ -559,34 +528,17 @@ var (
 	RunSoak = soak.Run
 	// RunSoakSuite executes a multi-seed soak suite.
 	RunSoakSuite = soak.RunSuite
-	// SoakProfiles lists the regression-tracked soak profiles.
-	SoakProfiles = bench.SoakProfiles
-	// RunSoakProfiles executes every tracked profile as a 3-seed suite.
-	RunSoakProfiles = bench.RunSoak
-	// SoakBenchRecords converts suite outcomes into tracked records.
-	SoakBenchRecords = bench.SoakRecords
-	// MergeSoakBaseline blesses fresh soak records into the latest
-	// baseline file.
-	MergeSoakBaseline = bench.MergeSoakBaseline
-	// SoakOnlyBaseline filters a report down to its soak/* records.
-	SoakOnlyBaseline = bench.SoakOnlyBaseline
 )
 
 // Persistent-channel benchmarks (cmd/matchbench -persistent): the seal
 // cache's first-iteration cost, steady-state re-fire rate and hit
-// rate, plus the regression-tracked persist/* profiles.
+// rate.
 type (
-	// PersistProfileResult is one tracked persistent profile outcome.
-	PersistProfileResult = bench.PersistResult
 	// PersistSweepRow is one row of the -persistent iteration sweep.
 	PersistSweepRow = bench.PersistSweepPoint
 )
 
 var (
-	// RunPersistProfiles executes the tracked persist/* profiles.
-	RunPersistProfiles = bench.RunPersistProfiles
-	// PersistBenchRecords converts profile outcomes into records.
-	PersistBenchRecords = bench.PersistRecords
 	// PersistSweep runs the halo proxy across iteration counts.
 	PersistSweep = bench.PersistSweep
 	// PrintPersistSweep renders the -persistent table.
