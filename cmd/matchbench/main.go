@@ -2,8 +2,11 @@
 // tables on the simulated GPUs: Figure 4 (MPI-compliant matrix),
 // Figure 5 (rank-partitioned), Figure 6b (hash table), Table II (the
 // relaxation summary), the ablation and extension studies, and the CPU
-// matcher reference measured in real wall-clock. Pass -csv for
-// machine-readable output.
+// matcher reference measured in real wall-clock. The formatted output
+// of -fig4, -fig5, -fig6b and -table2 follows each table with a bar
+// chart of its shape; pass -csv for machine-readable rows instead.
+// Together with `tracestat -all` (the §IV trace analysis), `-all` is
+// the complete reproduction report.
 package main
 
 import (
@@ -13,8 +16,10 @@ import (
 	"io"
 	"os"
 
-	"simtmp"
 	"simtmp/internal/bench"
+	"simtmp/internal/conformance"
+	"simtmp/internal/mpx"
+	"simtmp/internal/telemetry"
 )
 
 // section is one runnable experiment.
@@ -24,93 +29,78 @@ type section struct {
 	run      func(w io.Writer, csv bool) error
 }
 
+// table builds a section body that computes rows once and writes them
+// as CSV or through print.
+func table[T any](rows func() []T, print func(io.Writer, []T)) func(io.Writer, bool) error {
+	return func(w io.Writer, csv bool) error {
+		r := rows()
+		if csv {
+			return bench.WriteCSV(w, r)
+		}
+		print(w, r)
+		return nil
+	}
+}
+
+// withChart follows a section's table with its bar chart.
+func withChart[T any](print, chart func(io.Writer, []T)) func(io.Writer, []T) {
+	return func(w io.Writer, rows []T) {
+		print(w, rows)
+		fmt.Fprintln(w)
+		chart(w, rows)
+	}
+}
+
 // sections lists every runnable experiment in report order.
 func sections() []section {
-	csvOr := func(rows any, print func(io.Writer)) func(w io.Writer, csv bool) error {
-		return func(w io.Writer, csv bool) error {
-			if csv {
-				return simtmp.WriteCSV(w, rows)
-			}
-			print(w)
-			return nil
-		}
-	}
 	return []section{
-		{"fig4", "Figure 4: single-CTA matrix matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure4()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintFigure4(w, rows) })(w, csv)
-		}},
-		{"fig5", "Figure 5: rank-partitioned matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure5()
-			if csv {
-				return simtmp.WriteCSV(w, rows)
-			}
-			simtmp.PrintFigure5(w, rows)
-			overK, overM := simtmp.Figure5Speedups()
-			fmt.Fprintf(w, "average Pascal speedup: %.2fx over K80 (paper: 2.12x), %.2fx over M40 (paper: 1.56x)\n", overK, overM)
-			return nil
-		}},
-		{"fig6b", "Figure 6b: hash-table matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure6b()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintFigure6b(w, rows) })(w, csv)
-		}},
-		{"table2", "Table II: relaxation summary", func(w io.Writer, csv bool) error {
-			rows := simtmp.TableII()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintTableII(w, rows) })(w, csv)
-		}},
-		{"cpu", "CPU matchers: list baseline vs hash bins (host wall-clock)", func(w io.Writer, csv bool) error {
-			rows := simtmp.CPUReference()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintCPUReference(w, rows) })(w, csv)
-		}},
-		{"applicability", "per-application engine applicability matrix", func(w io.Writer, csv bool) error {
-			rows := simtmp.Applicability(1)
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintApplicability(w, rows) })(w, csv)
-		}},
-		{"stream", "sustained-load dynamics (offered vs delivered)", func(w io.Writer, csv bool) error {
-			rows := simtmp.Streaming()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintStreaming(w, rows) })(w, csv)
-		}},
-		{"msgsize", "message-size sweep (protocol + bandwidth)", func(w io.Writer, csv bool) error {
-			rows := simtmp.MessageSizes()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintMessageSizes(w, rows) })(w, csv)
-		}},
-		{"smsweep", "multi-SM scaling of the communication kernel", func(w io.Writer, csv bool) error {
-			rows := simtmp.SMSweep()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintSMSweep(w, rows) })(w, csv)
-		}},
-		{"endpoints", "CTA-endpoint scaling (the paper's motivation)", func(w io.Writer, csv bool) error {
-			rows := simtmp.Endpoints()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintEndpoints(w, rows) })(w, csv)
-		}},
-		{"commparallel", "communicator-level parallelism (§VI top level)", func(w io.Writer, csv bool) error {
-			rows := simtmp.CommParallel()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintCommParallel(w, rows) })(w, csv)
-		}},
-		{"streams", "MPIX stream scaling: stream-concurrent engine vs full-MPI matrix", func(w io.Writer, csv bool) error {
-			rows := simtmp.StreamScaling()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintStreamScaling(w, rows) })(w, csv)
-		}},
-		{"chaos", "chaos conformance: exactly-once delivery under fault injection", func(w io.Writer, csv bool) error {
-			rows := simtmp.Chaos(1, 250)
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintChaos(w, rows) })(w, csv)
-		}},
+		{"fig4", "Figure 4: single-CTA matrix matching rate",
+			table(bench.Figure4, withChart(bench.PrintFigure4, bench.ChartFigure4))},
+		{"fig5", "Figure 5: rank-partitioned matching rate",
+			table(bench.Figure5, func(w io.Writer, rows []bench.Fig5Point) {
+				withChart(bench.PrintFigure5, bench.ChartFigure5)(w, rows)
+				overK, overM := bench.Figure5Speedups()
+				fmt.Fprintf(w, "average Pascal speedup: %.2fx over K80 (paper: 2.12x), %.2fx over M40 (paper: 1.56x)\n", overK, overM)
+			})},
+		{"fig6b", "Figure 6b: hash-table matching rate",
+			table(bench.Figure6b, withChart(bench.PrintFigure6b, bench.ChartFigure6b))},
+		{"table2", "Table II: relaxation summary",
+			table(bench.TableII, withChart(bench.PrintTableII, bench.ChartTableII))},
+		{"cpu", "CPU matchers: list baseline vs hash bins (host wall-clock)",
+			table(bench.CPUReference, bench.PrintCPUReference)},
+		{"applicability", "per-application engine applicability matrix",
+			table(func() []bench.ApplicabilityRow { return bench.Applicability(1) }, bench.PrintApplicability)},
+		{"stream", "sustained-load dynamics (offered vs delivered)",
+			table(bench.Streaming, bench.PrintStreaming)},
+		{"msgsize", "message-size sweep (protocol + bandwidth)",
+			table(bench.MessageSizes, bench.PrintMessageSizes)},
+		{"smsweep", "multi-SM scaling of the communication kernel",
+			table(bench.SMSweep, bench.PrintSMSweep)},
+		{"endpoints", "CTA-endpoint scaling (the paper's motivation)",
+			table(bench.Endpoints, bench.PrintEndpoints)},
+		{"commparallel", "communicator-level parallelism (§VI top level)",
+			table(bench.CommParallel, bench.PrintCommParallel)},
+		{"streams", "MPIX stream scaling: stream-concurrent engine vs full-MPI matrix",
+			table(bench.StreamScaling, bench.PrintStreamScaling)},
+		{"chaos", "chaos conformance: exactly-once delivery under fault injection",
+			table(func() []bench.ChaosRow { return bench.Chaos(1, 250) }, bench.PrintChaos)},
 		{"ablation", "ablation studies (compaction, fraction, order, hash, wildcards, window)", func(w io.Writer, csv bool) error {
-			if csv {
-				for _, rows := range []any{
-					simtmp.AblationCompaction(),
-					simtmp.AblationFraction(),
-					simtmp.OrderSensitivity(),
-					simtmp.HashAblation(),
-					simtmp.AblationWildcardHash(),
-					simtmp.AblationWindow(),
-				} {
-					if err := simtmp.WriteCSV(w, rows); err != nil {
-						return err
-					}
-				}
+			if !csv {
+				bench.PrintAblations(w)
 				return nil
 			}
-			simtmp.PrintAblations(w)
+			for _, rows := range []any{
+				bench.AblationCompaction(),
+				bench.AblationMatchFraction(),
+				bench.OrderSensitivity(),
+				bench.HashAblation(),
+				bench.AblationWildcardHash(),
+				bench.AblationWindow(),
+			} {
+				if err := bench.WriteCSV(w, rows); err != nil {
+					return err
+				}
+			}
 			return nil
 		}},
 	}
@@ -133,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	soakUncap := fs.Bool("soak.uncap", false, "with -soak or -regress: strip the overload profiles' queue caps (gate-validation hook; a capped baseline must fail)")
 	persistent := fs.Bool("persistent", false, "run the persistent-channel sweep (first-iteration cost, steady-state re-fire rate, cache hit rate)")
 	persistNoCache := fs.Bool("persist.nocache", false, "with -persistent or -regress: disable the seal cache (gate-validation hook; a cached baseline must fail)")
-	var trace simtmp.TraceFlags
+	var trace telemetry.CLIFlags
 	trace.Register(fs)
 
 	secs := sections()
@@ -155,8 +145,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runSoak(stdout, stderr, *csvOut, *soakSeed, *soakMessages, *soakUncap)
 	}
 	if trace.Active() {
-		return trace.Run(stdout, stderr, "matchbench", func(cfg simtmp.TelemetryConfig) (*simtmp.TelemetryRecorder, error) {
-			return simtmp.RunChaosTrace(trace.Seed, cfg)
+		return trace.Run(stdout, stderr, "matchbench", func(cfg telemetry.Config) (*telemetry.Recorder, error) {
+			return runChaosTrace(trace.Seed, cfg)
 		})
 	}
 
@@ -231,19 +221,19 @@ func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistN
 // (full-engine match + seal) cost, the steady-state O(1) re-fire rate,
 // the cache hit rate and the speedup over matching every iteration.
 func runPersistent(stdout, stderr io.Writer, csv, nocache bool) int {
-	rows, err := simtmp.PersistSweep(nocache)
+	rows, err := bench.PersistSweep(nocache)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
 	if csv {
-		if err := simtmp.WriteCSV(stdout, rows); err != nil {
+		if err := bench.WriteCSV(stdout, rows); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
 		return 0
 	}
-	simtmp.PrintPersistSweep(stdout, rows)
+	bench.PrintPersistSweep(stdout, rows)
 	return 0
 }
 
@@ -259,7 +249,7 @@ func runSoak(stdout, stderr io.Writer, csv bool, seed int64, messages int, uncap
 	}
 
 	if csv {
-		if err := simtmp.WriteCSV(stdout, bench.SoakRecords(results)); err != nil {
+		if err := bench.WriteCSV(stdout, bench.SoakRecords(results)); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
@@ -285,6 +275,34 @@ func runSoak(stdout, stderr io.Writer, csv bool, seed int64, messages int, uncap
 		}
 	}
 	return code
+}
+
+// runChaosTrace replays seeded chaos workloads (FullMPI semantics,
+// ChaosMix faults) and returns the flight recorder of the first one
+// whose run retransmitted, so the exported trace shows the full
+// fault → retransmit → match-pass chain on one simulated-time axis.
+// The scan is deterministic per seed; the same seed always returns the
+// same workload's byte-identical trace.
+//
+// tcfg parameterizes the recorder (the zero value selects defaults;
+// Enabled is forced on). A tcfg.Stream writer receives the chosen
+// workload's trace live: the scan itself runs without telemetry, and
+// only the chosen workload is then replayed under tcfg, so the
+// streamed bytes cover exactly the workload the recorder holds.
+func runChaosTrace(seed int64, tcfg telemetry.Config) (*telemetry.Recorder, error) {
+	pick := 0
+	for i := 0; i < 64; i++ {
+		st, _, err := conformance.ChaosWorkload(mpx.FullMPI, seed, i, conformance.ChaosMix())
+		if err != nil {
+			return nil, err
+		}
+		if st.Retries > 0 {
+			pick = i
+			break
+		}
+	}
+	_, _, rec, err := conformance.ChaosWorkloadTraced(mpx.FullMPI, seed, pick, conformance.ChaosMix(), tcfg)
+	return rec, err
 }
 
 func main() {

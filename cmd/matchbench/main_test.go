@@ -46,7 +46,7 @@ func TestRunFig6bCSV(t *testing.T) {
 }
 
 // TestRunTable2Formatted: without -csv the section prints the human
-// table followed by a blank separator line.
+// table, then its bar chart, then a blank separator line.
 func TestRunTable2Formatted(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-table2"}, &out, &errOut); code != 0 {
@@ -54,6 +54,9 @@ func TestRunTable2Formatted(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Table II") && !strings.Contains(strings.ToLower(out.String()), "relax") {
 		t.Errorf("formatted output does not look like Table II:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "Table II relaxation ladder") || !strings.Contains(out.String(), "█") {
+		t.Errorf("formatted output is missing the Table II chart:\n%s", out.String())
 	}
 	if !strings.HasSuffix(out.String(), "\n\n") {
 		t.Error("formatted sections must end with a separator blank line")

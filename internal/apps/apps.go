@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"simtmp/internal/trace"
 )
@@ -420,6 +421,8 @@ func gridDims(ranks int) (int, int, int) {
 }
 
 // randomK builds a symmetric random graph with average degree ≈ k.
+// Each neighbor list is sorted so Generate's event order depends only
+// on the seed, not on map iteration order.
 func randomK(ranks, k int, rng *rand.Rand) [][]int {
 	if k >= ranks {
 		k = ranks - 1
@@ -443,6 +446,7 @@ func randomK(ranks, k int, rng *rand.Rand) [][]int {
 		for p := range adj[r] {
 			out[r] = append(out[r], p)
 		}
+		sort.Ints(out[r])
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 
 	"simtmp/internal/trace"
@@ -110,19 +111,13 @@ func TestFigure6aTupleUniqueness(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic: a seed fixes the whole trace. Every app's
+// default-size trace must be identical across two calls, which map
+// iteration order in neighbor construction would break.
 func TestGenerateDeterministic(t *testing.T) {
-	m, err := ByName("LULESH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := m.Generate(27, 7)
-	b := m.Generate(27, 7)
-	if len(a.Events) != len(b.Events) {
-		t.Fatal("event counts differ")
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs", i)
+	for _, m := range All() {
+		if a, b := m.Generate(0, 1), m.Generate(0, 1); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two Generate(0, 1) calls differ", m.Spec.Name)
 		}
 	}
 }

@@ -2,14 +2,19 @@
 // evaluation. Wall-clock numbers measure the simulator itself; the
 // reproduced result of each experiment is reported as a custom metric
 // (sim_Mmatches/s = matches per SIMULATED second, the paper's y-axis).
-package simtmp_test
+//
+//	go test -bench=. ./internal/bench
+
+package bench
 
 import (
 	"flag"
 	"fmt"
 	"testing"
 
-	"simtmp"
+	"simtmp/internal/arch"
+	"simtmp/internal/match"
+	"simtmp/internal/workload"
 )
 
 // workloadSeed makes every benchmark workload replayable from the
@@ -18,7 +23,7 @@ import (
 // to re-run the full suite on a different but equally reproducible
 // input set:
 //
-//	go test -bench=. -workload.seed=7
+//	go test -bench=. ./internal/bench -workload.seed=7
 var workloadSeed = flag.Int64("workload.seed", 0, "override the per-benchmark workload seeds (0: use defaults)")
 
 // benchSeed resolves the seed one benchmark uses: the -workload.seed
@@ -36,8 +41,8 @@ func benchSeed(def int64) int64 {
 func BenchmarkCPUListMatcher(b *testing.B) {
 	for _, n := range []int{16, 128, 512, 2048} {
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			msgs, reqs := simtmp.FullyMatchingWorkload(n, benchSeed(int64(n)))
-			l := simtmp.NewListMatcher()
+			msgs, reqs := workload.FullyMatching(n, benchSeed(int64(n)))
+			l := match.NewListMatcher()
 			b.ResetTimer()
 			matched := 0
 			for i := 0; i < b.N; i++ {
@@ -55,12 +60,12 @@ func BenchmarkCPUListMatcher(b *testing.B) {
 // BenchmarkFigure4 regenerates Figure 4: single-CTA MPI-compliant
 // matrix matching per architecture and queue length.
 func BenchmarkFigure4(b *testing.B) {
-	for _, a := range simtmp.Architectures() {
+	for _, a := range arch.All() {
 		for _, n := range []int{256, 1024} {
 			a := a
 			b.Run(fmt.Sprintf("%s/len=%d", a.Generation, n), func(b *testing.B) {
-				msgs, reqs := simtmp.FullyMatchingWorkload(n, benchSeed(int64(n)))
-				m := simtmp.NewMatrixMatcher(simtmp.MatrixConfig{Arch: a})
+				msgs, reqs := workload.FullyMatching(n, benchSeed(int64(n)))
+				m := match.NewMatrixMatcher(match.MatrixConfig{Arch: a})
 				var rate float64
 				for i := 0; i < b.N; i++ {
 					res, err := m.Match(msgs, reqs)
@@ -81,8 +86,8 @@ func BenchmarkFigure5(b *testing.B) {
 	for _, q := range []int{1, 4, 16, 32} {
 		q := q
 		b.Run(fmt.Sprintf("queues=%d", q), func(b *testing.B) {
-			msgs, reqs := simtmp.GenerateWorkload(simtmp.WorkloadConfig{N: 2048, Peers: 64, Tags: 32, Seed: benchSeed(2)})
-			p := simtmp.NewPartitionedMatcher(simtmp.PartitionedConfig{Queues: q, MaxCTAs: 2})
+			msgs, reqs := workload.Generate(workload.Config{N: 2048, Peers: 64, Tags: 32, Seed: benchSeed(2)})
+			p := match.NewPartitionedMatcher(match.PartitionedConfig{Queues: q, MaxCTAs: 2})
 			var rate float64
 			for i := 0; i < b.N; i++ {
 				res, err := p.Match(msgs, reqs)
@@ -99,12 +104,12 @@ func BenchmarkFigure5(b *testing.B) {
 // BenchmarkFigure6b regenerates Figure 6b: hash-table matching per
 // architecture and CTA count.
 func BenchmarkFigure6b(b *testing.B) {
-	for _, a := range simtmp.Architectures() {
+	for _, a := range arch.All() {
 		for _, ctas := range []int{1, 32} {
 			a, ctas := a, ctas
 			b.Run(fmt.Sprintf("%s/ctas=%d", a.Generation, ctas), func(b *testing.B) {
-				msgs, reqs := simtmp.UniqueTupleWorkload(1024, benchSeed(6))
-				h, err := simtmp.NewHashMatcher(simtmp.HashConfig{Arch: a, CTAs: ctas})
+				msgs, reqs := workload.UniqueTuples(1024, benchSeed(6))
+				h, err := match.NewHashMatcher(match.HashConfig{Arch: a, CTAs: ctas})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -126,7 +131,7 @@ func BenchmarkFigure6b(b *testing.B) {
 // (generation + queue reconstruction of all ten proxy apps).
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.TableI(1)
+		rows := TableI(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
 		}
@@ -136,7 +141,7 @@ func BenchmarkTableI(b *testing.B) {
 // BenchmarkFigure2 regenerates the Figure 2 queue-depth analysis.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.Figure2(1)
+		rows := Figure2(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
 		}
@@ -147,7 +152,7 @@ func BenchmarkFigure2(b *testing.B) {
 // analysis.
 func BenchmarkFigure6a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.Figure6a(1)
+		rows := Figure6a(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
 		}
@@ -156,10 +161,8 @@ func BenchmarkFigure6a(b *testing.B) {
 
 // BenchmarkTableII regenerates the six-row relaxation summary.
 func BenchmarkTableII(b *testing.B) {
-	var rows []struct{}
-	_ = rows
 	for i := 0; i < b.N; i++ {
-		out := simtmp.TableII()
+		out := TableII()
 		if len(out) != 6 {
 			b.Fatalf("got %d rows", len(out))
 		}
@@ -174,7 +177,7 @@ func BenchmarkTableII(b *testing.B) {
 func BenchmarkAblationCompaction(b *testing.B) {
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.AblationCompaction()
+		rows := AblationCompaction()
 		pct = rows[len(rows)-1].OverheadPct
 	}
 	b.ReportMetric(pct, "overhead_%")
@@ -185,7 +188,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 func BenchmarkAblationMatchFraction(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range simtmp.AblationFraction() {
+		for _, r := range AblationMatchFraction() {
 			if r.Fraction == 0.5 {
 				rel = r.RelToFull
 			}
@@ -199,7 +202,7 @@ func BenchmarkAblationMatchFraction(b *testing.B) {
 func BenchmarkOrderSensitivity(b *testing.B) {
 	var slow float64
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.OrderSensitivity()
+		rows := OrderSensitivity()
 		slow = rows[0].Slowdown
 	}
 	b.ReportMetric(slow, "reversed_slowdown_x")
@@ -209,7 +212,7 @@ func BenchmarkOrderSensitivity(b *testing.B) {
 // policy study (§VI-C future work).
 func BenchmarkHashAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.HashAblation()
+		rows := HashAblation()
 		if len(rows) != 6 {
 			b.Fatalf("got %d rows", len(rows))
 		}
@@ -220,8 +223,8 @@ func BenchmarkHashAblation(b *testing.B) {
 // wall-clock per simulated match) — the cost of the reproduction
 // itself, not a paper result.
 func BenchmarkSIMTEngine(b *testing.B) {
-	msgs, reqs := simtmp.FullyMatchingWorkload(1024, benchSeed(9))
-	m := simtmp.NewMatrixMatcher(simtmp.MatrixConfig{})
+	msgs, reqs := workload.FullyMatching(1024, benchSeed(9))
+	m := match.NewMatrixMatcher(match.MatrixConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Match(msgs, reqs); err != nil {
@@ -235,7 +238,7 @@ func BenchmarkSIMTEngine(b *testing.B) {
 // applicability matrix (the quantified §VI feasibility discussion).
 func BenchmarkApplicability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.Applicability(1)
+		rows := Applicability(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
 		}
@@ -247,7 +250,7 @@ func BenchmarkApplicability(b *testing.B) {
 func BenchmarkAblationWildcardHash(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.AblationWildcardHash()
+		rows := AblationWildcardHash()
 		rel = rows[len(rows)-1].RelToNone
 	}
 	b.ReportMetric(rel, "rate_at_25%_wildcards")
@@ -258,7 +261,7 @@ func BenchmarkAblationWildcardHash(b *testing.B) {
 func BenchmarkMessageSizes(b *testing.B) {
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.MessageSizes()
+		rows := MessageSizes()
 		bw = rows[len(rows)-1].EffectiveGBs
 	}
 	b.ReportMetric(bw, "GB/s_at_1MB")
@@ -267,7 +270,7 @@ func BenchmarkMessageSizes(b *testing.B) {
 // BenchmarkStreaming regenerates the sustained-load dynamics study.
 func BenchmarkStreaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := simtmp.Streaming()
+		rows := Streaming()
 		if len(rows) == 0 {
 			b.Fatal("empty sweep")
 		}

@@ -8,6 +8,7 @@ package bench
 // factor, where the knees fall — cannot regress silently.
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -447,6 +448,9 @@ func TestApplicabilityMatrix(t *testing.T) {
 	rows := Applicability(1)
 	if len(rows) != 10 {
 		t.Fatalf("got %d rows, want 10", len(rows))
+	}
+	if again := Applicability(1); !reflect.DeepEqual(rows, again) {
+		t.Errorf("two Applicability(1) runs differ:\n%v\n%v", rows, again)
 	}
 	for _, r := range rows {
 		if r.MatrixRateM <= 0 {

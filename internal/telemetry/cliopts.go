@@ -7,11 +7,9 @@ import (
 	"os"
 )
 
-// CLIFlags is the shared -trace.* flag surface of the CLIs
-// (cmd/matchbench, cmd/experiments). One definition of the trace
-// options means a new export mode lands in every tool at once instead
-// of being duplicated per main; the CLIs register it, test Active, and
-// delegate the whole export flow to Run.
+// CLIFlags is the -trace.* flag surface of cmd/matchbench: the
+// command registers it, tests Active, and delegates the whole export
+// flow (post-hoc trace, live stream, chunk sidecar, summary) to Run.
 type CLIFlags struct {
 	// Path is -trace: the post-hoc Perfetto trace-event JSON path.
 	Path string

@@ -7,16 +7,6 @@ import (
 	"io"
 )
 
-// Exporter renders recorded events and metric snapshots to a writer.
-// The three implementations cover the runtime's export paths —
-// PerfettoExporter (trace-event JSON), SummaryExporter (human-readable
-// digest) and StreamExporter (the same trace-event JSON written as
-// watermark-sized chunks, the one-shot form of the live Streamer). All
-// are deterministic: same inputs, same bytes.
-type Exporter interface {
-	Export(w io.Writer, evs []Event, m []Snapshot) error
-}
-
 const (
 	traceHeader = `{"displayTimeUnit":"ns","traceEvents":[`
 	traceFooter = "]}\n"
@@ -138,39 +128,4 @@ func (e *chunkEncoder) closeTrace(trackNames []string) {
 	e.ensureHeader(trackNames)
 	e.buf.WriteString(traceFooter)
 	e.flush()
-}
-
-// StreamExporter writes events as chunked Perfetto trace-event JSON:
-// byte-identical to PerfettoExporter, but delivered as watermark-sized
-// chunks with the same OnChunk side channel the live Streamer offers.
-// It is the one-shot form of streaming — for exporting a finished
-// Capture (or any event slice) through the chunked path without a live
-// recorder. Metrics are not part of the trace format and are ignored.
-type StreamExporter struct {
-	// TrackNames labels the tid tracks via thread_name metadata
-	// ("track %d" when empty or missing); index = track.
-	TrackNames []string
-	// Watermark is the number of events per chunk (default 256).
-	Watermark int
-	// OnChunk, when set, additionally receives each chunk as a
-	// standalone JSON array of its trace events, newline-terminated.
-	OnChunk func(chunk []byte)
-}
-
-// Export implements Exporter.
-func (x StreamExporter) Export(w io.Writer, evs []Event, _ []Snapshot) error {
-	wm := x.Watermark
-	if wm <= 0 {
-		wm = defaultWatermark
-	}
-	e := newChunkEncoder(w, x.OnChunk)
-	e.ensureHeader(x.TrackNames)
-	for i, ev := range evs {
-		e.add(ev)
-		if (i+1)%wm == 0 {
-			e.flush()
-		}
-	}
-	e.closeTrace(x.TrackNames)
-	return e.err
 }

@@ -247,30 +247,6 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("wire cut") }
 
-func TestStreamExporterMatchesPerfetto(t *testing.T) {
-	r := New(Config{Enabled: true, Tracks: 2})
-	driveStreamScript(r)
-	evs := r.Events()
-	names := r.TrackNames()
-
-	var plain, chunked bytes.Buffer
-	var chunkCount int
-	if err := (PerfettoExporter{TrackNames: names}).Export(&plain, evs, nil); err != nil {
-		t.Fatal(err)
-	}
-	x := StreamExporter{TrackNames: names, Watermark: 50,
-		OnChunk: func([]byte) { chunkCount++ }}
-	if err := x.Export(&chunked, evs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), chunked.Bytes()) {
-		t.Fatal("StreamExporter bytes differ from PerfettoExporter")
-	}
-	if chunkCount < 300/50 {
-		t.Errorf("StreamExporter emitted %d chunks, want >= %d", chunkCount, 300/50)
-	}
-}
-
 // TestPumpZeroAllocWithoutStreamer guards the hot-path contract: the
 // launch-boundary pump in the engines must cost nothing when no
 // streamer is attached.

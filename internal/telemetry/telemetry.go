@@ -1,8 +1,10 @@
 // Package telemetry is the runtime's observability plane: a typed
 // event model, a bounded per-track ring-buffer flight recorder, a
-// metrics registry (counters, fixed-bucket histograms), and a
-// unified Exporter family — Chrome/Perfetto trace-event JSON, a
-// human-readable summary, and chunked live streaming.
+// metrics registry (counters, fixed-bucket histograms), and three
+// renderings of the recorded events: Chrome/Perfetto trace-event JSON
+// (PerfettoExporter, Recorder.WriteTrace), a human-readable summary
+// (SummaryExporter, Recorder.WriteSummary), and chunked live streaming
+// (Streamer) whose concatenated chunks equal the post-hoc trace.
 //
 // Two contracts shape the design:
 //

@@ -17,8 +17,10 @@
 //     address space with the paper's semantic levels plus the
 //     StreamOrdered relaxation (per-stream ordering contexts behind
 //     the Endpoint/Stream handle API).
-//   - The exascale proxy-application models and trace analysis of §IV,
-//     and the benchmark harness regenerating every table and figure.
+//   - The trace and workload tools behind the §IV application analysis.
+//
+// The benchmark harness that regenerates every table and figure lives
+// in internal/bench and is driven by cmd/matchbench and cmd/tracestat.
 //
 // Quick start:
 //
@@ -37,17 +39,11 @@
 package simtmp
 
 import (
-	"io"
-
 	"simtmp/internal/arch"
-	"simtmp/internal/bench"
-	"simtmp/internal/conformance"
 	"simtmp/internal/envelope"
 	"simtmp/internal/fault"
 	"simtmp/internal/match"
 	"simtmp/internal/mpx"
-	"simtmp/internal/ring"
-	"simtmp/internal/soak"
 	"simtmp/internal/telemetry"
 	"simtmp/internal/trace"
 	"simtmp/internal/workload"
@@ -265,13 +261,6 @@ type (
 	// FlowControlInfo describes the runtime's active flow-control
 	// configuration (Runtime.FlowControl).
 	FlowControlInfo = mpx.FlowControlInfo
-	// RingCreditStats is the typed credit-conservation view of one
-	// ring buffer.
-	RingCreditStats = ring.CreditStats
-	// SoakOverloadConfig shapes a soak run's overload excursion
-	// (SoakConfig.Overload): rate multiplier, queue caps, shed policy
-	// and the recovery SLO.
-	SoakOverloadConfig = soak.OverloadConfig
 )
 
 // Shed policies and health states.
@@ -290,34 +279,14 @@ const (
 	HealthRecovering = mpx.Recovering
 )
 
-var (
-	// ErrBackpressure is the typed refusal returned by Send (ShedReject
-	// at a full staging queue) and PostRecv (full PRQ).
-	ErrBackpressure = mpx.ErrBackpressure
-	// SlowReceiverFaultProfile is the tracked slow-consumer overload
-	// brew (drain-rate collapse episodes).
-	SlowReceiverFaultProfile = fault.SlowReceiverProfile
-	// ReceiverStallFaultProfile is the tracked hard-stall overload brew.
-	ReceiverStallFaultProfile = fault.ReceiverStallProfile
-	// ChaosBackpressureMix is the chaos brew paired with bounded-queue
-	// workloads.
-	ChaosBackpressureMix = conformance.ChaosBackpressureMix
-	// ChaosBackpressureWorkload replays one bounded-queue chaos
-	// workload (the failure handle's recipe).
-	ChaosBackpressureWorkload = conformance.ChaosBackpressureWorkload
-	// RunChaosBackpressure runs the bounded-queue chaos matrix.
-	RunChaosBackpressure = conformance.RunChaosBackpressure
-	// CheckBackpressureCoverage asserts a backpressure chaos run
-	// exercised the overload machinery.
-	CheckBackpressureCoverage = conformance.CheckBackpressureCoverage
-)
+// ErrBackpressure is the typed refusal returned by Send (ShedReject at
+// a full staging queue) and PostRecv (full PRQ).
+var ErrBackpressure = mpx.ErrBackpressure
 
-// Telemetry: the deterministic flight recorder, metrics registry and
-// the unified Exporter family (Perfetto trace export, human-readable
-// summary, chunked live streaming). Set RuntimeConfig.Telemetry to
-// record a run; the recorder stamps only simulated time, so replays of
-// a seeded workload export byte-identical traces — streamed or
-// post-hoc.
+// Telemetry: the deterministic flight recorder. Set
+// RuntimeConfig.Telemetry to record a run; the recorder stamps only
+// simulated time, so replays of a seeded workload export byte-identical
+// traces, streamed or post-hoc.
 type (
 	// TelemetryConfig enables and sizes the flight recorder; its
 	// Stream field attaches a live streamer.
@@ -325,85 +294,12 @@ type (
 	// TelemetryRecorder is the per-runtime flight recorder (nil is a
 	// valid no-op recorder).
 	TelemetryRecorder = telemetry.Recorder
-	// TelemetryEvent is one recorded event.
-	TelemetryEvent = telemetry.Event
-	// MetricSnapshot is one exported metric value.
-	MetricSnapshot = telemetry.Snapshot
-	// TelemetryCapture is a copy-on-read snapshot of a recorder
-	// (Recorder.Snapshot) — export mid-run without stopping it.
-	TelemetryCapture = telemetry.Capture
-	// TelemetryExporter renders events and metrics to a writer; the
-	// implementations are PerfettoExporter, SummaryExporter and
-	// StreamExporter.
-	TelemetryExporter = telemetry.Exporter
-	// PerfettoExporter writes Chrome/Perfetto trace-event JSON.
-	PerfettoExporter = telemetry.PerfettoExporter
-	// SummaryExporter writes the human-readable telemetry digest.
-	SummaryExporter = telemetry.SummaryExporter
-	// StreamExporter writes the Perfetto trace as watermark-sized
-	// chunks — the one-shot form of the live streamer.
-	StreamExporter = telemetry.StreamExporter
 	// TelemetryStreamConfig parameterizes live streaming
-	// (TelemetryConfig.Stream or NewTelemetryStreamer).
+	// (TelemetryConfig.Stream).
 	TelemetryStreamConfig = telemetry.StreamConfig
-	// TelemetryStreamer drains a recorder to an io.Writer as chunked
-	// trace-event JSON while the runtime progresses.
-	TelemetryStreamer = telemetry.Streamer
-	// TelemetryStreamStats accounts a streamer's chunks, bytes and
-	// drop counters.
-	TelemetryStreamStats = telemetry.StreamStats
-	// TraceFlags is the shared -trace.* CLI flag surface.
-	TraceFlags = telemetry.CLIFlags
 )
 
-var (
-	// NewTelemetryRecorder builds a standalone recorder (nil unless
-	// enabled).
-	NewTelemetryRecorder = telemetry.New
-	// NewTelemetryStreamer attaches a live streamer to a recorder.
-	NewTelemetryStreamer = telemetry.NewStreamer
-	// ChaosMix is the default chaos-conformance fault brew.
-	ChaosMix = conformance.ChaosMix
-	// ChaosWorkloadTraced replays one seeded chaos workload with the
-	// flight recorder attached.
-	ChaosWorkloadTraced = conformance.ChaosWorkloadTraced
-	// RunChaosStream streams a whole chaos soak bounded-memory; see
-	// conformance.RunChaosStream.
-	RunChaosStream = conformance.RunChaosStream
-)
-
-// ChaosStreamReport accounts one streamed chaos soak.
-type ChaosStreamReport = conformance.StreamSoakReport
-
-// RunChaosTrace replays seeded chaos workloads (FullMPI semantics,
-// ChaosMix faults) and returns the flight recorder of the first one
-// whose run retransmitted — so the exported trace shows the full
-// fault → retransmit → match-pass chain on one simulated-time axis.
-// The scan is deterministic per seed; the same seed always returns the
-// same workload's byte-identical trace.
-//
-// tcfg parameterizes the recorder (the zero value selects defaults;
-// Enabled is forced on). A tcfg.Stream writer receives the chosen
-// workload's trace live: the scan itself runs without telemetry, and
-// only the chosen workload is then replayed under tcfg, so the
-// streamed bytes cover exactly the workload the recorder holds.
-func RunChaosTrace(seed int64, tcfg TelemetryConfig) (*TelemetryRecorder, error) {
-	pick := 0
-	for i := 0; i < 64; i++ {
-		st, _, err := conformance.ChaosWorkload(FullMPI, seed, i, ChaosMix())
-		if err != nil {
-			return nil, err
-		}
-		if st.Retries > 0 {
-			pick = i
-			break
-		}
-	}
-	_, _, rec, err := conformance.ChaosWorkloadTraced(FullMPI, seed, pick, ChaosMix(), tcfg)
-	return rec, err
-}
-
-// Workload generation for experiments.
+// Workload generation.
 type WorkloadConfig = workload.Config
 
 var (
@@ -432,130 +328,6 @@ var (
 	AnalyzeTrace = trace.Analyze
 )
 
-// Experiments re-exported from the harness, one per paper table or
-// figure. Each returns typed rows; the Print* helpers render the same
-// series the paper reports.
-var (
-	TableI               = bench.TableI
-	Figure2              = bench.Figure2
-	Figure4              = bench.Figure4
-	Figure5              = bench.Figure5
-	Figure5Speedups      = bench.Figure5Speedups
-	Figure6a             = bench.Figure6a
-	Figure6b             = bench.Figure6b
-	TableII              = bench.TableII
-	CPUReference         = bench.CPUReference
-	AblationCompaction   = bench.AblationCompaction
-	AblationFraction     = bench.AblationMatchFraction
-	OrderSensitivity     = bench.OrderSensitivity
-	AblationWildcardHash = bench.AblationWildcardHash
-	Applicability        = bench.Applicability
-	Streaming            = bench.Streaming
-	MessageSizes         = bench.MessageSizes
-	SMSweep              = bench.SMSweep
-	Endpoints            = bench.Endpoints
-	CommParallel         = bench.CommParallel
-	AppSizes             = bench.AppSizes
-	AblationWindow       = bench.AblationWindow
-	HashAblation         = bench.HashAblation
-	Chaos                = bench.Chaos
-	PrintChaos           = bench.PrintChaos
-	PrintTableI          = bench.PrintTableI
-	PrintFigure2         = bench.PrintFigure2
-	PrintFigure4         = bench.PrintFigure4
-	PrintFigure5         = bench.PrintFigure5
-	PrintFigure6a        = bench.PrintFigure6a
-	PrintFigure6b        = bench.PrintFigure6b
-	PrintTableII         = bench.PrintTableII
-	PrintCPUReference    = bench.PrintCPUReference
-	PrintApplicability   = bench.PrintApplicability
-	PrintStreaming       = bench.PrintStreaming
-	PrintMessageSizes    = bench.PrintMessageSizes
-	PrintSMSweep         = bench.PrintSMSweep
-	PrintEndpoints       = bench.PrintEndpoints
-	PrintCommParallel    = bench.PrintCommParallel
-	PrintAppSizes        = bench.PrintAppSizes
-	ChartFigure4         = bench.ChartFigure4
-	ChartFigure5         = bench.ChartFigure5
-	ChartFigure6b        = bench.ChartFigure6b
-	ChartTableII         = bench.ChartTableII
-	// WriteCSV renders any experiment's rows as CSV.
-	WriteCSV        = bench.WriteCSV
-	Figure4Workers  = bench.Figure4Workers
-	Figure5Workers  = bench.Figure5Workers
-	Figure6bWorkers = bench.Figure6bWorkers
-	// StreamScaling measures the MPIX Stream relaxation across stream
-	// counts against the full-MPI matrix on identical workloads.
-	StreamScaling      = bench.StreamScaling
-	PrintStreamScaling = bench.PrintStreamScaling
-	PrintAblations     = printAblations
-	// StreamWorkloadAt replays workload i of the stream-qualified
-	// conformance run (envelopes spread over 2..8 streams).
-	StreamWorkloadAt          = conformance.StreamWorkloadAt
-	VerifyOrderedResult       = match.VerifyOrdered
-	VerifyUnorderedResult     = match.VerifyUnordered
-	VerifyStreamOrderedResult = match.VerifyStreamOrdered
-)
-
-// Open-loop traffic soak (cmd/matchbench -soak): arrivals at a
-// configured rate in simulated time, per-message arrival→match latency
-// SLOs, and multi-seed suites.
-type (
-	// SoakConfig parameterizes one open-loop soak run.
-	SoakConfig = soak.Config
-	// SoakReport is one soak run's outcome (quantiles, peaks, stats).
-	SoakReport = soak.Report
-	// SoakQuantiles is a latency distribution summary in µs.
-	SoakQuantiles = soak.Quantiles
-	// SoakBurstConfig shapes the MMPP-2 bursty arrival process.
-	SoakBurstConfig = soak.BurstConfig
-	// SoakProcess selects the arrival process (SoakPoisson/SoakBursty).
-	SoakProcess = soak.Process
-	// SoakSuiteConfig parameterizes a multi-seed soak suite.
-	SoakSuiteConfig = soak.SuiteConfig
-	// SoakSuiteReport aggregates a multi-seed soak.
-	SoakSuiteReport = soak.SuiteReport
-)
-
-// Arrival process selectors.
-const (
-	SoakPoisson = soak.Poisson
-	SoakBursty  = soak.Bursty
-)
-
-var (
-	// RunSoak executes one open-loop soak run.
-	RunSoak = soak.Run
-	// RunSoakSuite executes a multi-seed soak suite.
-	RunSoakSuite = soak.RunSuite
-)
-
-// Persistent-channel benchmarks (cmd/matchbench -persistent): the seal
-// cache's first-iteration cost, steady-state re-fire rate and hit
-// rate.
-type (
-	// PersistSweepRow is one row of the -persistent iteration sweep.
-	PersistSweepRow = bench.PersistSweepPoint
-)
-
-var (
-	// PersistSweep runs the halo proxy across iteration counts.
-	PersistSweep = bench.PersistSweep
-	// PrintPersistSweep renders the -persistent table.
-	PrintPersistSweep = bench.PrintPersistSweep
-	// RunPersistentConformance runs the differential persistent suite
-	// (cached re-fire vs full-engine replay, byte-equal).
-	RunPersistentConformance = conformance.RunPersistent
-	// CheckPersistentCoverage asserts a persistent run was not vacuous.
-	CheckPersistentCoverage = conformance.CheckPersistentCoverage
-)
-
-// printAblations renders all four ablation studies.
-func printAblations(w io.Writer) {
-	bench.PrintAblationCompaction(w, bench.AblationCompaction())
-	bench.PrintAblationMatchFraction(w, bench.AblationMatchFraction())
-	bench.PrintOrderSensitivity(w, bench.OrderSensitivity())
-	bench.PrintHashAblation(w, bench.HashAblation())
-	bench.PrintAblationWildcardHash(w, bench.AblationWildcardHash())
-	bench.PrintAblationWindow(w, bench.AblationWindow())
-}
+// VerifyOrderedResult checks an assignment against the ordered-matching
+// oracle.
+var VerifyOrderedResult = match.VerifyOrdered

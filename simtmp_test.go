@@ -3,7 +3,6 @@ package simtmp_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"simtmp"
@@ -72,14 +71,5 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	st := simtmp.AnalyzeTrace(got)
 	if st.Sends != 1 {
 		t.Errorf("Sends = %d, want 1", st.Sends)
-	}
-}
-
-func TestFacadePrinters(t *testing.T) {
-	var buf bytes.Buffer
-	simtmp.PrintTableII(&buf, simtmp.TableII())
-	out := buf.String()
-	if !strings.Contains(out, "Hash Table") || !strings.Contains(out, "Matrix") {
-		t.Errorf("Table II output missing rows:\n%s", out)
 	}
 }
