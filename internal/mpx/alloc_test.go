@@ -70,3 +70,17 @@ func TestMatchingEngineAddsNoAllocsPerBatch(t *testing.T) {
 			full, unordered, full-unordered)
 	}
 }
+
+// TestUnorderedBatchAllocsOnlyRecvHandles pins what a steady-state
+// runtime batch allocates: one Recv handle per posted receive and
+// nothing else. Send frames come from the runtime's free list, which
+// the acks refill, and the hash engine adds nothing.
+func TestUnorderedBatchAllocsOnlyRecvHandles(t *testing.T) {
+	l := &residueLoop{rt: New(Config{Level: Unordered, GPUs: 4}), rnd: rand.New(rand.NewSource(1))}
+	for i := 0; i < 64; i++ { // warm the free list and scratch
+		l.batch()
+	}
+	if got := testing.AllocsPerRun(50, l.batch); got > 64 {
+		t.Errorf("Unordered 64-message batch allocates %v objects, want at most 64 (one Recv per message)", got)
+	}
+}

@@ -33,7 +33,7 @@ type Endpoint struct {
 
 // Endpoint returns GPU g's communication handle.
 func (rt *Runtime) Endpoint(g int) (*Endpoint, error) {
-	if g < 0 || g >= rt.cluster.Size() {
+	if !rt.validGPU(g) {
 		return nil, fmt.Errorf("mpx: GPU %d outside [0,%d)", g, rt.cluster.Size())
 	}
 	return &Endpoint{rt: rt, gpu: g}, nil
@@ -124,12 +124,7 @@ func (st *Stream) PostRecv(src envelope.Rank, tag envelope.Tag, comm envelope.Co
 
 // SendInit creates a persistent send channel to dst on this stream.
 func (st *Stream) SendInit(dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	h, err := st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	h.wire[0] = payload
-	return h, nil
+	return st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, [][]byte{payload}, false)
 }
 
 // RecvInit creates a persistent receive channel on this stream.

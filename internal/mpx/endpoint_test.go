@@ -204,6 +204,27 @@ func TestStreamOrderedEndToEnd(t *testing.T) {
 	if st.StreamSends != 3*perStream {
 		t.Fatalf("StreamSends = %d, want %d", st.StreamSends, 3*perStream)
 	}
+	// A persistent channel's fires on a non-default stream are stream
+	// sends too.
+	ps, err := tx[3].SendInit(1, 6, 0, []byte("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := rx[3].RecvInit(0, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := StartAll(pr, ps); err != nil {
+			t.Fatal(err)
+		}
+		drainOK(t, rt)
+	}
+	st = rt.Stats()
+	if st.Sends != 4*perStream+3 || st.PersistentSends != 3 || st.StreamSends != 3*perStream+3 {
+		t.Fatalf("Sends = %d, PersistentSends = %d, StreamSends = %d, want %d, 3, %d",
+			st.Sends, st.PersistentSends, st.StreamSends, 4*perStream+3, 3*perStream+3)
+	}
 }
 
 func TestStreamOrderedCrossStreamRelease(t *testing.T) {

@@ -207,9 +207,11 @@ func (rt *Runtime) FlowControl() FlowControlInfo {
 // accepts (sheds are parked and recovered), so this reports false.
 // Backpressure-aware clients probe it to shed work at the source
 // instead of paying for a refused call; the answer is exact for a
-// single-threaded driver and advisory under concurrent senders.
+// single-threaded driver and advisory under concurrent senders. A GPU
+// index outside [0, GPUs) reports false: such a send fails with a
+// range error, not ErrBackpressure.
 func (rt *Runtime) SendWouldBlock(src, dst int) bool {
-	if rt.cfg.StagingCap <= 0 || rt.cfg.Shed != ShedReject {
+	if rt.cfg.StagingCap <= 0 || rt.cfg.Shed != ShedReject || !rt.validGPU(src) || !rt.validGPU(dst) {
 		return false
 	}
 	rt.mu.Lock()
@@ -220,9 +222,10 @@ func (rt *Runtime) SendWouldBlock(src, dst int) bool {
 
 // PostRecvWouldBlock reports whether a PostRecv on dst at this instant
 // would be refused with ErrBackpressure (PRQCap reached). Exactness
-// caveats as SendWouldBlock.
+// caveats as SendWouldBlock, and so is the false answer for a GPU
+// index outside [0, GPUs).
 func (rt *Runtime) PostRecvWouldBlock(dst int) bool {
-	if rt.cfg.PRQCap <= 0 {
+	if rt.cfg.PRQCap <= 0 || !rt.validGPU(dst) {
 		return false
 	}
 	rt.mu.Lock()
@@ -231,11 +234,14 @@ func (rt *Runtime) PostRecvWouldBlock(dst int) bool {
 }
 
 // Health returns endpoint g's current health snapshot.
-func (rt *Runtime) Health(g int) EndpointHealth {
+func (rt *Runtime) Health(g int) (EndpointHealth, error) {
+	if !rt.validGPU(g) {
+		return EndpointHealth{}, fmt.Errorf("mpx: GPU %d outside [0,%d)", g, rt.cluster.Size())
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	h := rt.health[g]
-	return EndpointHealth{State: h.state, SinceSimSeconds: h.since, Occupancy: rt.occupancyLocked(g)}
+	return EndpointHealth{State: h.state, SinceSimSeconds: h.since, Occupancy: rt.occupancyLocked(g)}, nil
 }
 
 // hasCreditLocked reports whether flow fl may transmit frame fr now:
@@ -259,21 +265,19 @@ func (rt *Runtime) grantCreditsLocked(fl *txFlow) {
 	}
 }
 
-// shedSendLocked handles a Send that found flow fl's staging buffer
+// shedSendLocked handles a send that found flow fl's staging buffer
 // full. Under ShedReject it returns the typed error for the caller;
-// under the drop policies it parks a frame and reports (true, nil)
-// meaning the send was accepted. newFrame is constructed lazily so a
-// rejected send burns no sequence number.
-func (rt *Runtime) shedSendLocked(fl *txFlow, newFrame func() *frame) (accepted bool, err error) {
+// under the drop policies the send is accepted: DropOldest parks the
+// staging head to make room, and DropNewest reports parkNew so the
+// caller parks the new frame instead of staging it.
+func (rt *Runtime) shedSendLocked(fl *txFlow) (parkNew bool, err error) {
 	rt.stats.Sheds++
 	rt.healthNoteShedLocked(fl.src)
 	switch rt.cfg.Shed {
 	case ShedDropOldest:
 		rt.parkLocked(fl, fl.popHead())
-		fl.push(newFrame())
-		return true, nil
+		return false, nil
 	case ShedDropNewest:
-		rt.parkLocked(fl, newFrame())
 		return true, nil
 	default: // ShedReject
 		rt.stats.ShedRejects++
@@ -289,21 +293,9 @@ func (rt *Runtime) shedSendLocked(fl *txFlow, newFrame func() *frame) (accepted 
 // re-offers frames in order.
 func (rt *Runtime) parkLocked(fl *txFlow, fr *frame) {
 	fr.deadline = rt.now + rt.parkTimeout
-	fl.parked = insertByFlow(fl.parked, fr)
+	fl.parked = insertSorted(fl.parked, 0, fr, frameFlow)
 	rt.stats.ShedDrops++
 	rt.rec.Instant(fl.src, evShed, argDst, int64(fl.dst), argFlow, int64(fr.flow))
-}
-
-// insertByFlow inserts fr into box keeping ascending flow order.
-func insertByFlow(box []*frame, fr *frame) []*frame {
-	i := len(box)
-	for i > 0 && box[i-1].flow > fr.flow {
-		i--
-	}
-	box = append(box, nil)
-	copy(box[i+1:], box[i:])
-	box[i] = fr
-	return box
 }
 
 // unparkLocked returns parked frame i to the staging queue (in flow
@@ -311,7 +303,7 @@ func insertByFlow(box []*frame, fr *frame) []*frame {
 func (rt *Runtime) unparkLocked(fl *txFlow, i int) {
 	fr := fl.parked[i]
 	fl.parked = append(fl.parked[:i], fl.parked[i+1:]...)
-	fl.pushOrdered(fr)
+	fl.outbox = insertSorted(fl.outbox, fl.outHead, fr, frameFlow)
 	rt.stats.ShedRecovered++
 }
 
@@ -344,16 +336,11 @@ func (rt *Runtime) nackGapsLocked(g int) int {
 	moved := 0
 	for src := range rt.rx[g] {
 		rx := rt.rx[g][src]
-		if rx == nil || len(rx.held) == 0 {
+		if rx == nil || rx.ledger.pending() == 0 {
 			continue
 		}
-		minHeld := ^uint64(0)
-		for f := range rx.held {
-			if f < minHeld {
-				minHeld = f
-			}
-		}
-		from := rx.next
+		minHeld := rx.ledger.minHeld()
+		from := rx.ledger.next
 		if rx.nackedBelow > from {
 			from = rx.nackedBelow
 		}

@@ -234,7 +234,7 @@ func TestPostRecvPRQCap(t *testing.T) {
 // endpoint passed through).
 func TestHealthStateMachine(t *testing.T) {
 	rt := New(Config{Level: FullMPI, GPUs: 2, UMQCap: 4, StagingCap: 4, Shed: ShedDropOldest})
-	if h := rt.Health(0); h.State != Healthy || h.Occupancy != 0 {
+	if h, _ := rt.Health(0); h.State != Healthy || h.Occupancy != 0 {
 		t.Fatalf("initial health = %+v, want Healthy/0", h)
 	}
 	// Overload phase: blast sends with no receives posted.
@@ -246,7 +246,7 @@ func TestHealthStateMachine(t *testing.T) {
 			t.Fatalf("progress: %v", err)
 		}
 	}
-	if h := rt.Health(0); h.State != Shedding {
+	if h, _ := rt.Health(0); h.State != Shedding {
 		t.Fatalf("sender health under sustained overload = %v, want Shedding", h.State)
 	}
 	// Recovery phase: post everything and drain.
@@ -265,7 +265,7 @@ func TestHealthStateMachine(t *testing.T) {
 			t.Fatalf("idle progress: %v", err)
 		}
 	}
-	if h := rt.Health(0); h.State != Healthy {
+	if h, _ := rt.Health(0); h.State != Healthy {
 		t.Fatalf("post-drain health = %v, want Healthy", h.State)
 	}
 	st := rt.Stats()
@@ -416,6 +416,36 @@ func checkCountersFollowStats(t *testing.T, rt *Runtime, when string) {
 	for _, row := range statCounters {
 		if got, want := reg.Counter(row.name).Value(), int64(row.field(&st)); got != want {
 			t.Errorf("%s: registry %s = %d, Stats field = %d", when, row.name, got, want)
+		}
+	}
+}
+
+// TestProbesOutOfRangeGPU checks the three probes answer, rather than
+// panic, for a GPU index outside [0, GPUs): the would-block probes
+// report false (such a send or post fails with a range error, not
+// ErrBackpressure) and Health returns an error.
+func TestProbesOutOfRangeGPU(t *testing.T) {
+	rt := New(Config{GPUs: 2, StagingCap: 1, PRQCap: 1})
+	health := func(g int) bool {
+		_, err := rt.Health(g)
+		return err == nil
+	}
+	for _, tc := range []struct {
+		name string
+		got  func() bool
+		want bool
+	}{
+		{"SendWouldBlock(5, 0)", func() bool { return rt.SendWouldBlock(5, 0) }, false},
+		{"SendWouldBlock(0, 5)", func() bool { return rt.SendWouldBlock(0, 5) }, false},
+		{"SendWouldBlock(-1, 0)", func() bool { return rt.SendWouldBlock(-1, 0) }, false},
+		{"PostRecvWouldBlock(5)", func() bool { return rt.PostRecvWouldBlock(5) }, false},
+		{"PostRecvWouldBlock(-1)", func() bool { return rt.PostRecvWouldBlock(-1) }, false},
+		{"Health(-1) succeeds", func() bool { return health(-1) }, false},
+		{"Health(2) succeeds", func() bool { return health(2) }, false},
+		{"Health(1) succeeds", func() bool { return health(1) }, true},
+	} {
+		if got := tc.got(); got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

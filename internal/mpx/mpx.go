@@ -395,7 +395,7 @@ type Runtime struct {
 	cluster   *gas.Cluster
 	transport Transport
 	injector  *fault.Injector // nil on a lossless wire
-	engines   []match.Matcher
+	engines   []match.ReusableMatcher
 
 	// Per-GPU pending state between progress steps.
 	pendingMsgs  [][]gas.Message
@@ -406,11 +406,13 @@ type Runtime struct {
 	scratch []gpuScratch
 
 	// Reliable-layer state: sender flows tx[src][dst], receiver
-	// reassembly rx[dst][src], and the simulated transport clock (a
-	// separate clock from Stats.SimSeconds, which meters only matching
-	// work so fault-free rates stay unchanged).
+	// reassembly rx[dst][src], the frame free list every send draws
+	// from, and the simulated transport clock (a separate clock from
+	// Stats.SimSeconds, which meters only matching work so fault-free
+	// rates stay unchanged).
 	tx      [][]*txFlow
 	rx      [][]*rxFlow
+	frames  []*frame // retired frames, refilled by every ack
 	now     float64
 	poll    float64 // simulated seconds per progress step
 	rtoBase float64 // first retransmission deadline delta
@@ -542,7 +544,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:          cfg,
 		cluster:      gas.NewCluster(cfg.GPUs, cfg.Arch, cfg.QueueCap),
-		engines:      make([]match.Matcher, cfg.GPUs),
+		engines:      make([]match.ReusableMatcher, cfg.GPUs),
 		pendingMsgs:  make([][]gas.Message, cfg.GPUs),
 		pendingRecvs: make([][]*Recv, cfg.GPUs),
 		scratch:      make([]gpuScratch, cfg.GPUs),
@@ -607,7 +609,7 @@ func (rt *Runtime) Injector() *fault.Injector { return rt.injector }
 
 // newEngine picks the matching engine the level calls for. GPU g's
 // engine shares the runtime's recorder and emits on g's track.
-func (rt *Runtime) newEngine(g int) match.Matcher {
+func (rt *Runtime) newEngine(g int) match.ReusableMatcher {
 	switch rt.cfg.Level {
 	case NoSourceWildcard, NoUnexpected:
 		return match.NewPartitionedMatcher(match.PartitionedConfig{
@@ -632,6 +634,9 @@ func (rt *Runtime) Level() Level { return rt.cfg.Level }
 // GPUs returns the cluster size.
 func (rt *Runtime) GPUs() int { return rt.cluster.Size() }
 
+// validGPU reports whether g indexes a GPU of the cluster.
+func (rt *Runtime) validGPU(g int) bool { return g >= 0 && g < rt.cluster.Size() }
+
 // Send transmits payload from GPU src to GPU dst with the given tag
 // and communicator on the default stream — a thin wrapper over the
 // endpoint verb (see endpoint.go for the handle-based API).
@@ -646,55 +651,63 @@ func (rt *Runtime) Send(src, dst int, tag envelope.Tag, comm envelope.Comm, payl
 // transient back-pressure (the frame queues in the flow's outbox and
 // Progress transmits it when the wire has room).
 func (rt *Runtime) sendStream(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) error {
-	if src < 0 || src >= rt.cluster.Size() {
-		return fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
-	}
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
-	if err := env.Validate(); err != nil {
-		return fmt.Errorf("mpx: %w", err)
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := rt.streamOpenLocked(src, stream); err != nil {
+	env, err := rt.sendEnvLocked(src, stream, dst, tag, comm)
+	if err != nil {
 		return err
 	}
-	fl := rt.txFlowFor(src, dst)
-	if rt.cfg.StagingCap > 0 && fl.staged() >= rt.cfg.StagingCap {
-		// The staging buffer is full: shed per policy. The new frame is
-		// built lazily so a rejected send burns no sequence number and
-		// leaves no gap in the flow.
-		accepted, err := rt.shedSendLocked(fl, func() *frame {
-			rt.seq++
-			fl.nextFlow++
-			return &frame{env: env, payload: payload, seq: rt.seq, flow: fl.nextFlow, sseq: fl.stampSSeq(stream)}
-		})
-		if !accepted {
-			return err
-		}
-		rt.noteSendLocked(src, dst, stream, fl)
-		_, err = rt.flushOutbox(fl)
-		return err
-	}
-	rt.seq++
-	fl.nextFlow++
-	fl.push(&frame{env: env, payload: payload, seq: rt.seq, flow: fl.nextFlow, sseq: fl.stampSSeq(stream)})
-	rt.noteSendLocked(src, dst, stream, fl)
-	// Eagerly push what the window and wire allow, so a send is on the
-	// wire before the next progress step on an uncongested cluster.
-	_, err := rt.flushOutbox(fl)
+	_, err = rt.stageLocked(dst, env, payload)
 	return err
 }
 
-// noteSendLocked does the accounting every accepted send shares.
-func (rt *Runtime) noteSendLocked(src, dst int, stream envelope.Stream, fl *txFlow) {
+// sendEnvLocked checks a send's arguments — both GPU indices, the
+// envelope, and that src holds the stream open — and returns the
+// envelope the send carries. Plain and persistent sends share it.
+func (rt *Runtime) sendEnvLocked(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm) (envelope.Envelope, error) {
+	if !rt.validGPU(src) {
+		return envelope.Envelope{}, fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
+	}
+	if !rt.validGPU(dst) {
+		return envelope.Envelope{}, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
+	}
+	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
+	if err := env.Validate(); err != nil {
+		return envelope.Envelope{}, fmt.Errorf("mpx: %w", err)
+	}
+	return env, rt.streamOpenLocked(src, stream)
+}
+
+// stageLocked is everything an accepted send does, plain or
+// persistent: it sheds per policy when the flow's staging buffer is
+// full, stages a frame from the free list, counts the send, and
+// eagerly pushes what the window and wire allow, so a send is on the
+// wire before the next progress step on an uncongested cluster. It
+// reports whether the send was accepted; a ShedReject refusal burns no
+// sequence number and leaves no gap in the flow.
+func (rt *Runtime) stageLocked(dst int, env envelope.Envelope, payload []byte) (bool, error) {
+	src := int(env.Src)
+	fl := rt.txFlowFor(src, dst)
+	park := false
+	if rt.cfg.StagingCap > 0 && fl.staged() >= rt.cfg.StagingCap {
+		var err error
+		if park, err = rt.shedSendLocked(fl); err != nil {
+			return false, err
+		}
+	}
+	fr := rt.newFrameLocked(fl, env, payload)
+	if park {
+		rt.parkLocked(fl, fr)
+	} else {
+		fl.push(fr)
+	}
 	rt.stats.Sends++
-	if stream != envelope.DefaultStream {
+	if env.Stream != envelope.DefaultStream {
 		rt.stats.StreamSends++
 	}
 	rt.rec.Instant(src, evSend, argDst, int64(dst), argFlow, int64(fl.nextFlow))
+	_, err := rt.flushOutbox(fl)
+	return true, err
 }
 
 // streamOpenLocked checks that endpoint g holds stream open (the
@@ -712,32 +725,12 @@ func (rt *Runtime) PostRecv(dst int, src envelope.Rank, tag envelope.Tag, comm e
 	return rt.postRecvStream(dst, envelope.DefaultStream, src, tag, comm)
 }
 
-// postRecvStream is the receive-post core. The level's contract is
-// enforced here: NoSourceWildcard and stricter reject AnySource;
-// Unordered rejects both wildcards; FullMPI and StreamOrdered admit
-// everything (a stream-qualified wildcard ranges only within its
-// stream — the stream field itself has no wildcard).
+// postRecvStream is the receive-post core.
 func (rt *Runtime) postRecvStream(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*Recv, error) {
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	switch rt.cfg.Level {
-	case NoSourceWildcard, NoUnexpected:
-		if src == envelope.AnySource {
-			return nil, match.ErrSourceWildcard
-		}
-	case Unordered:
-		if req.HasWildcard() {
-			return nil, match.ErrWildcard
-		}
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := rt.streamOpenLocked(dst, stream); err != nil {
+	req, err := rt.recvReqLocked(dst, stream, src, tag, comm)
+	if err != nil {
 		return nil, err
 	}
 	if rt.cfg.PRQCap > 0 && len(rt.pendingRecvs[dst]) >= rt.cfg.PRQCap {
@@ -755,6 +748,34 @@ func (rt *Runtime) postRecvStream(dst int, stream envelope.Stream, src envelope.
 	// persistent channel was serving: unseal whatever it contests.
 	rt.persistInvalidatePostLocked(dst, req)
 	return r, nil
+}
+
+// recvReqLocked checks a receive's arguments, in this order: the GPU
+// index, the request, the level's contract, and that dst holds the
+// stream open. NoSourceWildcard and stricter reject AnySource;
+// Unordered rejects both wildcards; FullMPI and StreamOrdered admit
+// everything (a stream-qualified wildcard ranges only within its
+// stream — the stream field itself has no wildcard). Plain and
+// persistent receives share it.
+func (rt *Runtime) recvReqLocked(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (envelope.Request, error) {
+	if !rt.validGPU(dst) {
+		return envelope.Request{}, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
+	}
+	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
+	if err := req.Validate(); err != nil {
+		return envelope.Request{}, err
+	}
+	switch rt.cfg.Level {
+	case NoSourceWildcard, NoUnexpected:
+		if src == envelope.AnySource {
+			return envelope.Request{}, match.ErrSourceWildcard
+		}
+	case Unordered:
+		if req.HasWildcard() {
+			return envelope.Request{}, match.ErrWildcard
+		}
+	}
+	return req, rt.streamOpenLocked(dst, stream)
 }
 
 // Progress runs one communication-kernel step on every GPU: ticks the
@@ -780,17 +801,36 @@ type gpuScratch struct {
 	res  match.Result
 }
 
-// matchLocked runs GPU g's engine over the batch, routing through the
-// zero-allocation MatchInto path when the engine supports it.
+// matchLocked runs GPU g's engine over the batch through the
+// zero-allocation MatchInto path, into the GPU's recycled Result.
 func (rt *Runtime) matchLocked(g int, envs []envelope.Envelope, reqs []envelope.Request) (*match.Result, error) {
-	if rm, ok := rt.engines[g].(match.ReusableMatcher); ok {
-		res := &rt.scratch[g].res
-		if err := rm.MatchInto(res, envs, reqs); err != nil {
-			return nil, err
-		}
-		return res, nil
+	res := &rt.scratch[g].res
+	if err := rt.engines[g].MatchInto(res, envs, reqs); err != nil {
+		return nil, err
 	}
-	return rt.engines[g].Match(envs, reqs)
+	return res, nil
+}
+
+// chargeDeliveryLocked does the accounting of one delivery, through
+// the engine or the sealed cache alike: the match, and the data
+// movement of the protocol picked by payload size and pre-postedness
+// (the receive, posted at logical time postSeq, came first). It
+// returns the transfer.
+func (rt *Runtime) chargeDeliveryLocked(postSeq uint64, m *gas.Message) proto.Transfer {
+	preposted := postSeq < m.Seq
+	tr := rt.cfg.Protocol.Cost(rt.cfg.Link, len(m.Payload), preposted)
+	rt.stats.Matches++
+	rt.stats.BytesMoved += int64(tr.Bytes)
+	rt.stats.TransferSeconds += tr.Seconds()
+	if tr.Mode == proto.Eager {
+		rt.stats.EagerMsgs++
+	} else {
+		rt.stats.RendezvousMsgs++
+	}
+	if preposted {
+		rt.stats.PrePostedMsgs++
+	}
+	return tr
 }
 
 // progressStepLocked runs one progress step with rt.mu held and
@@ -867,34 +907,20 @@ func (rt *Runtime) progressStepLocked() (int, error) {
 			recvs[ri].msg = msgs[mi]
 			usedMsg[mi] = true
 			unmatchedMsgs--
-			rt.stats.Matches++
 			progress++
 			if rt.creditWindow > 0 && msgs[mi].Flow != 0 {
 				// The match frees the message's receiver residency:
 				// bump the flow's cumulative consumption, which flows
 				// back to the sender as a credit grant.
-				if s := int(msgs[mi].Env.Src); s >= 0 && s < rt.cluster.Size() {
+				if s := int(msgs[mi].Env.Src); rt.validGPU(s) {
 					if rx := rt.rx[g][s]; rx != nil {
 						rx.matched++
 					}
 				}
 			}
 
-			// Data movement: protocol picked by size, pre-postedness
-			// by logical clock.
-			preposted := recvs[ri].seq < msgs[mi].Seq
-			tr := rt.cfg.Protocol.Cost(rt.cfg.Link, len(msgs[mi].Payload), preposted)
+			tr := rt.chargeDeliveryLocked(recvs[ri].seq, &msgs[mi])
 			recvs[ri].transfer = tr
-			rt.stats.BytesMoved += int64(tr.Bytes)
-			rt.stats.TransferSeconds += tr.Seconds()
-			if tr.Mode == proto.Eager {
-				rt.stats.EagerMsgs++
-			} else {
-				rt.stats.RendezvousMsgs++
-			}
-			if preposted {
-				rt.stats.PrePostedMsgs++
-			}
 			if rt.cfg.OnDeliver != nil {
 				rt.cfg.OnDeliver(recvs[ri], rt.now)
 			}

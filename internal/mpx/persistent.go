@@ -61,8 +61,8 @@ func StartAll(handles ...Starter) error {
 
 // PersistentSend is a persistent send channel: envelope and payload
 // buffers bound at init, re-fired per iteration by Start (and, for
-// partitioned channels, Pready per partition). Re-firing recycles
-// retired transport frames through a per-handle pool, so the
+// partitioned channels, Pready per partition). Re-firing draws its
+// frames from the runtime's free list, which every ack refills, so the
 // steady-state path allocates nothing.
 type PersistentSend struct {
 	rt          *Runtime
@@ -74,19 +74,13 @@ type PersistentSend struct {
 	firedCount  int
 	started     bool
 	freed       bool
-	pool        []*frame
 }
 
 // SendInit creates a persistent send channel src→dst carrying payload.
 // The payload is bound by reference, like Send: the caller may rewrite
 // its contents between iterations (or swap the buffer via Bind).
 func (rt *Runtime) SendInit(src, dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	h, err := rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	h.wire[0] = payload
-	return h, nil
+	return rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, [][]byte{payload}, false)
 }
 
 // SendInitPartitioned creates a partitioned persistent send channel:
@@ -100,38 +94,32 @@ func (rt *Runtime) SendInitPartitioned(src, dst int, tag envelope.Tag, comm enve
 	if len(partitions) < 1 || len(partitions) > MaxPartitions {
 		return nil, fmt.Errorf("mpx: %d partitions outside [1,%d]", len(partitions), MaxPartitions)
 	}
-	h, err := rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, len(partitions), true)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range partitions {
-		h.wire[i] = packPartition(nil, i, p)
-	}
-	return h, nil
+	return rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, partitions, true)
 }
 
-func (rt *Runtime) sendInit(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, parts int, partitioned bool) (*PersistentSend, error) {
-	if src < 0 || src >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
-	}
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
-	if err := env.Validate(); err != nil {
-		return nil, fmt.Errorf("mpx: %w", err)
-	}
+// sendInit builds a persistent send channel after the checks every
+// send makes. A plain channel binds payloads[0] by reference; a
+// partitioned one copies each payload into its header-prefixed wire
+// buffer.
+func (rt *Runtime) sendInit(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, payloads [][]byte, partitioned bool) (*PersistentSend, error) {
 	rt.mu.Lock()
-	err := rt.streamOpenLocked(src, stream)
+	env, err := rt.sendEnvLocked(src, stream, dst, tag, comm)
 	rt.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	wire := payloads
+	if partitioned {
+		wire = make([][]byte, len(payloads))
+		for i, p := range payloads {
+			wire[i] = packPartition(nil, i, p)
+		}
+	}
 	return &PersistentSend{
 		rt: rt, src: src, dst: dst, env: env,
 		partitioned: partitioned,
-		wire:        make([][]byte, parts),
-		fired:       make([]bool, parts),
+		wire:        wire,
+		fired:       make([]bool, len(wire)),
 	}, nil
 }
 
@@ -204,62 +192,16 @@ func (h *PersistentSend) Pready(i int) error {
 	return h.fireLocked(i)
 }
 
-// fireLocked transmits partition i: a recycled frame enters the flow's
-// staging queue under the same shed/credit machinery as Send.
+// fireLocked transmits partition i through the send path every Send
+// takes (shedding, staging, credit and accounting alike).
 func (h *PersistentSend) fireLocked(i int) error {
-	rt := h.rt
-	fl := rt.txFlowFor(h.src, h.dst)
-	if rt.cfg.StagingCap > 0 && fl.staged() >= rt.cfg.StagingCap {
-		accepted, err := rt.shedSendLocked(fl, func() *frame {
-			rt.seq++
-			fl.nextFlow++
-			return h.frameLocked(i, rt.seq, fl.nextFlow, fl.stampSSeq(h.env.Stream))
-		})
-		if !accepted {
-			return err
-		}
-	} else {
-		rt.seq++
-		fl.nextFlow++
-		fl.push(h.frameLocked(i, rt.seq, fl.nextFlow, fl.stampSSeq(h.env.Stream)))
+	accepted, err := h.rt.stageLocked(h.dst, h.env, h.wire[i])
+	if accepted {
+		h.fired[i] = true
+		h.firedCount++
+		h.rt.stats.PersistentSends++
 	}
-	h.fired[i] = true
-	h.firedCount++
-	rt.stats.Sends++
-	rt.stats.PersistentSends++
-	rt.rec.Instant(h.src, evSend, argDst, int64(h.dst), argFlow, int64(fl.nextFlow))
-	_, err := rt.flushOutbox(fl)
 	return err
-}
-
-// frameLocked builds partition i's frame, reusing a retired one from
-// the handle's pool when available (the zero-allocation re-fire path).
-func (h *PersistentSend) frameLocked(i int, seq, flow, sseq uint64) *frame {
-	var fr *frame
-	if n := len(h.pool); n > 0 {
-		fr = h.pool[n-1]
-		h.pool[n-1] = nil
-		h.pool = h.pool[:n-1]
-	} else {
-		fr = &frame{owner: h}
-	}
-	fr.env = h.env
-	fr.payload = h.wire[i]
-	fr.seq = seq
-	fr.flow = flow
-	fr.sseq = sseq
-	fr.attempts = 0
-	fr.deadline = 0
-	return fr
-}
-
-// recycle returns an acked frame to the pool. Called with rt.mu held.
-func (h *PersistentSend) recycle(fr *frame) {
-	if h.freed {
-		return
-	}
-	fr.payload = nil
-	h.pool = append(h.pool, fr)
 }
 
 // Bind rebinds partition i's payload for later iterations. Plain
@@ -299,7 +241,6 @@ func (h *PersistentSend) Free() error {
 		return fmt.Errorf("mpx: Free on persistent send %v mid-iteration", h.env)
 	}
 	h.freed = true
-	h.pool = nil
 	return nil
 }
 
@@ -349,28 +290,11 @@ func (rt *Runtime) RecvInitPartitioned(dst int, src envelope.Rank, tag envelope.
 }
 
 func (rt *Runtime) recvInit(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm, parts int, partitioned bool) (*PersistentRecv, error) {
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
 	rt.mu.Lock()
-	serr := rt.streamOpenLocked(dst, stream)
-	rt.mu.Unlock()
-	if serr != nil {
-		return nil, serr
-	}
-	switch rt.cfg.Level {
-	case NoSourceWildcard, NoUnexpected:
-		if src == envelope.AnySource {
-			return nil, match.ErrSourceWildcard
-		}
-	case Unordered:
-		if req.HasWildcard() {
-			return nil, match.ErrWildcard
-		}
+	defer rt.mu.Unlock()
+	req, err := rt.recvReqLocked(dst, stream, src, tag, comm)
+	if err != nil {
+		return nil, err
 	}
 	if partitioned && req.HasWildcard() {
 		return nil, fmt.Errorf("mpx: partitioned receive requires a concrete tuple, got %v", req)
@@ -386,16 +310,12 @@ func (rt *Runtime) recvInit(dst int, stream envelope.Stream, src envelope.Rank, 
 	if !h.wildcard {
 		h.env = envelope.Envelope{Src: src, Tag: tag, Comm: comm, Stream: stream}
 		if !rt.cfg.DisablePersistentCache {
-			rt.mu.Lock()
 			if rt.pcaches[dst] == nil {
 				rt.pcaches[dst] = match.NewPersistentCache()
 			}
-			id, err := rt.pcaches[dst].Alloc(h.env, parts, h)
-			rt.mu.Unlock()
-			if err != nil {
+			if h.id, err = rt.pcaches[dst].Alloc(h.env, parts, h); err != nil {
 				return nil, err
 			}
-			h.id = id
 		}
 	}
 	return h, nil
@@ -443,27 +363,27 @@ func (h *PersistentRecv) Start() error {
 		return nil // cached re-fire: the fast path owns this iteration
 	}
 	rt.persistInvalidateStartLocked(h)
-	rt.postInnerLocked(h, h.parts, true)
+	rt.postInnerLocked(h, h.parts)
 	return nil
 }
 
 // postInnerLocked posts n engine-path receives for the handle, all
-// carrying the handle's startSeq. New iterations append (startSeq is
-// the newest timestamp); mid-iteration reposts after an invalidation
-// insert in timestamp order, so the posted order the engine sees is
-// identical to a run that never sealed at all.
-func (rt *Runtime) postInnerLocked(h *PersistentRecv, n int, atTail bool) {
+// carrying the handle's startSeq, in the queue's ascending timestamp
+// order: a new iteration's startSeq is the newest timestamp, so its
+// receives land at the tail, while mid-iteration reposts after an
+// invalidation slot in where they belong, so the posted order the
+// engine sees is identical to a run that never sealed at all.
+func (rt *Runtime) postInnerLocked(h *PersistentRecv, n int) {
 	for i := 0; i < n; i++ {
 		r := &Recv{rt: rt, gpu: h.gpu, req: h.req, seq: h.startSeq, ph: h}
-		if atTail {
-			rt.pendingRecvs[h.gpu] = append(rt.pendingRecvs[h.gpu], r)
-		} else {
-			rt.insertRecvBySeqLocked(h.gpu, r)
-		}
+		rt.pendingRecvs[h.gpu] = insertSorted(rt.pendingRecvs[h.gpu], 0, r, recvSeq)
 		h.inner++
 		rt.stats.PostedRecvs++
 	}
 }
+
+// recvSeq is the sort key of the posted-receive queues.
+func recvSeq(r *Recv) uint64 { return r.seq }
 
 // removeInnerLocked cancels the handle's outstanding engine-path
 // receives (stranded by a failed iteration's abort).
@@ -481,21 +401,6 @@ func (rt *Runtime) removeInnerLocked(h *PersistentRecv) {
 	}
 	rt.pendingRecvs[h.gpu] = out
 	h.inner = 0
-}
-
-// insertRecvBySeqLocked inserts r into GPU g's posted-receive queue
-// keeping ascending logical-timestamp order (the queue's invariant:
-// appends always carry the newest seq, so it is always sorted).
-func (rt *Runtime) insertRecvBySeqLocked(g int, r *Recv) {
-	q := rt.pendingRecvs[g]
-	i := len(q)
-	for i > 0 && q[i-1].seq > r.seq {
-		i--
-	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = r
-	rt.pendingRecvs[g] = q
 }
 
 // Done reports whether the current iteration fully delivered.
@@ -608,7 +513,7 @@ func (h *PersistentRecv) Free() error {
 // queue or the engine. Among several armed same-tuple channels the
 // earliest-started wins — exactly the ordered engine's posted-order
 // rule, since engine-path receives carry the Start timestamp.
-func (rt *Runtime) persistDeliverLocked(g int, m gas.Message) bool {
+func (rt *Runtime) persistDeliverLocked(g int, m *gas.Message) bool {
 	c := rt.pcaches[g]
 	if c == nil || c.SealedCount() == 0 {
 		return false
@@ -632,31 +537,27 @@ func (rt *Runtime) persistDeliverLocked(g int, m gas.Message) bool {
 	}
 	rt.stats.CacheHits++
 	rt.rec.Instant(g, evCacheHit, argHandle, int64(best.id), argFlow, int64(m.Flow))
-	rt.persistAcceptLocked(best, m, true)
+	rt.persistAcceptLocked(best, m, proto.Transfer{}, true)
 	return true
 }
 
 // persistForwardLocked routes an engine-path delivery into its owning
 // handle — the cache-miss path (first iteration, or an iteration after
 // an invalidation). tr is the transfer the main delivery loop already
-// accounted for this message.
+// charged for this message.
 func (rt *Runtime) persistForwardLocked(r *Recv, tr proto.Transfer) {
-	h := r.ph
-	h.inner--
+	r.ph.inner--
 	rt.stats.CacheMisses++
-	h.transfer.Bytes += tr.Bytes
-	h.transfer.Mode = tr.Mode
-	h.transfer.WireSeconds += tr.WireSeconds
-	h.transfer.CopySeconds += tr.CopySeconds
-	rt.persistAcceptLocked(h, r.msg, false)
+	rt.persistAcceptLocked(r.ph, &r.msg, tr, false)
 }
 
 // persistAcceptLocked lands one message in the handle: partition
-// decode, arrival bookkeeping, and — on the cached path — the match,
-// data-movement and timing accounting the engine loop would otherwise
-// do. The engine path (cached=false) passes messages that were already
-// matched and accounted.
-func (rt *Runtime) persistAcceptLocked(h *PersistentRecv, m gas.Message, cached bool) {
+// decode, arrival bookkeeping, and the iteration's data movement tr.
+// The engine path (cached=false) passes a message the delivery loop
+// already matched and charged; on the cached path the engine loop
+// never sees the message, so the delivery is charged here — plus the
+// (tiny) cached-delivery cost — and tr is ignored.
+func (rt *Runtime) persistAcceptLocked(h *PersistentRecv, m *gas.Message, tr proto.Transfer, cached bool) {
 	g := h.gpu
 	if h.arrivedCount >= h.parts {
 		// Only reachable through user error (stray engine-path receives
@@ -683,32 +584,18 @@ func (rt *Runtime) persistAcceptLocked(h *PersistentRecv, m gas.Message, cached 
 		}
 	}
 	if cached {
-		// The engine loop never sees this message: account the match,
-		// the data movement, and the (tiny) cached-delivery cost here.
-		preposted := h.startSeq < m.Seq
-		tr := rt.cfg.Protocol.Cost(rt.cfg.Link, len(m.Payload), preposted)
-		h.transfer.Bytes += tr.Bytes
-		h.transfer.Mode = tr.Mode
-		h.transfer.WireSeconds += tr.WireSeconds
-		h.transfer.CopySeconds += tr.CopySeconds
-		rt.stats.Matches++
+		tr = rt.chargeDeliveryLocked(h.startSeq, m)
 		rt.stats.SimSeconds += rt.persistSec
-		rt.stats.BytesMoved += int64(tr.Bytes)
-		rt.stats.TransferSeconds += tr.Seconds()
-		if tr.Mode == proto.Eager {
-			rt.stats.EagerMsgs++
-		} else {
-			rt.stats.RendezvousMsgs++
-		}
-		if preposted {
-			rt.stats.PrePostedMsgs++
-		}
 	}
+	h.transfer.Bytes += tr.Bytes
+	h.transfer.Mode = tr.Mode
+	h.transfer.WireSeconds += tr.WireSeconds
+	h.transfer.CopySeconds += tr.CopySeconds
 	rt.stats.PersistentRecvs++
 	h.arrived[part] = true
 	h.arrivedCount++
 	h.payloads[part] = payload
-	h.msg = m
+	h.msg = *m
 	if h.arrivedCount == h.parts {
 		rt.openPersist[g]--
 		h.iterations++
@@ -795,7 +682,7 @@ func (rt *Runtime) persistUnsealedLocked(g int, ids []match.HandleID) {
 			continue
 		}
 		if h.started && h.arrivedCount+h.inner < h.parts {
-			rt.postInnerLocked(h, h.parts-h.arrivedCount-h.inner, false)
+			rt.postInnerLocked(h, h.parts-h.arrivedCount-h.inner)
 		}
 	}
 }

@@ -70,19 +70,21 @@ const numStreams = int(envelope.MaxStream) + 1
 // frame is one send in flight: the envelope and payload plus the
 // global logical timestamp (seq, pre-postedness), the per-flow wire
 // sequence number (flow, dedup/ordering), and the per-(flow,stream)
-// sub-sequence (sseq, release order under StreamOrdered).
+// sub-sequence (sseq, release order under StreamOrdered). Frames come
+// from the runtime's free list and return to it on ack, whatever kind
+// of send staged them; nothing on the wire holds one (the transport
+// copies the fields it carries).
 type frame struct {
-	env      envelope.Envelope
-	payload  []byte
-	seq      uint64
-	flow     uint64
-	sseq     uint64
+	env     envelope.Envelope
+	payload []byte
+	seq     uint64
+	flow    uint64
+	sseq    uint64
+	// attempts and deadline are set when the frame is transmitted
+	// (flushOutbox) or parked (parkLocked), before anything reads them,
+	// so a recycled frame needs no reset.
 	attempts int     // transmissions so far
 	deadline float64 // simulated time of the next retransmission
-	// owner, when non-nil, is the persistent send channel this frame
-	// belongs to: the ack that retires the frame recycles it into the
-	// channel's pool (the zero-allocation re-fire path).
-	owner *PersistentSend
 }
 
 // txFlow is the sender half of one (src,dst) flow: unsent frames
@@ -133,24 +135,20 @@ func (fl *txFlow) popHead() *frame {
 	return fr
 }
 
-// stampSSeq assigns the next per-stream sub-sequence for a frame on
-// stream s.
-func (fl *txFlow) stampSSeq(s envelope.Stream) uint64 {
-	fl.nextSSeq[s]++
-	return fl.nextSSeq[s]
-}
+// frameFlow is the sort key of the flow-ordered frame queues.
+func frameFlow(fr *frame) uint64 { return fr.flow }
 
-// pushOrdered inserts a frame into the staging queue keeping ascending
-// flow order among the staged frames (shed recovery re-offers frames
-// in sequence).
-func (fl *txFlow) pushOrdered(fr *frame) {
-	i := len(fl.outbox)
-	for i > fl.outHead && fl.outbox[i-1].flow > fr.flow {
+// insertSorted inserts v into s[lo:], which is sorted by key, after
+// every element with an equal key, and returns the grown slice.
+func insertSorted[T any](s []T, lo int, v T, key func(T) uint64) []T {
+	i := len(s)
+	for i > lo && key(s[i-1]) > key(v) {
 		i--
 	}
-	fl.outbox = append(fl.outbox, nil)
-	copy(fl.outbox[i+1:], fl.outbox[i:])
-	fl.outbox[i] = fr
+	s = append(s, v)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }
 
 // idle reports whether the flow holds no undelivered frames.
@@ -169,8 +167,7 @@ func (fl *txFlow) has(flow uint64) bool {
 }
 
 // ack retires wire sequence number flow from the inflight window,
-// returning the retired frame (nil if absent) so persistent-channel
-// frames can be recycled.
+// returning the retired frame (nil if absent) so it can be recycled.
 func (fl *txFlow) ack(flow uint64) *frame {
 	for i, fr := range fl.inflight {
 		if fr.flow == flow {
@@ -181,15 +178,61 @@ func (fl *txFlow) ack(flow uint64) *frame {
 	return nil
 }
 
-// rxFlow is the receiver half of one (dst,src) flow: the next expected
-// wire sequence number and the out-of-order frames held back until the
-// gap before them fills. Frames are released to the matching layer
-// only in contiguous flow order, which restores per-flow MPI ordering
-// under wire reordering; anything below next or already held is a
-// duplicate and is suppressed.
-type rxFlow struct {
+// reorder is one in-order release frontier: the next expected
+// sequence number and the out-of-order messages held back until the
+// gap before them fills. It keys on whatever sequence it is given —
+// the flow sequence for a flow ledger, the per-stream sub-sequence for
+// a stream frontier.
+type reorder struct {
 	next uint64
 	held map[uint64]gas.Message
+}
+
+func newReorder() reorder { return reorder{next: 1, held: make(map[uint64]gas.Message)} }
+
+// seen reports whether seq was already released or is held.
+func (r *reorder) seen(seq uint64) bool {
+	if seq < r.next {
+		return true
+	}
+	_, ok := r.held[seq]
+	return ok
+}
+
+// hold parks m under seq until the frontier reaches it.
+func (r *reorder) hold(seq uint64, m gas.Message) { r.held[seq] = m }
+
+// pop releases the message at the frontier, if it is held, and
+// advances the frontier past it.
+func (r *reorder) pop() (gas.Message, bool) {
+	m, ok := r.held[r.next]
+	if ok {
+		delete(r.held, r.next)
+		r.next++
+	}
+	return m, ok
+}
+
+// pending returns the number of held messages.
+func (r *reorder) pending() int { return len(r.held) }
+
+// minHeld returns the lowest held sequence (pending() must be > 0).
+func (r *reorder) minHeld() uint64 {
+	lo := ^uint64(0)
+	for seq := range r.held {
+		if seq < lo {
+			lo = seq
+		}
+	}
+	return lo
+}
+
+// rxFlow is the receiver half of one (dst,src) flow. Its ledger
+// releases frames to the matching layer only in contiguous flow order,
+// which restores per-flow MPI ordering under wire reordering; anything
+// the ledger has seen is a duplicate and is suppressed.
+type rxFlow struct {
+	ledger reorder
 	// Flow-control state: the cumulative count of this flow's messages
 	// matched (the consumption grant advertised back to the sender),
 	// and the flow sequence below which gaps were already NACKed so
@@ -197,23 +240,36 @@ type rxFlow struct {
 	matched     uint64
 	nackedBelow uint64
 	// streams holds the per-stream release frontiers used only under
-	// StreamOrdered (lazily allocated per stream). When they are in
-	// play, next/held keep doing dedup and gap detection on the dense
-	// flow sequence, but held entries become zero-Message tombstones:
-	// the payload-carrying copy lives in its stream's held map until
-	// its per-stream sub-sequence is contiguous.
-	streams [numStreams]*rxStream
+	// StreamOrdered (lazily allocated per stream), keyed by the
+	// per-stream sub-sequence. When they are in play, the ledger keeps
+	// doing dedup and gap detection on the dense flow sequence, but
+	// holds zero-Message tombstones: the payload-carrying copy waits in
+	// its stream's frontier instead. Frames of different streams
+	// overtake each other freely — that reordering is exactly what the
+	// MPIX Stream relaxation permits.
+	streams [numStreams]*reorder
 }
 
-// rxStream is the receiver half of one (dst,src,stream) ordering
-// context under StreamOrdered: the next expected per-stream
-// sub-sequence and the out-of-order frames of that stream held back
-// until the gap before them fills. Frames of different streams
-// overtake each other freely — that reordering is exactly what the
-// MPIX Stream relaxation permits.
-type rxStream struct {
-	next uint64
-	held map[uint64]gas.Message
+// stream returns (creating on first use) stream s's release frontier.
+func (rx *rxFlow) stream(s envelope.Stream) *reorder {
+	if rx.streams[s] == nil {
+		st := newReorder()
+		rx.streams[s] = &st
+	}
+	return rx.streams[s]
+}
+
+// idle reports whether the flow holds no out-of-order fragment.
+func (rx *rxFlow) idle() bool {
+	if rx.ledger.pending() > 0 {
+		return false
+	}
+	for _, st := range rx.streams {
+		if st != nil && st.pending() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // StallError reports a Drain that stopped making progress while
@@ -258,11 +314,31 @@ func (rt *Runtime) txFlowFor(src, dst int) *txFlow {
 	return rt.tx[src][dst]
 }
 
+// newFrameLocked takes a frame from the free list (allocating only
+// when it is empty) and stamps it for flow fl: the next global logical
+// timestamp, flow sequence number and per-stream sub-sequence.
+func (rt *Runtime) newFrameLocked(fl *txFlow, env envelope.Envelope, payload []byte) *frame {
+	var fr *frame
+	if n := len(rt.frames); n > 0 {
+		fr, rt.frames = rt.frames[n-1], rt.frames[:n-1]
+	} else {
+		fr = new(frame)
+	}
+	rt.seq++
+	fl.nextFlow++
+	fl.nextSSeq[env.Stream]++
+	// Field by field: a whole-struct store would copy through a stack
+	// temporary on every send.
+	fr.env, fr.payload = env, payload
+	fr.seq, fr.flow, fr.sseq = rt.seq, fl.nextFlow, fl.nextSSeq[env.Stream]
+	return fr
+}
+
 // rxFlowFor returns (creating on first use) the receiver flow state
 // for frames from src arriving at dst.
 func (rt *Runtime) rxFlowFor(dst, src int) *rxFlow {
 	if rt.rx[dst][src] == nil {
-		rt.rx[dst][src] = &rxFlow{next: 1, held: make(map[uint64]gas.Message)}
+		rt.rx[dst][src] = &rxFlow{ledger: newReorder()}
 	}
 	return rt.rx[dst][src]
 }
@@ -373,6 +449,15 @@ func (rt *Runtime) pumpFlowsLocked() (int, error) {
 // receiveLocked drains every GPU's wire, acks what arrived, suppresses
 // duplicates and releases in-order frames to the matching layer. It
 // returns the number of arrivals plus acks processed.
+//
+// Under StreamOrdered the flow ledger keeps doing duplicate
+// suppression and NACK gap detection exactly as under the strict
+// levels, but delivery no longer waits for flow contiguity: each frame
+// is released in contiguous per-stream sub-sequence order instead, so
+// one stream never stalls behind another stream's wire gap. A frame
+// released while a lower flow sequence is still missing is precisely
+// the reordering the relaxation permits and the strict path would have
+// held back; Stats.CrossStreamReleases counts them.
 func (rt *Runtime) receiveLocked() int {
 	progress := 0
 	n := rt.transport.Size()
@@ -394,9 +479,8 @@ func (rt *Runtime) receiveLocked() int {
 					if fr := fl.ack(m.Flow); fr != nil {
 						rt.stats.Acks++
 						progress++
-						if fr.owner != nil {
-							fr.owner.recycle(fr)
-						}
+						fr.payload = nil // retain no user buffer
+						rt.frames = append(rt.frames, fr)
 						if rt.creditWindow > 0 {
 							// The ack piggybacks the receiver's cumulative
 							// consumption grant back to the sender.
@@ -406,39 +490,27 @@ func (rt *Runtime) receiveLocked() int {
 				}
 			}
 			rx := rt.rxFlowFor(g, src)
-			if m.Flow < rx.next {
+			if rx.ledger.seen(m.Flow) {
 				rt.stats.Duplicates++
 				continue
 			}
-			if _, dup := rx.held[m.Flow]; dup {
-				rt.stats.Duplicates++
-				continue
-			}
+			buf, seq := &rx.ledger, m.Flow
 			if rt.cfg.Level == StreamOrdered {
-				progress += rt.releaseStreamLocked(g, rx, m)
-				continue
-			}
-			rx.held[m.Flow] = m
-			for {
-				mm, ok := rx.held[rx.next]
-				if !ok {
-					break
-				}
-				delete(rx.held, rx.next)
-				rx.next++
-				// Persistent fast path: a frame whose tuple hits a
-				// sealed match handle is delivered straight into its
-				// channel — it never enters the unexpected queue. The
-				// delivery counts as consumption for credit purposes
-				// exactly like an engine match would.
-				if rt.persistDeliverLocked(g, mm) {
-					if rt.creditWindow > 0 {
-						rx.matched++
+				// Arrival tombstone: the frontier advance reclaims it.
+				rx.ledger.hold(m.Flow, gas.Message{})
+				for {
+					if _, ok := rx.ledger.pop(); !ok {
+						break
 					}
-					progress++
-					continue
 				}
-				rt.pendingMsgs[g] = append(rt.pendingMsgs[g], mm)
+				buf, seq = rx.stream(m.Env.Stream), m.SSeq
+			}
+			buf.hold(seq, m)
+			for mm, ok := buf.pop(); ok; mm, ok = buf.pop() {
+				if mm.Flow >= rx.ledger.next {
+					rt.stats.CrossStreamReleases++
+				}
+				rt.admitLocked(g, rx, &mm)
 				progress++
 			}
 		}
@@ -446,55 +518,18 @@ func (rt *Runtime) receiveLocked() int {
 	return progress
 }
 
-// releaseStreamLocked lands one non-duplicate frame under the
-// StreamOrdered contract. The flow-sequence ledger (rx.next/rx.held)
-// keeps doing duplicate suppression and NACK gap detection exactly as
-// under the strict levels — but its entries become zero-Message
-// tombstones, because delivery no longer waits for flow contiguity:
-// each frame is released in contiguous per-stream sub-sequence order
-// instead, so one stream never stalls behind another stream's wire
-// gap. A frame released while a lower flow sequence is still missing
-// is precisely the reordering the relaxation permits and the strict
-// path would have held back; Stats.CrossStreamReleases counts them.
-func (rt *Runtime) releaseStreamLocked(g int, rx *rxFlow, m gas.Message) int {
-	progress := 0
-	// Arrival tombstone: dedup and the gap scan still key on the dense
-	// flow sequence, and the frontier advance reclaims the entries.
-	rx.held[m.Flow] = gas.Message{}
-	for {
-		if _, ok := rx.held[rx.next]; !ok {
-			break
-		}
-		delete(rx.held, rx.next)
-		rx.next++
+// admitLocked hands one released message to GPU g's matching layer.
+// Persistent fast path: a message whose tuple hits a sealed match
+// handle is delivered straight into its channel — it never enters the
+// unexpected queue — and counts as consumption for credit purposes
+// exactly like an engine match would. Anything else joins the
+// unexpected queue.
+func (rt *Runtime) admitLocked(g int, rx *rxFlow, m *gas.Message) {
+	if !rt.persistDeliverLocked(g, m) {
+		rt.pendingMsgs[g] = append(rt.pendingMsgs[g], *m)
+	} else if rt.creditWindow > 0 {
+		rx.matched++
 	}
-	st := rx.streams[m.Env.Stream]
-	if st == nil {
-		st = &rxStream{next: 1, held: make(map[uint64]gas.Message)}
-		rx.streams[m.Env.Stream] = st
-	}
-	st.held[m.SSeq] = m
-	for {
-		mm, ok := st.held[st.next]
-		if !ok {
-			break
-		}
-		delete(st.held, st.next)
-		st.next++
-		if mm.Flow >= rx.next {
-			rt.stats.CrossStreamReleases++
-		}
-		if rt.persistDeliverLocked(g, mm) {
-			if rt.creditWindow > 0 {
-				rx.matched++
-			}
-			progress++
-			continue
-		}
-		rt.pendingMsgs[g] = append(rt.pendingMsgs[g], mm)
-		progress++
-	}
-	return progress
 }
 
 // flowsIdleLocked reports whether every sender flow delivered all its
@@ -509,18 +544,9 @@ func (rt *Runtime) flowsIdleLocked() bool {
 		}
 	}
 	for dst := range rt.rx {
-		for src := range rt.rx[dst] {
-			rx := rt.rx[dst][src]
-			if rx == nil {
-				continue
-			}
-			if len(rx.held) > 0 {
+		for _, rx := range rt.rx[dst] {
+			if rx != nil && !rx.idle() {
 				return false
-			}
-			for _, st := range rx.streams {
-				if st != nil && len(st.held) > 0 {
-					return false
-				}
 			}
 		}
 	}
