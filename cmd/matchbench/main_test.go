@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,29 @@ func TestRunTable2Formatted(t *testing.T) {
 	}
 	if !strings.HasSuffix(out.String(), "\n\n") {
 		t.Error("formatted sections must end with a separator blank line")
+	}
+}
+
+// TestRunStreamsFormatted smoke-tests the MPIX stream scaling section:
+// the column header plus one row per stream count, each reporting a
+// speedup. The figures themselves are gated bit-exactly by -regress.
+func TestRunStreamsFormatted(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-streams"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.HasSuffix(out.String(), "\n\n") {
+		t.Error("formatted sections must end with a separator blank line")
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) < 5 || !strings.HasPrefix(lines[len(lines)-5], "streams ") {
+		t.Fatalf("want the stream scaling header plus 4 rows:\n%s", out.String())
+	}
+	for i, row := range lines[len(lines)-4:] {
+		f := strings.Fields(row)
+		if want := strconv.Itoa(1 << i); len(f) != 4 || f[0] != want || !strings.HasSuffix(f[3], "x") {
+			t.Errorf("row %d = %q, want %s streams and a speedup", i, row, want)
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ func Engines() []Engine {
 		{"list", func() match.Matcher { return match.NewListMatcher() }},
 		{"binned", func() match.Matcher { return match.NewBinnedListMatcher(16) }},
 		{"matrix", func() match.Matcher { return match.NewMatrixMatcher(match.MatrixConfig{Compact: true}) }},
-		{"auto", func() match.Matcher { return &match.AutoMatrixMatcher{Compact: true} }},
 		{"commpar", func() match.Matcher { return match.NewCommParallelMatcher(match.MatrixConfig{Compact: true}) }},
 		{"partitioned", func() match.Matcher { return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 8}) }},
 		{"hashmatch", func() match.Matcher { return match.MustHashMatcher(match.HashConfig{}) }},

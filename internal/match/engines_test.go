@@ -291,6 +291,7 @@ func TestEngineNames(t *testing.T) {
 		NewListMatcher(),
 		NewMatrixMatcher(MatrixConfig{}),
 		NewPartitionedMatcher(PartitionedConfig{Queues: 8}),
+		NewStreamMatcher(StreamConfig{}),
 		MustHashMatcher(HashConfig{}),
 		ReferenceMatcher{},
 	}

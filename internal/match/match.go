@@ -10,6 +10,9 @@
 //     then a sequential reduce resolving ordering dependencies.
 //   - Partitioned: the "no source wildcard" relaxation — the rank space
 //     statically partitioned into multiple queues matched in parallel.
+//     The same engine keyed on stream id instead of source rank is the
+//     MPIX Stream relaxation (NewStreamMatcher): wildcards admitted,
+//     ordering owed per stream, no cross-queue contention.
 //   - Hash: the "no wildcards, no ordering" relaxation — a two-level
 //     hash table with constant-time insert and probe.
 //

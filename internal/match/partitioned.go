@@ -13,14 +13,13 @@ import (
 
 // PartitionedConfig configures the "no source wildcard" relaxation
 // (§VI-A): the rank space statically partitioned into Queues queues,
-// each matched by its own share of the CTA's warps.
+// each matched by its own share of the CTA's warps. Each queue scans
+// with DefaultWindow.
 type PartitionedConfig struct {
 	// Arch selects the simulated GPU (default Pascal GTX1080).
 	Arch *arch.Arch
 	// Queues is the number of rank partitions (1..32, default 4).
 	Queues int
-	// Window is the scan window per queue (default DefaultWindow).
-	Window int
 	// MaxCTAs bounds concurrent CTAs (default 1); longer queues need
 	// more CTAs, which serialize beyond the occupancy limit exactly as
 	// Figure 5 annotates.
@@ -45,13 +44,33 @@ type PartitionedConfig struct {
 	Track int
 }
 
-// PartitionedMatcher implements rank-partitioned matching. Requests
-// using MPI_ANY_SOURCE are rejected (ErrSourceWildcard): with the
-// source always concrete, a message and its receive request provably
-// land in the same partition, so partitions match independently and in
-// parallel. Tag wildcards and pairwise ordering remain fully honored.
+// partitionKey selects the envelope field a PartitionedMatcher splits
+// its queues on.
+type partitionKey uint8
+
+const (
+	// keyRank partitions by source rank: the §VI-A relaxation.
+	keyRank partitionKey = iota
+	// keyStream partitions by stream id: the MPIX Stream relaxation
+	// (NewStreamMatcher).
+	keyStream
+)
+
+// PartitionedMatcher splits both queues into independent partitions,
+// each an ordered matrix sub-problem matched by its own share of the
+// CTA's warps. A message and every request able to match it must land
+// in the same partition, so the key is a field no admitted request
+// leaves open:
+//
+//   - keyed on source rank (NewPartitionedMatcher), requests using
+//     MPI_ANY_SOURCE are rejected (ErrSourceWildcard); tag wildcards
+//     and pairwise ordering remain fully honored;
+//   - keyed on stream id (NewStreamMatcher), both wildcards stay
+//     admitted, because the stream is always concrete and compares
+//     unconditionally, so a wildcard ranges only over its own stream.
 type PartitionedMatcher struct {
 	cfg PartitionedConfig
+	key partitionKey
 	// engines holds one matrix engine per partition so partition
 	// blocks can be simulated on concurrent host goroutines without
 	// sharing scratch; engines[0] doubles as the footprint/timing
@@ -97,9 +116,6 @@ func NewPartitionedMatcher(cfg PartitionedConfig) *PartitionedMatcher {
 	if cfg.Queues > simt.MaxWarpsPerCTA {
 		cfg.Queues = simt.MaxWarpsPerCTA
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	if cfg.MaxCTAs <= 0 {
 		cfg.MaxCTAs = 1
 	}
@@ -117,7 +133,7 @@ func NewPartitionedMatcher(cfg PartitionedConfig) *PartitionedMatcher {
 		// Partition engines run sequentially inside their goroutine
 		// (Workers: 1): host parallelism lives at the partition level,
 		// nesting pools would only add scheduling noise.
-		e := NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, Window: cfg.Window, MaxCTAs: 1, SMs: cfg.SMs, Workers: 1})
+		e := NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, MaxCTAs: 1, SMs: cfg.SMs, Workers: 1})
 		e.noFused = true
 		p.engines[i] = e
 	}
@@ -126,21 +142,32 @@ func NewPartitionedMatcher(cfg PartitionedConfig) *PartitionedMatcher {
 
 // Name implements Matcher.
 func (p *PartitionedMatcher) Name() string {
+	if p.key == keyStream {
+		return fmt.Sprintf("gpu-stream(%s,s=%d)", p.cfg.Arch.Generation, p.cfg.Queues)
+	}
 	return fmt.Sprintf("gpu-partitioned(%s,q=%d)", p.cfg.Arch.Generation, p.cfg.Queues)
 }
 
-// Contract implements Contractor: ordering and tag wildcards are fully
-// honored; only MPI_ANY_SOURCE is prohibited (§VI-A).
+// Contract implements Contractor. Keyed on rank, ordering and tag
+// wildcards are fully honored and only MPI_ANY_SOURCE is prohibited
+// (§VI-A); keyed on stream, ordering is owed per stream only and both
+// wildcards stay admitted.
 func (p *PartitionedMatcher) Contract() Contract {
+	if p.key == keyStream {
+		return Contract{Semantics: Ordered, SrcWildcard: true, TagWildcard: true, StreamQualified: true}
+	}
 	return Contract{Semantics: Ordered, SrcWildcard: false, TagWildcard: true}
 }
 
-// queueOf maps a source rank to its partition.
-func (p *PartitionedMatcher) queueOf(src envelope.Rank) int {
+// queueOf maps an envelope's partition key to its partition.
+func (p *PartitionedMatcher) queueOf(src envelope.Rank, st envelope.Stream) int {
+	if p.key == keyStream {
+		return int(st) % p.cfg.Queues
+	}
 	return int(src) % p.cfg.Queues
 }
 
-// Match implements Matcher under the no-source-wildcard relaxation.
+// Match implements Matcher under the matcher's relaxation.
 func (p *PartitionedMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Request) (*Result, error) {
 	res := &Result{}
 	if err := p.MatchInto(res, msgs, reqs); err != nil {
@@ -154,9 +181,11 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	if err := validateInputs(msgs, reqs); err != nil {
 		return err
 	}
-	for i, r := range reqs {
-		if r.Src == envelope.AnySource {
-			return fmt.Errorf("request %d: %w", i, ErrSourceWildcard)
+	if p.key == keyRank {
+		for i, r := range reqs {
+			if r.Src == envelope.AnySource {
+				return fmt.Errorf("request %d: %w", i, ErrSourceWildcard)
+			}
 		}
 	}
 	res.reset(len(reqs))
@@ -164,9 +193,9 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		return nil
 	}
 
-	// Partition by source rank. Per-queue arrays are contiguous: the
-	// receiving runtime enqueues each arrival into its partition's
-	// physical queue, so kernel loads stay coalesced.
+	// Partition by key. Per-queue arrays are contiguous: the receiving
+	// runtime enqueues each arrival into its partition's physical
+	// queue, so kernel loads stay coalesced.
 	q := p.cfg.Queues
 	for pi := range p.parts {
 		pt := &p.parts[pi]
@@ -176,12 +205,12 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		pt.reqIdx = pt.reqIdx[:0]
 	}
 	for i, m := range msgs {
-		pt := &p.parts[p.queueOf(m.Src)]
+		pt := &p.parts[p.queueOf(m.Src, m.Stream)]
 		pt.msgWords = append(pt.msgWords, m.Pack())
 		pt.msgIdx = append(pt.msgIdx, i)
 	}
 	for i, r := range reqs {
-		pt := &p.parts[p.queueOf(r.Src)]
+		pt := &p.parts[p.queueOf(r.Src, r.Stream)]
 		pt.reqWords = append(pt.reqWords, r.Pack())
 		pt.reqIdx = append(pt.reqIdx, i)
 	}
@@ -273,10 +302,6 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		totalCtrs.Add(p.partCtrs[pi])
 	}
 
-	// Cross-queue coordination: the pipelining barriers apply to all
-	// warps of the CTA, not only to the warps of one queue (§VI-A), so
-	// splitting the warp budget degrades efficiency superlinearly in
-	// the queue count.
 	totalCycles *= p.contention()
 	totalCycles += p.model.P.LaunchOverhead
 
@@ -330,12 +355,19 @@ func (p *PartitionedMatcher) roundPartition(pi int) {
 }
 
 // contention returns the calibrated cross-queue synchronization
-// multiplier: ~1 for few queues (the paper's "almost linear" regime up
+// multiplier. Keyed on rank, the pipelining barriers apply to all warps
+// of the CTA, not only to the warps of one queue, while the queues'
+// reduce phases depend on each other's ordering votes (§VI-A), so
+// splitting the warp budget degrades efficiency superlinearly in the
+// queue count: ~1 for few queues (the paper's "almost linear" regime up
 // to 4 queues), growing so that 16-32 queues land just below the 10×
-// aggregate speedup of Table II.
+// aggregate speedup of Table II. Keyed on stream, every ordering
+// dependency is private to a stream, so a stream's warps never wait on
+// another stream's reduce and the multiplier is exactly 1 — the
+// concurrency the stream relaxation buys.
 func (p *PartitionedMatcher) contention() float64 {
 	q := float64(p.cfg.Queues)
-	if q <= 1 {
+	if q <= 1 || p.key == keyStream {
 		return 1
 	}
 	return 1 + 0.0375*math.Pow(q-1, 0.835)

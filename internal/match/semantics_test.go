@@ -14,9 +14,9 @@ func allEngines() []Matcher {
 		NewListMatcher(),
 		NewBinnedListMatcher(0),
 		NewMatrixMatcher(MatrixConfig{}),
-		&AutoMatrixMatcher{},
 		NewCommParallelMatcher(MatrixConfig{}),
 		NewPartitionedMatcher(PartitionedConfig{}),
+		NewStreamMatcher(StreamConfig{}),
 		MustHashMatcher(HashConfig{}),
 		mustWildcardHash(),
 	}

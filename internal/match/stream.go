@@ -5,9 +5,7 @@ import (
 
 	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
-	"simtmp/internal/simt"
 	"simtmp/internal/telemetry"
-	"simtmp/internal/timing"
 )
 
 // VerifyStreamOrdered checks an assignment under the MPIX Stream
@@ -67,7 +65,8 @@ func VerifyStreamOrdered(msgs []envelope.Envelope, reqs []envelope.Request, a As
 
 // StreamConfig configures the stream-concurrent matcher (DESIGN.md
 // §17): messages and requests partitioned by their stream id, one
-// ordered matrix sub-problem per partition.
+// ordered matrix sub-problem per partition. Each partition scans with
+// DefaultWindow on one CTA of one SM.
 type StreamConfig struct {
 	// Arch selects the simulated GPU (default Pascal GTX1080).
 	Arch *arch.Arch
@@ -76,13 +75,6 @@ type StreamConfig struct {
 	// than live streams merely co-schedules streams, never reorders
 	// them against each other illegally.
 	Streams int
-	// Window is the scan window per partition (default DefaultWindow).
-	Window int
-	// MaxCTAs bounds concurrent CTAs (default 1).
-	MaxCTAs int
-	// SMs dedicates multiple SMs to the communication kernel
-	// (default 1; see MatrixConfig.SMs).
-	SMs int
 	// Workers bounds the host goroutines simulating partitions in
 	// parallel (0 = GOMAXPROCS, 1 = sequential); bit-identical to the
 	// sequential path, see PartitionedConfig.Workers.
@@ -93,251 +85,22 @@ type StreamConfig struct {
 	Track int
 }
 
-// StreamMatcher implements the MPIX Stream relaxation: matching order
-// is guaranteed only within a stream, so the matcher partitions both
-// queues by the (always concrete) stream id and runs one fully
-// MPI-compliant matrix sub-problem per partition. Both wildcards
-// remain admitted — a wildcard ranges only over its own stream's
-// messages, because the stream field participates unconditionally in
-// the match predicate.
-//
-// Unlike the rank-partitioned matcher, the partitions share no
-// ordering state at all: the matrix reduce phase that resolves
-// ordering dependencies is private to each stream, so the cross-queue
-// synchronization penalty (PartitionedMatcher.contention) does not
-// apply. That is the concurrency unlock the relaxation buys.
-type StreamMatcher struct {
-	cfg   StreamConfig
-	model timing.Model
-	// engines holds one matrix engine per partition; engines[0] doubles
-	// as the footprint/timing representative.
-	engines []*MatrixMatcher
-
-	// Reusable per-call scratch (grown monotonically); a matcher is
-	// NOT safe for concurrent Match calls.
-	parts       []partScratch
-	partCtrs    []simt.Counters
-	roundCycles []float64
-	ctaCycles   []float64
-
-	// par carries the per-round state of the parallel partition
-	// fan-out; see PartitionedMatcher.par.
-	par struct {
-		round, maxCTAs, subBlock int
-		roundCycles              []float64
-	}
-	parFn func(int)
-}
-
-// NewStreamMatcher returns a matcher with the given configuration.
-func NewStreamMatcher(cfg StreamConfig) *StreamMatcher {
-	if cfg.Arch == nil {
-		cfg.Arch = arch.PascalGTX1080()
-	}
+// NewStreamMatcher returns the MPIX Stream relaxation's matcher: the
+// partitioned engine keyed on stream id instead of source rank.
+// Matching order is guaranteed only within a stream, so each stream
+// partition runs one fully MPI-compliant matrix sub-problem, and no
+// cross-queue contention applies (see PartitionedMatcher.contention).
+func NewStreamMatcher(cfg StreamConfig) *PartitionedMatcher {
 	if cfg.Streams <= 0 {
 		cfg.Streams = 8
 	}
 	if cfg.Streams > int(envelope.MaxStream)+1 {
 		cfg.Streams = int(envelope.MaxStream) + 1
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxCTAs <= 0 {
-		cfg.MaxCTAs = 1
-	}
-	if cfg.SMs <= 0 {
-		cfg.SMs = 1
-	}
-	s := &StreamMatcher{
-		cfg:      cfg,
-		model:    timing.NewModel(cfg.Arch),
-		engines:  make([]*MatrixMatcher, cfg.Streams),
-		parts:    make([]partScratch, cfg.Streams),
-		partCtrs: make([]simt.Counters, cfg.Streams),
-	}
-	for i := range s.engines {
-		e := NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, Window: cfg.Window, MaxCTAs: 1, SMs: cfg.SMs, Workers: 1})
-		e.noFused = true
-		s.engines[i] = e
-	}
-	return s
-}
-
-// Name implements Matcher.
-func (s *StreamMatcher) Name() string {
-	return fmt.Sprintf("gpu-stream(%s,s=%d)", s.cfg.Arch.Generation, s.cfg.Streams)
-}
-
-// Contract implements Contractor: ordering is owed per stream only;
-// both wildcards stay admitted (they range within a stream).
-func (s *StreamMatcher) Contract() Contract {
-	return Contract{Semantics: Ordered, SrcWildcard: true, TagWildcard: true, StreamQualified: true}
-}
-
-// partitionOf maps a stream id to its partition.
-func (s *StreamMatcher) partitionOf(st envelope.Stream) int {
-	return int(st) % s.cfg.Streams
-}
-
-// Match implements Matcher under the stream-ordered relaxation.
-func (s *StreamMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Request) (*Result, error) {
-	res := &Result{}
-	if err := s.MatchInto(res, msgs, reqs); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// MatchInto implements ReusableMatcher (see MatrixMatcher.MatchInto).
-func (s *StreamMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []envelope.Request) error {
-	if err := validateInputs(msgs, reqs); err != nil {
-		return err
-	}
-	res.reset(len(reqs))
-	if len(msgs) == 0 || len(reqs) == 0 {
-		return nil
-	}
-
-	// Partition by stream id. A message and any request able to match
-	// it provably share a partition: the stream is concrete on both
-	// sides and compares unconditionally.
-	q := s.cfg.Streams
-	for pi := range s.parts {
-		pt := &s.parts[pi]
-		pt.msgWords = pt.msgWords[:0]
-		pt.msgIdx = pt.msgIdx[:0]
-		pt.reqWords = pt.reqWords[:0]
-		pt.reqIdx = pt.reqIdx[:0]
-	}
-	for i, m := range msgs {
-		pt := &s.parts[s.partitionOf(m.Stream)]
-		pt.msgWords = append(pt.msgWords, m.Pack())
-		pt.msgIdx = append(pt.msgIdx, i)
-	}
-	for i, r := range reqs {
-		pt := &s.parts[s.partitionOf(r.Stream)]
-		pt.reqWords = append(pt.reqWords, r.Pack())
-		pt.reqIdx = append(pt.reqIdx, i)
-	}
-	for pi := range s.parts {
-		pt := &s.parts[pi]
-		pt.assign = ensureAssignment(pt.assign, len(pt.reqWords))
-		s.partCtrs[pi] = simt.Counters{}
-	}
-
-	warpsPerQueue := simt.MaxWarpsPerCTA / q
-	if warpsPerQueue < 1 {
-		warpsPerQueue = 1
-	}
-	subBlock := warpsPerQueue * simt.LaneCount
-
-	occ := s.cfg.Arch.Occupancy(s.engines[0].footprint())
-	if occ < 1 {
-		occ = 1
-	}
-
-	maxCTAs := s.cfg.MaxCTAs
-	if cap(s.roundCycles) < q*maxCTAs {
-		s.roundCycles = make([]float64, q*maxCTAs)
-	}
-	roundCycles := s.roundCycles[:q*maxCTAs]
-	if cap(s.ctaCycles) < maxCTAs {
-		s.ctaCycles = make([]float64, maxCTAs)
-	}
-	ctaCycles := s.ctaCycles[:maxCTAs]
-
-	rec := s.cfg.Recorder
-	base := rec.Clock()
-	emitQueueDepths(rec, s.cfg.Track, len(msgs), len(reqs))
-
-	var totalCycles float64
-	var totalCtrs simt.Counters
-	for round := 0; ; round++ {
-		// Stream partitions are independent sub-problems with private
-		// engines and assignments; the round's blocks run across host
-		// goroutines, bit-identical to sequential (the float combination
-		// below replays in partition order).
-		s.par.round, s.par.maxCTAs, s.par.subBlock = round, maxCTAs, subBlock
-		s.par.roundCycles = roundCycles
-		if s.parFn == nil {
-			s.parFn = s.roundPartition
-		}
-		simt.ParallelFor(q, s.cfg.Workers, s.parFn)
-
-		progress := false
-		for c := 0; c < maxCTAs; c++ {
-			maxQ, sumQ := 0.0, 0.0
-			for pi := 0; pi < q; pi++ {
-				cycles := roundCycles[pi*maxCTAs+c]
-				if cycles < 0 {
-					continue
-				}
-				progress = true
-				sumQ += cycles
-				if cycles > maxQ {
-					maxQ = cycles
-				}
-			}
-			const interference = 0.02
-			ctaCycles[c] = maxQ + interference*(sumQ-maxQ)
-		}
-		if !progress {
-			break
-		}
-		roundTotal := s.engines[0].combineWaves(ctaCycles, occ)
-		rec.Span(s.cfg.Track, evMatchPass,
-			base+s.model.Seconds(totalCycles), s.model.Seconds(roundTotal),
-			argRound, int64(round), 0, 0)
-		totalCycles += roundTotal
-		res.Iterations++
-	}
-	for pi := range s.partCtrs {
-		totalCtrs.Add(s.partCtrs[pi])
-	}
-
-	// No cross-queue contention multiplier: the rank-partitioned
-	// matcher pays one because its pipelining barriers span all warps
-	// of the CTA while the queues' reduce phases depend on each other's
-	// ordering votes (§VI-A). Here every ordering dependency is private
-	// to a stream, so a stream's warps never wait on another stream's
-	// reduce — the relaxation's concurrency unlock.
-	totalCycles += s.model.P.LaunchOverhead
-
-	// Scatter per-stream assignments back to global indices.
-	for pi := range s.parts {
-		pt := &s.parts[pi]
-		for li, lm := range pt.assign {
-			if lm != NoMatch {
-				res.Assignment[pt.reqIdx[li]] = pt.msgIdx[lm]
-			}
-		}
-	}
-
-	res.SimSeconds = s.model.Seconds(totalCycles)
-	res.Counters = totalCtrs
-	emitKernelStats(rec, s.cfg.Track, base, base+res.SimSeconds, occ, totalCtrs)
-	return nil
-}
-
-// roundPartition is the parallel round body for one stream partition;
-// see PartitionedMatcher.roundPartition.
-func (s *StreamMatcher) roundPartition(pi int) {
-	pt := &s.parts[pi]
-	round, maxCTAs, subBlock := s.par.round, s.par.maxCTAs, s.par.subBlock
-	for c := 0; c < maxCTAs; c++ {
-		slot := pi*maxCTAs + c
-		blockStart := (round*maxCTAs + c) * subBlock
-		if blockStart >= len(pt.msgWords) {
-			s.par.roundCycles[slot] = -1
-			continue
-		}
-		blockEnd := blockStart + subBlock
-		if blockEnd > len(pt.msgWords) {
-			blockEnd = len(pt.msgWords)
-		}
-		cycles, ctrs := s.engines[pi].matchBlock(pt.msgWords, pt.reqWords, blockStart, blockEnd, pt.assign)
-		s.par.roundCycles[slot] = cycles
-		s.partCtrs[pi].Add(ctrs)
-	}
+	p := NewPartitionedMatcher(PartitionedConfig{
+		Arch: cfg.Arch, Queues: cfg.Streams,
+		Workers: cfg.Workers, Recorder: cfg.Recorder, Track: cfg.Track,
+	})
+	p.key = keyStream
+	return p
 }

@@ -3,11 +3,13 @@ package mpx
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"simtmp/internal/envelope"
 	"simtmp/internal/fault"
+	"simtmp/internal/simt"
 )
 
 func TestEndpointBounds(t *testing.T) {
@@ -347,6 +349,17 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	if c, err := (Config{Streams: 99}).Normalize(); err != nil || c.Streams != int(envelope.MaxStream)+1 {
 		t.Fatalf("Streams=99 → %d, %v", c.Streams, err)
 	}
+	// Queues clamps to what the partitioned engine runs: one warp per
+	// partition, at both levels that use it.
+	for _, lv := range []Level{NoSourceWildcard, NoUnexpected} {
+		c, err := (Config{Level: lv, Queues: 64}).Normalize()
+		if err != nil || c.Queues != simt.MaxWarpsPerCTA {
+			t.Fatalf("%v Queues=64 → %d, %v", lv, c.Queues, err)
+		}
+		if want, got := fmt.Sprintf("q=%d)", c.Queues), New(c).EngineName(); !strings.HasSuffix(got, want) {
+			t.Fatalf("%v: engine %q, Normalize reports Queues=%d", lv, got, c.Queues)
+		}
+	}
 }
 
 func TestConfigNormalizeRejects(t *testing.T) {
@@ -400,7 +413,7 @@ func TestConfigNormalizeQuick(t *testing.T) {
 		if err != nil {
 			return errors.Is(err, ErrBadConfig)
 		}
-		if n.GPUs <= 0 || n.Queues <= 0 || n.Streams <= 0 ||
+		if n.GPUs <= 0 || n.Queues <= 0 || n.Queues > simt.MaxWarpsPerCTA || n.Streams <= 0 ||
 			n.Streams > int(envelope.MaxStream)+1 || n.Window <= 0 ||
 			n.RetryLimit <= 0 || n.StallPatience <= 0 || n.Arch == nil ||
 			n.Health.HighWater <= n.Health.LowWater {

@@ -106,7 +106,9 @@ type Config struct {
 	Arch *arch.Arch
 	// GPUs is the cluster size (default 2).
 	GPUs int
-	// Queues is the partition count for NoSourceWildcard (default 8).
+	// Queues is the rank partition count of the engine NoSourceWildcard
+	// and NoUnexpected run (1..32, default 8; larger values clamp to
+	// one warp per partition). Ignored by the other levels.
 	Queues int
 	// Streams is the number of concurrent matching lanes the
 	// StreamOrdered engine runs (default 8, capped at the wire's
@@ -510,6 +512,9 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.Queues == 0 {
 		c.Queues = 8
+	}
+	if c.Queues > simt.MaxWarpsPerCTA {
+		c.Queues = simt.MaxWarpsPerCTA
 	}
 	if c.Streams == 0 {
 		c.Streams = 8
