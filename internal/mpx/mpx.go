@@ -129,7 +129,10 @@ type Config struct {
 	// lossless wire.
 	Fault *fault.Config
 	// Window bounds transmitted-but-unacked frames per (src,dst) flow
-	// (default 64).
+	// (default 64). It does not bound the receiver's reorder span: acks
+	// are selective, so while one lost frame waits for its retransmit,
+	// its acked successors free the window for later frames, and the
+	// receiver holds all of them until the gap fills.
 	Window int
 	// RetryLimit is the transmission budget per frame before Drain and
 	// Progress surface a *DropError (default 16).
@@ -196,6 +199,10 @@ type Config struct {
 // Recv is a posted receive handle. Its accessors synchronize with the
 // owning runtime, so a handle may be polled while other goroutines
 // drive Send/PostRecv/Progress.
+//
+// Handles are allocated in runtime-owned slabs of 64, so a retained
+// handle keeps its whole slab reachable — and with it the delivered
+// messages (payloads included) of its slab siblings.
 type Recv struct {
 	rt        *Runtime
 	gpu       int
@@ -402,6 +409,9 @@ type Runtime struct {
 	// Per-GPU pending state between progress steps.
 	pendingMsgs  [][]gas.Message
 	pendingRecvs [][]*Recv
+	// recvSlab is the unissued rest of the current receive-handle slab
+	// (see newRecvLocked).
+	recvSlab []Recv
 
 	// Per-GPU match-call scratch, reused every progress step so the
 	// steady-state drain loop allocates nothing.
@@ -582,11 +592,14 @@ func New(cfg Config) *Runtime {
 	// Overload protection: derive the per-flow credit window from the
 	// receiver's unexpected-message budget, and the parked-frame
 	// recovery deadline from the base retransmission delta — a park is
-	// a first-attempt retransmit, not a backed-off one, and parked
-	// frames count against the flow's transmit window, so a long
-	// deadline would throttle the whole flow into a shed convoy that
-	// outlives the overload (and it stays well under the StallPatience
-	// horizon, so a pending recovery never reads as a stall).
+	// a first-attempt retransmit, not a backed-off one. Parked frames do
+	// not count against the transmit window (flushOutbox counts only
+	// inflight frames), but they count toward the endpoint's staging
+	// occupancy, and a shed no later arrival exposes as a gap is
+	// recovered only by this deadline, so a long one would hold the
+	// flow's tail back and keep the endpoint shedding after the overload
+	// ends (and it stays well under the StallPatience horizon, so a
+	// pending recovery never reads as a stall).
 	if cfg.UMQCap > 0 {
 		senders := cfg.GPUs - 1
 		if senders < 1 {
@@ -746,13 +759,33 @@ func (rt *Runtime) postRecvStream(dst int, stream envelope.Stream, src envelope.
 			ErrBackpressure, dst, len(rt.pendingRecvs[dst]), rt.cfg.PRQCap)
 	}
 	rt.seq++
-	r := &Recv{rt: rt, gpu: dst, req: req, seq: rt.seq}
+	r := rt.newRecvLocked()
+	r.gpu, r.req, r.seq = dst, req, rt.seq
 	rt.pendingRecvs[dst] = append(rt.pendingRecvs[dst], r)
 	rt.stats.PostedRecvs++
 	// A non-persistent post can legally claim messages a sealed
 	// persistent channel was serving: unseal whatever it contests.
 	rt.persistInvalidatePostLocked(dst, req)
 	return r, nil
+}
+
+// recvSlabLen is the number of Recv handles allocated together. Go
+// rounds a lone 152-byte Recv up to its 160-byte size class; 64 of them
+// plus the heap's 8-byte header fill the 10240-byte class, so a slab
+// costs each handle the same 160 bytes in one allocation instead of 64.
+const recvSlabLen = 64
+
+// newRecvLocked issues the next handle of the current slab, starting a
+// new slab when it is used up. The handle's rt is set; the caller
+// fills in the rest.
+func (rt *Runtime) newRecvLocked() *Recv {
+	if len(rt.recvSlab) == 0 {
+		rt.recvSlab = make([]Recv, recvSlabLen)
+	}
+	r := &rt.recvSlab[0]
+	rt.recvSlab = rt.recvSlab[1:]
+	r.rt = rt
+	return r
 }
 
 // recvReqLocked checks a receive's arguments, in this order: the GPU
@@ -953,6 +986,10 @@ func (rt *Runtime) progressStepLocked() (int, error) {
 				remainingMsgs = append(remainingMsgs, msgs[i])
 			}
 		}
+		// Zero the vacated tails: a stale *Recv there would pin its
+		// whole slab, a stale message its payload.
+		clear(msgs[len(remainingMsgs):])
+		clear(recvs[len(remainingRecvs):])
 		rt.pendingMsgs[g] = remainingMsgs
 		rt.pendingRecvs[g] = remainingRecvs
 		// Step-boundary cache maintenance: unseal tuples with an

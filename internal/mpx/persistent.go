@@ -375,7 +375,8 @@ func (h *PersistentRecv) Start() error {
 // engine sees is identical to a run that never sealed at all.
 func (rt *Runtime) postInnerLocked(h *PersistentRecv, n int) {
 	for i := 0; i < n; i++ {
-		r := &Recv{rt: rt, gpu: h.gpu, req: h.req, seq: h.startSeq, ph: h}
+		r := rt.newRecvLocked()
+		r.gpu, r.req, r.seq, r.ph = h.gpu, h.req, h.startSeq, h
 		rt.pendingRecvs[h.gpu] = insertSorted(rt.pendingRecvs[h.gpu], 0, r, recvSeq)
 		h.inner++
 		rt.stats.PostedRecvs++

@@ -156,75 +156,136 @@ func (fl *txFlow) idle() bool {
 	return fl.staged() == 0 && len(fl.inflight) == 0 && len(fl.parked) == 0
 }
 
-// has reports whether wire sequence number flow is awaiting an ack.
-func (fl *txFlow) has(flow uint64) bool {
-	for _, fr := range fl.inflight {
-		if fr.flow == flow {
-			return true
-		}
-	}
-	return false
-}
-
-// ack retires wire sequence number flow from the inflight window,
-// returning the retired frame (nil if absent) so it can be recycled.
-func (fl *txFlow) ack(flow uint64) *frame {
+// find returns the index of wire sequence number flow in the inflight
+// window, or -1 if it is not awaiting an ack.
+func (fl *txFlow) find(flow uint64) int {
 	for i, fr := range fl.inflight {
 		if fr.flow == flow {
-			fl.inflight = append(fl.inflight[:i], fl.inflight[i+1:]...)
-			return fr
+			return i
 		}
 	}
-	return nil
+	return -1
 }
+
+// retire removes inflight frame i (an index find returned) and returns
+// it so it can be recycled. The window keeps transmission order, which
+// checkRetransmits walks.
+func (fl *txFlow) retire(i int) *frame {
+	fr := fl.inflight[i]
+	n := copy(fl.inflight[i:], fl.inflight[i+1:])
+	fl.inflight[i+n] = nil
+	fl.inflight = fl.inflight[:i+n]
+	return fr
+}
+
+// reorderMinCap is the slot count a reorder ring starts with on its
+// first out-of-order hold; in-order traffic never allocates one.
+const reorderMinCap = 8
 
 // reorder is one in-order release frontier: the next expected
 // sequence number and the out-of-order messages held back until the
 // gap before them fills. It keys on whatever sequence it is given —
 // the flow sequence for a flow ledger, the per-stream sub-sequence for
 // a stream frontier.
+//
+// Held messages live in a power-of-two ring indexed by seq&(len−1),
+// covering the span [next, next+len). The span is not bounded by
+// Config.Window: acks are selective, so the window bounds the unacked
+// frames, not the distance between the frontier and the highest held
+// sequence. The ring doubles when a hold lands past its span.
 type reorder struct {
-	next uint64
-	held map[uint64]gas.Message
+	next    uint64
+	slots   []gas.Message
+	present []bool
+	held    int
 }
 
-func newReorder() reorder { return reorder{next: 1, held: make(map[uint64]gas.Message)} }
+func newReorder() reorder { return reorder{next: 1} }
 
 // seen reports whether seq was already released or is held.
 func (r *reorder) seen(seq uint64) bool {
 	if seq < r.next {
 		return true
 	}
-	_, ok := r.held[seq]
-	return ok
+	return seq-r.next < uint64(len(r.slots)) && r.present[seq&uint64(len(r.slots)-1)]
 }
 
-// hold parks m under seq until the frontier reaches it.
-func (r *reorder) hold(seq uint64, m gas.Message) { r.held[seq] = m }
+// hold parks m under seq until the frontier reaches it. seq must be at
+// or past the frontier and not already held.
+func (r *reorder) hold(seq uint64, m gas.Message) {
+	if seq-r.next >= uint64(len(r.slots)) {
+		r.grow(seq - r.next + 1)
+	}
+	i := seq & uint64(len(r.slots)-1)
+	r.slots[i] = m
+	r.present[i] = true
+	r.held++
+}
+
+// grow doubles the ring until it spans at least span sequences from
+// the frontier, moving every held message to its new slot.
+func (r *reorder) grow(span uint64) {
+	n := uint64(len(r.slots))
+	if n == 0 {
+		n = reorderMinCap
+	}
+	for n < span {
+		n *= 2
+	}
+	slots, present := make([]gas.Message, n), make([]bool, n)
+	for seq, left := r.next, r.held; left > 0; seq++ {
+		if i := seq & uint64(len(r.slots)-1); r.present[i] {
+			slots[seq&(n-1)] = r.slots[i]
+			present[seq&(n-1)] = true
+			left--
+		}
+	}
+	r.slots, r.present = slots, present
+}
 
 // pop releases the message at the frontier, if it is held, and
-// advances the frontier past it.
+// advances the frontier past it. The released slot is zeroed, so the
+// ring keeps no payload reachable.
 func (r *reorder) pop() (gas.Message, bool) {
-	m, ok := r.held[r.next]
-	if ok {
-		delete(r.held, r.next)
-		r.next++
+	if r.held == 0 {
+		return gas.Message{}, false
 	}
-	return m, ok
+	i := r.next & uint64(len(r.slots)-1)
+	if !r.present[i] {
+		return gas.Message{}, false
+	}
+	m := r.slots[i]
+	r.slots[i] = gas.Message{}
+	r.present[i] = false
+	r.held--
+	r.next++
+	return m, true
+}
+
+// mark records the arrival of seq without keeping a message — a flow
+// ledger's tombstone under StreamOrdered, where the payload waits in
+// its stream's frontier — and advances the frontier over every
+// contiguous arrival.
+func (r *reorder) mark(seq uint64) {
+	if seq != r.next {
+		r.hold(seq, gas.Message{})
+		return
+	}
+	r.next++
+	for _, ok := r.pop(); ok; _, ok = r.pop() {
+	}
 }
 
 // pending returns the number of held messages.
-func (r *reorder) pending() int { return len(r.held) }
+func (r *reorder) pending() int { return r.held }
 
 // minHeld returns the lowest held sequence (pending() must be > 0).
 func (r *reorder) minHeld() uint64 {
-	lo := ^uint64(0)
-	for seq := range r.held {
-		if seq < lo {
-			lo = seq
-		}
+	seq := r.next
+	for !r.present[seq&uint64(len(r.slots)-1)] {
+		seq++
 	}
-	return lo
+	return seq
 }
 
 // rxFlow is the receiver half of one (dst,src) flow. Its ledger
@@ -474,18 +535,19 @@ func (rt *Runtime) receiveLocked() int {
 			// Acknowledge on every arrival, duplicate or not: a lost
 			// ack means the sender will retransmit, and the re-arrival
 			// is the next chance to retire the frame.
-			if fl := rt.tx[src][g]; fl != nil && fl.has(m.Flow) {
-				if !rt.transport.DropAck(src, g, m.Flow) {
-					if fr := fl.ack(m.Flow); fr != nil {
-						rt.stats.Acks++
-						progress++
-						fr.payload = nil // retain no user buffer
-						rt.frames = append(rt.frames, fr)
-						if rt.creditWindow > 0 {
-							// The ack piggybacks the receiver's cumulative
-							// consumption grant back to the sender.
-							rt.grantCreditsLocked(fl)
-						}
+			// The fault RNG rolls the ack loss only for a frame still in
+			// flight, so the lookup comes first.
+			if fl := rt.tx[src][g]; fl != nil {
+				if i := fl.find(m.Flow); i >= 0 && !rt.transport.DropAck(src, g, m.Flow) {
+					fr := fl.retire(i)
+					rt.stats.Acks++
+					progress++
+					fr.payload = nil // retain no user buffer
+					rt.frames = append(rt.frames, fr)
+					if rt.creditWindow > 0 {
+						// The ack piggybacks the receiver's cumulative
+						// consumption grant back to the sender.
+						rt.grantCreditsLocked(fl)
 					}
 				}
 			}
@@ -496,21 +558,21 @@ func (rt *Runtime) receiveLocked() int {
 			}
 			buf, seq := &rx.ledger, m.Flow
 			if rt.cfg.Level == StreamOrdered {
-				// Arrival tombstone: the frontier advance reclaims it.
-				rx.ledger.hold(m.Flow, gas.Message{})
-				for {
-					if _, ok := rx.ledger.pop(); !ok {
-						break
-					}
-				}
+				rx.ledger.mark(m.Flow)
 				buf, seq = rx.stream(m.Env.Stream), m.SSeq
 			}
-			buf.hold(seq, m)
-			for mm, ok := buf.pop(); ok; mm, ok = buf.pop() {
-				if mm.Flow >= rx.ledger.next {
+			if seq != buf.next {
+				buf.hold(seq, m) // out of order: wait for the gap to fill
+				continue
+			}
+			// In order: release m without a trip through the ring, then
+			// every held message it makes contiguous.
+			buf.next++
+			for ok := true; ok; m, ok = buf.pop() {
+				if m.Flow >= rx.ledger.next {
 					rt.stats.CrossStreamReleases++
 				}
-				rt.admitLocked(g, rx, &mm)
+				rt.admitLocked(g, rx, &m)
 				progress++
 			}
 		}
