@@ -179,8 +179,10 @@ const (
 	cksShift     = 24
 	tagShift     = 32
 	commShift    = 48
-	anySrcBit    = 1 << 60
-	anyTagBit    = 1 << 61
+	anySrcShift  = 60
+	anyTagShift  = 61
+	anySrcBit    = 1 << anySrcShift
+	anyTagBit    = 1 << anyTagShift
 	validBit     = 1 << 62
 	srcMask64    = 0xFFFFF
 	streamMask64 = 0xF
@@ -222,6 +224,19 @@ func (e Envelope) Pack() uint64 {
 	if err := e.Validate(); err != nil {
 		panic("envelope: Pack on invalid envelope: " + err.Error())
 	}
+	return e.pack()
+}
+
+// Encode is Pack returning Validate's error instead of panicking, so a
+// batch can be checked and packed in one pass.
+func (e Envelope) Encode() (uint64, error) {
+	if err := e.Validate(); err != nil {
+		return 0, err
+	}
+	return e.pack(), nil
+}
+
+func (e Envelope) pack() uint64 {
 	return Seal(validBit |
 		(uint64(e.Src)&srcMask64)<<srcShift |
 		(uint64(e.Stream)&streamMask64)<<streamShift |
@@ -250,6 +265,18 @@ func (r Request) Pack() uint64 {
 	if err := r.Validate(); err != nil {
 		panic("envelope: Pack on invalid request: " + err.Error())
 	}
+	return r.pack()
+}
+
+// Encode is Pack returning Validate's error instead of panicking.
+func (r Request) Encode() (uint64, error) {
+	if err := r.Validate(); err != nil {
+		return 0, err
+	}
+	return r.pack(), nil
+}
+
+func (r Request) pack() uint64 {
 	w := uint64(validBit)
 	if r.Src == AnySource {
 		w |= anySrcBit
@@ -288,26 +315,29 @@ func UnpackRequest(w uint64) (Request, bool) {
 }
 
 // MatchesPacked evaluates the match predicate directly on two packed
-// words — the comparison the GPU scan phase executes (a handful of
-// mask-and-compare ALU operations on a single 64-bit register each).
-// The stream field compares unconditionally: no stream wildcard exists.
-func MatchesPacked(req, env uint64) bool {
-	if req&validBit == 0 || env&validBit == 0 {
-		return false
-	}
-	if (req>>commShift)&commMask64 != (env>>commShift)&commMask64 {
-		return false
-	}
-	if (req>>streamShift)&streamMask64 != (env>>streamShift)&streamMask64 {
-		return false
-	}
-	if req&anySrcBit == 0 && (req>>srcShift)&srcMask64 != (env>>srcShift)&srcMask64 {
-		return false
-	}
-	if req&anyTagBit == 0 && (req>>tagShift)&tagMask64 != (env>>tagShift)&tagMask64 {
-		return false
-	}
-	return true
+// words — the comparison the GPU scan phase executes on a single 64-bit
+// register each: one XOR and one mask, with no branch. The mask
+// (MatchMask) keeps the valid bit, the communicator and stream fields,
+// which always compare (no stream wildcard exists), and the source and
+// tag fields unless req's wildcard bit for them is set; the checksum
+// and flag bits never compare. Both words must carry the valid bit.
+func MatchesPacked(req, env uint64) bool { return MatchesMasked(req, env, MatchMask(req)) }
+
+// MatchMask returns the bits of a packed envelope that request word
+// req compares. Loops testing one request against many envelopes build
+// it once and call MatchesMasked.
+func MatchMask(req uint64) uint64 {
+	// (bit - 1) is all ones when the wildcard bit is clear, 0 when set.
+	keepSrc := (req>>anySrcShift)&1 - 1
+	keepTag := (req>>anyTagShift)&1 - 1
+	return validBit | commMask64<<commShift | streamMask64<<streamShift |
+		srcMask64<<srcShift&keepSrc | tagMask64<<tagShift&keepTag
+}
+
+// MatchesMasked is MatchesPacked with mask = MatchMask(req). An equal
+// valid bit on a valid request means a valid envelope.
+func MatchesMasked(req, env, mask uint64) bool {
+	return (req^env)&mask|^req&validBit == 0
 }
 
 // StreamOf extracts the stream id from a packed header without a full

@@ -185,6 +185,74 @@ func TestMatchesPackedInvalid(t *testing.T) {
 	}
 }
 
+// refMatchesPacked is the specification MatchesPacked is pinned to on
+// raw words: decode both sides and apply Request.Matches, with an
+// invalid word on either side never matching.
+func refMatchesPacked(req, env uint64) bool {
+	r, okR := UnpackRequest(req)
+	e, okE := UnpackEnvelope(env)
+	return okR && okE && r.Matches(e)
+}
+
+// TestMatchesPackedRawWords pins the branch-free predicate to
+// Request.Matches on words Pack never produces: wildcard bits set over
+// nonzero source and tag fields, the valid bit cleared on either side,
+// and stream or communicator mismatches under both wildcards.
+func TestMatchesPackedRawWords(t *testing.T) {
+	env := Envelope{Src: 5, Tag: 7, Comm: 3, Stream: 2}.Pack()
+	word := func(src, tag, comm, stream uint64) uint64 {
+		return validBit | src<<srcShift | stream<<streamShift | tag<<tagShift | comm<<commShift
+	}
+	cases := []struct {
+		name     string
+		req, env uint64
+		want     bool
+	}{
+		{"exact", word(5, 7, 3, 2), env, true},
+		{"any-source over a stale source", word(9, 7, 3, 2) | anySrcBit, env, true},
+		{"any-tag over a stale tag", word(5, 9, 3, 2) | anyTagBit, env, true},
+		{"both wildcards over stale fields", word(0xFFFFF, 0xFFFF, 3, 2) | anySrcBit | anyTagBit, env, true},
+		{"any-source still compares the tag", word(5, 8, 3, 2) | anySrcBit, env, false},
+		{"any-tag still compares the source", word(6, 7, 3, 2) | anyTagBit, env, false},
+		{"request valid bit cleared", word(5, 7, 3, 2) &^ validBit, env, false},
+		{"envelope valid bit cleared", word(5, 7, 3, 2), env &^ validBit, false},
+		{"both valid bits cleared", word(5, 7, 3, 2) &^ validBit, env &^ validBit, false},
+		{"stream mismatch under both wildcards", word(5, 7, 3, 1) | anySrcBit | anyTagBit, env, false},
+		{"comm mismatch under both wildcards", word(5, 7, 4, 2) | anySrcBit | anyTagBit, env, false},
+		{"stream and comm mismatch under both wildcards", word(5, 7, 4, 1) | anySrcBit | anyTagBit, env, false},
+		{"checksum and reserved bits ignored", word(5, 7, 3, 2) | 0xAB<<cksShift | 1<<63, env | 1<<63, true},
+		{"envelope flag bits ignored", word(5, 7, 3, 2), env | anySrcBit | anyTagBit, true},
+		{"envelope flag bits do not widen the request", word(5, 7, 3, 2), word(6, 7, 3, 2) | anySrcBit | anyTagBit, false},
+		{"zero words", 0, 0, false},
+	}
+	for _, c := range cases {
+		if ref := refMatchesPacked(c.req, c.env); ref != c.want {
+			t.Fatalf("%s: Request.Matches says %v, case wants %v", c.name, ref, c.want)
+		}
+		if got := MatchesPacked(c.req, c.env); got != c.want {
+			t.Errorf("%s: MatchesPacked(%#x, %#x) = %v, want %v", c.name, c.req, c.env, got, c.want)
+		}
+	}
+	// Arbitrary raw words, biased towards equal fields so both answers
+	// occur.
+	f := func(req, env uint64, same uint8) bool {
+		if same&1 != 0 {
+			env = env&^(srcMask64<<srcShift) | req&(srcMask64<<srcShift)
+		}
+		if same&2 != 0 {
+			env = env&^(tagMask64<<tagShift) | req&(tagMask64<<tagShift)
+		}
+		if same&4 != 0 {
+			env = env&^(commMask64<<commShift|streamMask64<<streamShift) | req&(commMask64<<commShift|streamMask64<<streamShift)
+		}
+		want := refMatchesPacked(req, env)
+		return MatchesPacked(req, env) == want && MatchesMasked(req, env, MatchMask(req)) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPackPanicsOnInvalid(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {

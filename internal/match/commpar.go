@@ -98,7 +98,7 @@ func (c *CommParallelMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Re
 		if r.SimSeconds > worst {
 			worst = r.SimSeconds
 		}
-		totalCtrs.Add(r.Counters)
+		totalCtrs.Add(&r.Counters)
 		if r.Iterations > iterations {
 			iterations = r.Iterations
 		}

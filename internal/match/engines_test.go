@@ -3,6 +3,7 @@ package match
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"simtmp/internal/arch"
@@ -337,5 +338,35 @@ func TestCollisionPolicyString(t *testing.T) {
 	}
 	if CollisionPolicy(7).String() != "CollisionPolicy(7)" {
 		t.Error("unknown policy name wrong")
+	}
+}
+
+// TestHashReuseMatchesFresh gives each hash policy a large batch whose
+// unmatched requests leave keys in the table, then a small batch, and
+// checks that the small batch's Result equals a fresh engine's: the
+// table recycled from the large call must start as empty as a new one.
+func TestHashReuseMatchesFresh(t *testing.T) {
+	// Unique tuples: the small batch's keys are a subset of the large
+	// batch's, so a stale entry would be claimed by a small-batch probe.
+	bigMsgs, bigReqs := workload.UniqueTuples(3000, 1)
+	bigMsgs = bigMsgs[:100]
+	msgs, reqs := workload.UniqueTuples(40, 2)
+	for _, policy := range []CollisionPolicy{TwoLevel, LinearProbe} {
+		cfg := HashConfig{CTAs: 2, Policy: policy}
+		reused := MustHashMatcher(cfg)
+		if _, err := reused.Match(bigMsgs, bigReqs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.Match(msgs, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MustHashMatcher(cfg).Match(msgs, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: reused engine returned %+v, fresh engine %+v", policy, got, want)
+		}
 	}
 }

@@ -132,15 +132,6 @@ type hashWarp struct {
 	sec     []simt.CASIntent
 }
 
-// growInts returns buf resized to n, reusing its backing array when
-// large enough.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
 // NewHashMatcher returns a matcher with the given configuration. It
 // returns an error for an unknown hash function name.
 func NewHashMatcher(cfg HashConfig) (*HashMatcher, error) {
@@ -209,7 +200,11 @@ func (h *HashMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Request) (
 
 // MatchInto implements ReusableMatcher (see MatrixMatcher.MatchInto).
 func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []envelope.Request) error {
-	if err := validateInputs(msgs, reqs); err != nil {
+	// A wildcard-free request's key is its packed word (Request.Key).
+	s := &h.scratch
+	msgKeys, reqKeys, err := packInputs(msgs, reqs, s.msgKeys, s.reqKeys)
+	s.msgKeys, s.reqKeys = msgKeys, reqKeys
+	if err != nil {
 		return err
 	}
 	for i, r := range reqs {
@@ -233,33 +228,24 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 
 	// Tables live in device global memory: slot words hold the packed
 	// tuple key; a parallel index array records the request index. The
-	// storage is recycled across calls and re-zeroed (a memclr) so the
-	// tables start empty.
+	// storage is recycled across calls; Zero starts a new generation,
+	// so the tables start empty without clearing a word.
 	h.workingSet = primSize + secSize
-	s := &h.scratch
 	if s.mem == nil || s.mem.Len() < primSize+secSize {
 		s.mem = simt.NewMemory(primSize + secSize)
 	} else {
-		s.mem.Fill(0, primSize+secSize, 0)
+		s.mem.Zero()
 	}
-	s.primIdx = growInts(s.primIdx, primSize)
-	s.secIdx = growInts(s.secIdx, secSize)
+	s.primIdx = grow(s.primIdx, primSize)
+	s.secIdx = grow(s.secIdx, secSize)
 
-	s.pendReq = growInts(s.pendReq, len(reqs))
+	s.pendReq = grow(s.pendReq, len(reqs))
 	for i := range s.pendReq {
 		s.pendReq[i] = i
 	}
-	s.pendMsg = growInts(s.pendMsg, len(msgs))
+	s.pendMsg = grow(s.pendMsg, len(msgs))
 	for i := range s.pendMsg {
 		s.pendMsg[i] = i
-	}
-	s.reqKeys = growU64(s.reqKeys, len(reqs))
-	for i, r := range reqs {
-		s.reqKeys[i] = r.Key()
-	}
-	s.msgKeys = growU64(s.msgKeys, len(msgs))
-	for i, m := range msgs {
-		s.msgKeys[i] = m.Key()
 	}
 	if s.reqMem == nil {
 		s.reqMem, s.msgMem = simt.Wrap(nil), simt.Wrap(nil)
@@ -291,8 +277,8 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 		rec.CounterAt(h.cfg.Track, evProbes, base+h.model.Seconds(totalCycles),
 			float64(insCtrs.Atomic+probeCtrs.Atomic))
 		totalCycles += insCycles + probeCycles
-		totalCtrs.Add(insCtrs)
-		totalCtrs.Add(probeCtrs)
+		totalCtrs.Add(&insCtrs)
+		totalCtrs.Add(&probeCtrs)
 		if len(s.pendMsg) == 0 && len(s.pendReq) == 0 {
 			break
 		}
@@ -424,7 +410,7 @@ func (h *HashMatcher) twoLevelPhase(insert bool, keysMem *simt.Memory, pend *[]i
 	for c := 0; c < nCTAs; c++ {
 		var ctrs simt.Counters
 		for wi := c * warpsPerCTA; wi < warpsTotal && wi < (c+1)*warpsPerCTA; wi++ {
-			ctrs.Add(*s.warps[wi].w.Counters())
+			ctrs.Add(s.warps[wi].w.Counters())
 		}
 		perCTA = append(perCTA, ctrs)
 	}
@@ -447,7 +433,7 @@ func (h *HashMatcher) stagePrimary(wi int) {
 	ws.placedA = [simt.LaneCount]bool{}
 	ws.placedB = [simt.LaneCount]bool{}
 	base := wi * simt.LaneCount
-	active := w.Ballot(func(lane int) bool { return base+lane < s.ph.pending })
+	active := w.BallotMask(simt.FirstLanes(s.ph.pending - base))
 	w.SetActive(active)
 	w.Exec(1, func(lane int) { ws.ids[lane] = s.ph.pendList[base+lane] })
 	w.LoadGlobal(s.ph.keysMem,
@@ -540,22 +526,16 @@ func (h *HashMatcher) phaseTiming(perCTA []simt.Counters, warpsPerCTA int) (floa
 		occ = 1
 	}
 	var total simt.Counters
+	wave := timing.Phase{Kind: timing.Throughput, WorkingSetWords: h.workingSet}
 	for start := 0; start < len(perCTA); start += occ {
-		end := start + occ
-		if end > len(perCTA) {
-			end = len(perCTA)
-		}
-		var wave simt.Counters
+		end := min(start+occ, len(perCTA))
+		wave.Ctrs = simt.Counters{}
 		for i := start; i < end; i++ {
-			wave.Add(perCTA[i])
-			total.Add(perCTA[i])
+			wave.Ctrs.Add(&perCTA[i])
+			total.Add(&perCTA[i])
 		}
-		cycles += h.model.PhaseCycles(timing.Phase{
-			Kind:            timing.Throughput,
-			Ctrs:            wave,
-			ResidentWarps:   (end - start) * warpsPerCTA,
-			WorkingSetWords: h.workingSet,
-		})
+		wave.ResidentWarps = (end - start) * warpsPerCTA
+		cycles += h.model.PhaseCycles(&wave)
 		// CTA-wide barrier closing the phase: wider CTAs pay more —
 		// the reason the paper sees 32 small CTAs outperform one
 		// 1024-thread CTA (110M → 150M on Kepler).
@@ -697,7 +677,7 @@ func (h *HashMatcher) runElementKernel(pend *[]int, body func(w *simt.Warp, warp
 		*w.Counters() = simt.Counters{}
 		w.SetActive(simt.FullMask)
 		base := wi * simt.LaneCount
-		active := w.Ballot(func(lane int) bool { return base+lane < pending })
+		active := w.BallotMask(simt.FirstLanes(pending - base))
 		w.SetActive(active)
 		body(w, base, func(lane int, stillPending bool) {
 			if base+lane < pending {
@@ -705,7 +685,7 @@ func (h *HashMatcher) runElementKernel(pend *[]int, body func(w *simt.Warp, warp
 			}
 		})
 		w.SetActive(simt.FullMask)
-		ctaCtrs.Add(*w.Counters())
+		ctaCtrs.Add(w.Counters())
 		if (wi+1)%warpsPerCTA == 0 || wi == warpsTotal-1 {
 			perCTA = append(perCTA, ctaCtrs)
 			ctaCtrs = simt.Counters{}

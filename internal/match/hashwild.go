@@ -121,9 +121,9 @@ func (w *WildcardHashMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Re
 			break
 		}
 	}
-	sideCycles := w.model.PhaseCycles(timing.Phase{Kind: timing.Dependent, Ctrs: sideCtrs})
+	sideCycles := w.model.PhaseCycles(&timing.Phase{Kind: timing.Dependent, Ctrs: sideCtrs})
 	res.SimSeconds += w.model.Seconds(sideCycles)
-	res.Counters.Add(sideCtrs)
+	res.Counters.Add(&sideCtrs)
 	return res, nil
 }
 

@@ -124,6 +124,26 @@ func validateInputs(msgs []envelope.Envelope, reqs []envelope.Request) error {
 	return nil
 }
 
+// packInputs is validateInputs for the GPU engines: it checks every
+// envelope and request and packs each, once, into msgBuf and reqBuf
+// (grown as needed), which it returns resized to the inputs.
+func packInputs(msgs []envelope.Envelope, reqs []envelope.Request, msgBuf, reqBuf []uint64) ([]uint64, []uint64, error) {
+	var err error
+	msgBuf = grow(msgBuf, len(msgs))
+	for i, m := range msgs {
+		if msgBuf[i], err = m.Encode(); err != nil {
+			return msgBuf, reqBuf, fmt.Errorf("message %d: %w", i, err)
+		}
+	}
+	reqBuf = grow(reqBuf, len(reqs))
+	for i, r := range reqs {
+		if reqBuf[i], err = r.Encode(); err != nil {
+			return msgBuf, reqBuf, fmt.Errorf("request %d: %w", i, err)
+		}
+	}
+	return msgBuf, reqBuf, nil
+}
+
 // VerifyOrdered checks that an assignment obeys the ordered-matching
 // contract against the inputs: every pairing matches, no message is
 // claimed twice, each request got the earliest message still available

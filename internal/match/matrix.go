@@ -117,6 +117,7 @@ type matrixScratch struct {
 		cta          *simt.CTA
 		wStart, wEnd int
 		stride       int
+		blockLen     int
 	}
 	scanFn func(int)
 }
@@ -127,11 +128,12 @@ func NewMatrixMatcher(cfg MatrixConfig) *MatrixMatcher {
 	return &MatrixMatcher{cfg: c, model: timing.NewModel(c.Arch)}
 }
 
-// growU64 returns buf resized to n, reusing its backing array when
-// large enough.
-func growU64(buf []uint64, n int) []uint64 {
+// grow returns buf resized to n, reusing its backing array when large
+// enough and otherwise at least doubling it, so a buffer fed batches
+// of varying size reallocates a logarithmic number of times.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint64, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -139,10 +141,7 @@ func growU64(buf []uint64, n int) []uint64 {
 // ensureAssignment returns a length-n assignment initialized to
 // NoMatch, reusing a's backing array when large enough.
 func ensureAssignment(a Assignment, n int) Assignment {
-	if cap(a) < n {
-		a = make(Assignment, n)
-	}
-	a = a[:n]
+	a = grow(a, n)
 	for i := range a {
 		a[i] = NoMatch
 	}
@@ -182,24 +181,15 @@ func (m *MatrixMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Request)
 // caller-owned Result (and the matcher's internal scratch), so the
 // steady-state hot path performs zero heap allocations.
 func (m *MatrixMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []envelope.Request) error {
-	if err := validateInputs(msgs, reqs); err != nil {
+	packedMsgs, packedReqs, err := packInputs(msgs, reqs, m.scratch.packedMsgs, m.scratch.packedReqs)
+	m.scratch.packedMsgs, m.scratch.packedReqs = packedMsgs, packedReqs
+	if err != nil {
 		return err
 	}
 	res.reset(len(reqs))
 	if len(msgs) == 0 || len(reqs) == 0 {
 		return nil
 	}
-
-	packedReqs := growU64(m.scratch.packedReqs, len(reqs))
-	for i, r := range reqs {
-		packedReqs[i] = r.Pack()
-	}
-	m.scratch.packedReqs = packedReqs
-	packedMsgs := growU64(m.scratch.packedMsgs, len(msgs))
-	for i, e := range msgs {
-		packedMsgs[i] = e.Pack()
-	}
-	m.scratch.packedMsgs = packedMsgs
 
 	const blockSize = simt.MaxWarpsPerCTA * simt.LaneCount // 1024 messages per CTA
 	chunk := m.cfg.MaxCTAs * blockSize
@@ -233,7 +223,7 @@ func (m *MatrixMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []
 			}
 			cycles, ctrs := m.matchBlock(packedMsgs, packedReqs, blockStart, blockEnd, res.Assignment)
 			waveCycles = append(waveCycles, cycles)
-			totalCtrs.Add(ctrs)
+			totalCtrs.Add(&ctrs)
 		}
 		m.scratch.waveCycles = waveCycles
 		roundCycles := m.combineWaves(waveCycles, occ)
@@ -312,39 +302,31 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	cta := m.scratch.ctas.Get(0, msgWarps*simt.LaneCount, sharedWords)
 	warps := cta.Warps()
 
-	// Each warp loads its 32 message headers once (coalesced). The
-	// scratch registers must be zeroed: lanes past blockEnd are skipped
-	// by the masked load but still read by the scan's full-warp ballots,
-	// which rely on the zero sentinel to mean "no message".
-	if cap(m.scratch.msgRegs) < msgWarps {
-		m.scratch.msgRegs = make([][simt.LaneCount]uint64, msgWarps)
-	}
-	msgRegs := m.scratch.msgRegs[:msgWarps]
-	for i := range msgRegs {
-		msgRegs[i] = [simt.LaneCount]uint64{}
-	}
+	// Each warp loads its 32 message headers once (coalesced). Lanes
+	// past blockEnd load nothing, and the scan evaluates only the lanes
+	// holding a message, so the registers need no clearing.
+	m.scratch.msgRegs = grow(m.scratch.msgRegs, msgWarps)
+	msgRegs := m.scratch.msgRegs
 	for wi, w := range warps {
 		start := blockStart + wi*simt.LaneCount
-		valid := w.Ballot(func(lane int) bool { return start+lane < blockEnd })
+		valid := w.BallotMask(simt.FirstLanes(blockEnd - start))
 		w.WithMask(valid, func() {
 			w.LoadGlobal(globalOf(msgs), func(lane int) int { return start + lane },
 				func(lane int, v uint64) { msgRegs[wi][lane] = v })
 		})
 	}
-	loadCtrs := cta.Counters()
-	cta.ResetCounters()
+	// The message loads bill to the scan phase.
+	var scanCtrs, reduceCtrs simt.Counters
+	cta.DrainCounters(&scanCtrs)
 
 	// Per-row (warp) message masks persist across windows: bit i of
 	// masks[w] is set while message w*32+i is unclaimed.
-	if cap(m.scratch.masks) < msgWarps {
-		m.scratch.masks = make([]uint32, msgWarps)
-	}
-	masks := m.scratch.masks[:msgWarps]
+	m.scratch.masks = grow(m.scratch.masks, msgWarps)
+	masks := m.scratch.masks
 	for i := range masks {
 		masks[i] = simt.FullMask
 	}
 
-	var scanCtrs, reduceCtrs simt.Counters
 	matchedInBlock := 0
 
 	windows := 0
@@ -359,7 +341,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// loads by the first warps).
 		for off := 0; off < wEnd-wStart; off += simt.LaneCount {
 			w := warps[(off/simt.LaneCount)%len(warps)]
-			inWin := w.Ballot(func(lane int) bool { return wStart+off+lane < wEnd })
+			inWin := w.BallotMask(simt.FirstLanes(wEnd - wStart - off))
 			w.WithMask(inWin, func() {
 				var tmp [simt.LaneCount]uint64
 				w.LoadGlobal(globalOf(reqs), func(lane int) int { return wStart + off + lane },
@@ -379,20 +361,19 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// concurrently with bit-identical results.
 		sc := &m.scratch
 		sc.scan.warps, sc.scan.cta, sc.scan.stride = warps, cta, stride
-		sc.scan.wStart, sc.scan.wEnd = wStart, wEnd
+		sc.scan.wStart, sc.scan.wEnd, sc.scan.blockLen = wStart, wEnd, blockLen
 		if sc.scanFn == nil {
 			sc.scanFn = m.scanWarp
 		}
 		simt.ParallelFor(len(warps), m.cfg.Workers, sc.scanFn)
 		sc.scan.warps, sc.scan.cta = nil, nil
 		cta.SyncThreads()
-		scanCtrs.Add(cta.Counters())
-		cta.ResetCounters()
+		cta.DrainCounters(&scanCtrs)
 
 		// Reduce (Algorithm 2): warp 0, lane l owning matrix row l,
 		// resolves each column to the earliest unclaimed message.
 		w0 := warps[0]
-		rowMask := simt.FullMask >> uint(simt.LaneCount-min(msgWarps, simt.LaneCount))
+		rowMask := simt.FirstLanes(msgWarps)
 		for i := wStart; i < wEnd; i++ {
 			col := i - wStart
 			// Skip columns already claimed by an earlier CTA or round.
@@ -407,9 +388,13 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 					func(lane int, v uint64) { colVotes[lane] = uint32(v) })
 			})
 			w0.Issue(1) // vote & mask
-			bidders := w0.Ballot(func(lane int) bool {
-				return lane < msgWarps && colVotes[lane]&masks[lane] != 0
-			})
+			var votes uint32
+			for lane, v := range colVotes[:msgWarps] {
+				if v&masks[lane] != 0 {
+					votes |= simt.LaneMask(lane)
+				}
+			}
+			bidders := w0.BallotMask(votes)
 			if bidders == 0 {
 				continue
 			}
@@ -434,12 +419,12 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			}
 		}
 		cta.SyncThreads()
-		reduceCtrs.Add(cta.Counters())
-		cta.ResetCounters()
+		cta.DrainCounters(&reduceCtrs)
 	}
 
-	scanCtrs.Add(loadCtrs)
-	return m.blockCycles(scanCtrs, reduceCtrs, msgWarps, windows), sum3(scanCtrs, reduceCtrs, cta.Counters())
+	cycles := m.blockCycles(&scanCtrs, &reduceCtrs, msgWarps, windows)
+	scanCtrs.Add(&reduceCtrs)
+	return cycles, scanCtrs
 }
 
 // scanWarp is the parallel scan body for one warp: it votes the warp's
@@ -451,23 +436,28 @@ func (m *MatrixMatcher) scanWarp(wi int) {
 	w := sc.warps[wi]
 	cta, stride := sc.cta, sc.stride
 	regs := &m.scratch.msgRegs[wi]
+	// Lanes past the block hold no message and cannot vote: the ballot
+	// is billed the same, but their predicate is not evaluated.
+	held := w.Active() & simt.FirstLanes(sc.blockLen-wi*simt.LaneCount)
 	for i := sc.wStart; i < sc.wEnd; i++ {
 		col := i - sc.wStart
 		req := w.LoadSharedUniform(cta.Shared, simt.MaxWarpsPerCTA*stride+col)
 		w.Issue(2) // header compare ALU work
-		vote := w.BallotMask(matchVotes(w.Active(), regs, req))
+		vote := w.BallotMask(matchVotes(held, regs, req))
 		w.StoreSharedUniform(cta.Shared, wi*stride+col, uint64(vote))
 	}
 }
 
 // matchVotes computes the scan and fused ballots' votes inline, for
 // BallotMask: bit l is set for each lane l of lanes whose register
-// holds a message (the zero sentinel means none) matching req.
+// holds a message matching req. The zero sentinel (no message) never
+// matches: it lacks the valid bit.
 func matchVotes(lanes uint32, regs *[simt.LaneCount]uint64, req uint64) uint32 {
 	var votes uint32
+	mask := envelope.MatchMask(req)
 	for ; lanes != 0; lanes &= lanes - 1 {
 		lane := bits.TrailingZeros32(lanes)
-		if regs[lane] != 0 && envelope.MatchesPacked(req, regs[lane]) {
+		if envelope.MatchesMasked(req, regs[lane], mask) {
 			votes |= simt.LaneMask(lane)
 		}
 	}
@@ -479,9 +469,9 @@ func matchVotes(lanes uint32, regs *[simt.LaneCount]uint64, req uint64) uint32 {
 // phases pipeline and the longer one hides the shorter (§V-A). At the
 // full 1024 messages all warps scan and the reduce serializes — the
 // knee visible in Figure 4.
-func (m *MatrixMatcher) blockCycles(scan, reduce simt.Counters, msgWarps, windows int) float64 {
-	scanCycles := m.model.PhaseCycles(timing.Phase{Kind: timing.Throughput, Ctrs: scan, ResidentWarps: msgWarps})
-	reduceCycles := m.model.PhaseCycles(timing.Phase{Kind: timing.Dependent, Ctrs: reduce})
+func (m *MatrixMatcher) blockCycles(scan, reduce *simt.Counters, msgWarps, windows int) float64 {
+	scanCycles := m.model.PhaseCycles(&timing.Phase{Kind: timing.Throughput, Ctrs: *scan, ResidentWarps: msgWarps})
+	reduceCycles := m.model.PhaseCycles(&timing.Phase{Kind: timing.Dependent, Ctrs: *reduce})
 	if msgWarps < simt.MaxWarpsPerCTA {
 		// Pipelined: one window of the shorter phase fills the pipe.
 		fill := 0.0
@@ -524,7 +514,9 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			}
 		})
 	}
-	maskLo, maskHi := simt.FullMask, simt.FullMask
+	// Unclaimed messages per register file; lanes past the block hold
+	// none, so their predicate is never evaluated.
+	maskLo, maskHi := simt.FirstLanes(blockLen), simt.FirstLanes(blockLen-simt.LaneCount)
 	matched := 0
 
 	for i := range reqs {
@@ -578,7 +570,7 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		}
 	}
 	ctrs := cta.Counters()
-	cycles := m.model.PhaseCycles(timing.Phase{Kind: timing.Dependent, Ctrs: ctrs})
+	cycles := m.model.PhaseCycles(&timing.Phase{Kind: timing.Dependent, Ctrs: ctrs})
 	return cycles, ctrs
 }
 
@@ -606,7 +598,7 @@ func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float
 	// header prefix-scan, full descriptors move and head/tail pointers
 	// are maintained (CompactPerEntry), plus a separate kernel launch.
 	entries := float64(len(msgs) + len(assign))
-	return m.model.PhaseCycles(timing.Phase{
+	return m.model.PhaseCycles(&timing.Phase{
 		Kind: timing.Throughput, Ctrs: cta.Counters(), ResidentWarps: simt.MaxWarpsPerCTA,
 	})*2 + entries*m.model.P.CompactPerEntry + m.model.P.LaunchOverhead
 }
@@ -621,12 +613,4 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-func sum3(a, b, c simt.Counters) simt.Counters {
-	var t simt.Counters
-	t.Add(a)
-	t.Add(b)
-	t.Add(c)
-	return t
 }

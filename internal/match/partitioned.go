@@ -84,7 +84,8 @@ type PartitionedMatcher struct {
 	partCtrs    []simt.Counters
 	roundCycles []float64
 	ctaCycles   []float64
-	packed      []uint64
+	packedMsgs  []uint64
+	packedReqs  []uint64
 
 	// par carries the per-round state of the parallel partition fan-out
 	// so the worker body can be one persistent method value (a fresh
@@ -178,7 +179,9 @@ func (p *PartitionedMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Req
 
 // MatchInto implements ReusableMatcher (see MatrixMatcher.MatchInto).
 func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []envelope.Request) error {
-	if err := validateInputs(msgs, reqs); err != nil {
+	packedMsgs, packedReqs, err := packInputs(msgs, reqs, p.packedMsgs, p.packedReqs)
+	p.packedMsgs, p.packedReqs = packedMsgs, packedReqs
+	if err != nil {
 		return err
 	}
 	if p.key == keyRank {
@@ -206,12 +209,12 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	}
 	for i, m := range msgs {
 		pt := &p.parts[p.queueOf(m.Src, m.Stream)]
-		pt.msgWords = append(pt.msgWords, m.Pack())
+		pt.msgWords = append(pt.msgWords, packedMsgs[i])
 		pt.msgIdx = append(pt.msgIdx, i)
 	}
 	for i, r := range reqs {
 		pt := &p.parts[p.queueOf(r.Src, r.Stream)]
-		pt.reqWords = append(pt.reqWords, r.Pack())
+		pt.reqWords = append(pt.reqWords, packedReqs[i])
 		pt.reqIdx = append(pt.reqIdx, i)
 	}
 	for pi := range p.parts {
@@ -299,7 +302,7 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	// Counter merging is integer addition, so summing the per-partition
 	// sinks in partition order matches the sequential interleaving.
 	for pi := range p.partCtrs {
-		totalCtrs.Add(p.partCtrs[pi])
+		totalCtrs.Add(&p.partCtrs[pi])
 	}
 
 	totalCycles *= p.contention()
@@ -316,12 +319,7 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	}
 
 	if p.cfg.Compact {
-		packed := growU64(p.packed, len(msgs))
-		for i, m := range msgs {
-			packed[i] = m.Pack()
-		}
-		p.packed = packed
-		totalCycles += p.engines[0].compactionCycles(packed, res.Assignment)
+		totalCycles += p.engines[0].compactionCycles(packedMsgs, res.Assignment)
 	}
 
 	res.SimSeconds = p.model.Seconds(totalCycles)
@@ -350,7 +348,7 @@ func (p *PartitionedMatcher) roundPartition(pi int) {
 		}
 		cycles, ctrs := p.engines[pi].matchBlock(pt.msgWords, pt.reqWords, blockStart, blockEnd, pt.assign)
 		p.par.roundCycles[slot] = cycles
-		p.partCtrs[pi].Add(ctrs)
+		p.partCtrs[pi].Add(&ctrs)
 	}
 }
 

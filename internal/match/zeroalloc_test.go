@@ -11,7 +11,8 @@ import (
 
 // reusableCases builds steady-state MatchInto cases per GPU engine on
 // representative workloads: the default configurations (matrix,
-// partitioned, hash and stream, all with default Workers), plus the
+// partitioned, hash and stream, all with default Workers), the stream
+// engine on the runtime's small per-call shape, plus the
 // compacting matrix and partitioned engines the runtime builds (on
 // workloads where half the messages find no receive, so compaction
 // keeps a residue) and multi-SM variants. Each runs both
@@ -30,6 +31,10 @@ func reusableCases() []struct {
 	partMsgs, partReqs := workload.Generate(workload.Config{N: 1024, Peers: 64, Tags: 32, Seed: 1})
 	uniqMsgs, uniqReqs := workload.UniqueTuples(1024, 1)
 	streamMsgs, streamReqs := streamWorkload(512, 8, 9)
+	// The runtime's per-call shape on a StreamOrdered lossy wire: four
+	// streams, about 12 messages against 28 receives per partition, so
+	// most receives stay posted as residue.
+	rtMsgs, rtReqs := workload.Generate(workload.Config{N: 48, Requests: 112, Peers: 16, Tags: 32, Streams: 4, SrcWildcards: 0.1, Seed: 3})
 	residueReqs, partResidueReqs := fullReqs[:len(fullReqs)/2], partReqs[:len(partReqs)/2]
 
 	type c = struct {
@@ -69,6 +74,12 @@ func reusableCases() []struct {
 			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 8, Recorder: rec})
 			cases = append(cases, c{"stream" + suffix, m, func(res *Result) error {
 				return m.MatchInto(res, streamMsgs, streamReqs)
+			}})
+		}
+		{
+			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 4, Recorder: rec})
+			cases = append(cases, c{"stream-runtime" + suffix, m, func(res *Result) error {
+				return m.MatchInto(res, rtMsgs, rtReqs)
 			}})
 		}
 		for _, sms := range []int{1, 2} {

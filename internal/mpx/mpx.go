@@ -348,7 +348,7 @@ func (s *Stats) Add(o Stats) {
 	s.Matches += o.Matches
 	s.SimSeconds += o.SimSeconds
 	s.Iterations += o.Iterations
-	s.Counters.Add(o.Counters)
+	s.Counters.Add(&o.Counters)
 	s.Unmatched += o.Unmatched
 	s.PostedRecvs += o.PostedRecvs
 	s.Sends += o.Sends
@@ -925,7 +925,7 @@ func (rt *Runtime) progressStepLocked() (int, error) {
 		}
 		rt.stats.SimSeconds += res.SimSeconds
 		rt.stats.Iterations += res.Iterations
-		rt.stats.Counters.Add(res.Counters)
+		rt.stats.Counters.Add(&res.Counters)
 
 		if cap(sc.used) < len(msgs) {
 			sc.used = make([]bool, len(msgs))

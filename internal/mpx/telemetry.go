@@ -3,7 +3,6 @@ package mpx
 import (
 	"fmt"
 
-	"simtmp/internal/simt"
 	"simtmp/internal/stats"
 	"simtmp/internal/telemetry"
 )
@@ -93,14 +92,6 @@ func (rt *Runtime) setupTelemetry() {
 	rt.mPRQDepth = reg.Histogram("mpx.prq.depth", depths)
 	if rt.injector != nil {
 		rt.injector.SetRecorder(rt.rec)
-	}
-	// Launch boundaries are batch boundaries for the live streamer:
-	// pump after every kernel on the cluster's devices so a streamed
-	// run only needs the ring to hold one launch's emissions.
-	for g := 0; g < rt.cfg.GPUs; g++ {
-		if gpu := rt.cluster.GPU(g); gpu != nil && gpu.Device != nil {
-			gpu.Device.AfterLaunch = func(*simt.LaunchStats) { rt.rec.Pump() }
-		}
 	}
 }
 

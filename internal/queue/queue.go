@@ -165,6 +165,12 @@ func (q *Queue) CompactHost() int {
 // cross-warp via a shared-memory scan by warp 0), and survivors are
 // scattered forward. Order is preserved. It returns the new length.
 //
+// A warp wholly past the queue's end loads, keeps and scatters nothing,
+// yet still issues the tile's two ballots and two branches; Compact
+// bills those four instructions in one step instead of simulating the
+// warp, so a short queue on a wide CTA costs host time in proportion
+// to its entries.
+//
 // The CTA's shared memory must hold at least NumWarps words. Compact
 // allocates nothing: the per-tile state lives in stack arrays sized for
 // the largest CTA.
@@ -172,21 +178,21 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 	warps := cta.Warps()
 	tile := len(warps) * simt.LaneCount
 	writeBase := 0
+	// Per-lane loaded words, indexed [warp][lane]. A lane's word is
+	// read only when the lane loaded it this tile.
+	var words [simt.MaxWarpsPerCTA][simt.LaneCount]uint64
 	for tileStart := 0; tileStart < q.count; tileStart += tile {
-		// Per-lane loaded words and keep masks, indexed [warp][lane]. A
-		// lane's word is read only when the lane loaded it this tile.
-		var words [simt.MaxWarpsPerCTA][simt.LaneCount]uint64
-		var masks [simt.MaxWarpsPerCTA]uint32
+		var masks [simt.MaxWarpsPerCTA]uint32 // keep masks
+		busy := warps[:min(len(warps), (q.count-tileStart+simt.LaneCount-1)/simt.LaneCount)]
+		for _, w := range warps[len(busy):] {
+			c := w.Counters()
+			c.Ballot += 2
+			c.Branch += 2
+		}
 
-		for wi, w := range warps {
+		for wi, w := range busy {
 			start := tileStart + wi*simt.LaneCount
-			var inRange uint32
-			if n := q.count - start; n >= simt.LaneCount {
-				inRange = simt.FullMask
-			} else if n > 0 {
-				inRange = simt.FullMask >> uint(simt.LaneCount-n)
-			}
-			valid := w.BallotMask(inRange)
+			valid := w.BallotMask(simt.FirstLanes(q.count - start))
 			w.WithMask(valid, func() {
 				w.LoadGlobal(q.mem,
 					func(lane int) int { return q.base + start + lane },
@@ -208,7 +214,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		w0 := warps[0]
 		nw := len(warps)
 		var warpOffsets [simt.MaxWarpsPerCTA]int
-		w0.WithMask(simt.FullMask>>(uint(simt.LaneCount-min(nw, simt.LaneCount))), func() {
+		w0.WithMask(simt.FirstLanes(nw), func() {
 			w0.Issue(2)
 			sum := 0
 			for i := 0; i < nw; i++ {
@@ -225,7 +231,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 
 		// Scatter survivors: lane offset = warp offset + popc of lower
 		// keep bits (the ballot-prefix idiom).
-		for wi, w := range warps {
+		for wi, w := range busy {
 			mask := masks[wi]
 			w.WithMask(mask, func() {
 				w.Issue(2) // offset computation (popc + add)
@@ -248,11 +254,4 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 	q.mem.Fill(q.base+writeBase, q.count-writeBase, 0)
 	q.count = writeBase
 	return writeBase
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

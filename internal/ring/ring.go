@@ -23,11 +23,12 @@ var ErrNoCredits = errors.New("ring: no credits")
 
 // Ring is a SPSC ring over simulated device memory. Slot 0..cap-1 hold
 // payload words; head/tail live in two extra control words, as they
-// would in a device-visible control block.
+// would in a device-visible control block. No kernel accesses the ring,
+// so it works on its region directly (Memory.Slice) instead of paying
+// a checked Memory access per word.
 type Ring struct {
-	mem  *simt.Memory
-	base int
-	cap  int
+	words []uint64 // the region: cap slots, then the control words
+	cap   int
 
 	// credits is the sender-side view of free slots (returned lazily
 	// by the consumer in batches, as real credit schemes do).
@@ -95,9 +96,9 @@ func New(mem *simt.Memory, base, capacity int) *Ring {
 		panic(fmt.Sprintf("ring: region [%d,%d) outside memory of %d words",
 			base, base+Words(capacity), mem.Len()))
 	}
-	r := &Ring{mem: mem, base: base, cap: capacity, credits: capacity}
-	mem.Store(base+capacity+headOff, 0)
-	mem.Store(base+capacity+tailOff, 0)
+	r := &Ring{words: mem.Slice(base, Words(capacity)), cap: capacity, credits: capacity}
+	r.words[capacity+headOff] = 0
+	r.words[capacity+tailOff] = 0
 	return r
 }
 
@@ -106,8 +107,8 @@ func (r *Ring) Cap() int { return r.cap }
 
 // Len returns the number of occupied slots.
 func (r *Ring) Len() int {
-	head := int(r.mem.Load(r.base + r.cap + headOff))
-	tail := int(r.mem.Load(r.base + r.cap + tailOff))
+	head := int(r.words[r.cap+headOff])
+	tail := int(r.words[r.cap+tailOff])
 	return (tail - head + 2*r.cap) % (2 * r.cap)
 }
 
@@ -121,9 +122,9 @@ func (r *Ring) Push(w uint64) error {
 	if r.credits == 0 {
 		return fmt.Errorf("%w (capacity %d)", ErrNoCredits, r.cap)
 	}
-	tail := int(r.mem.Load(r.base + r.cap + tailOff))
-	r.mem.Store(r.base+tail%r.cap, w)
-	r.mem.Store(r.base+r.cap+tailOff, uint64((tail+1)%(2*r.cap)))
+	tail := int(r.words[r.cap+tailOff])
+	r.words[tail%r.cap] = w
+	r.words[r.cap+tailOff] = uint64((tail + 1) % (2 * r.cap))
 	r.credits--
 	r.consumed++
 	return nil
@@ -132,13 +133,13 @@ func (r *Ring) Push(w uint64) error {
 // Pop removes and returns the oldest word. The freed slot becomes a
 // pending credit; call ReturnCredits to batch it back to the sender.
 func (r *Ring) Pop() (uint64, bool) {
-	head := int(r.mem.Load(r.base + r.cap + headOff))
-	tail := int(r.mem.Load(r.base + r.cap + tailOff))
+	head := int(r.words[r.cap+headOff])
+	tail := int(r.words[r.cap+tailOff])
 	if head == tail {
 		return 0, false
 	}
-	w := r.mem.Load(r.base + head%r.cap)
-	r.mem.Store(r.base+r.cap+headOff, uint64((head+1)%(2*r.cap)))
+	w := r.words[head%r.cap]
+	r.words[r.cap+headOff] = uint64((head + 1) % (2 * r.cap))
 	r.pendingCredits++
 	return w, true
 }

@@ -30,8 +30,9 @@ type Counters struct {
 	Branch       uint64 // divergence re-convergence overhead
 }
 
-// Add accumulates o into c.
-func (c *Counters) Add(o Counters) {
+// Add accumulates o into c. o is passed by pointer: counters are
+// summed once per warp and phase on the engines' hot paths.
+func (c *Counters) Add(o *Counters) {
 	c.ALU += o.ALU
 	c.Ballot += o.Ballot
 	c.Shfl += o.Shfl

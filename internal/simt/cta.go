@@ -53,19 +53,16 @@ func NewCTA(id, threads, sharedWords int) *CTA {
 // the last warp partially masked when threads is not a multiple of 32).
 func (c *CTA) resetMasks() {
 	for i, w := range c.warps {
-		w.SetActive(FullMask)
-		if i == len(c.warps)-1 {
-			if rem := c.threads % LaneCount; rem != 0 {
-				w.SetActive(FullMask >> uint(LaneCount-rem))
-			}
-		}
+		w.SetActive(FirstLanes(c.threads - i*LaneCount))
 	}
 }
 
 // Reset returns the CTA to its freshly constructed state without
 // reallocating: counters zeroed, active masks restored, shared memory
-// cleared. It is the reuse hook the matchers' zero-allocation hot paths
-// rely on; a Reset CTA behaves bit-identically to a new one.
+// reading as zero again. It is the reuse hook the matchers'
+// zero-allocation hot paths rely on; a Reset CTA behaves
+// bit-identically to a new one. Its cost does not grow with the shared
+// arena: Memory.Zero starts a new generation instead of clearing words.
 func (c *CTA) Reset() {
 	c.ResetCounters()
 	c.resetMasks()
@@ -103,9 +100,19 @@ func (c *CTA) SyncThreads() {
 func (c *CTA) Counters() Counters {
 	t := c.ctrs
 	for _, w := range c.warps {
-		t.Add(*w.ctrs)
+		t.Add(w.ctrs)
 	}
 	return t
+}
+
+// DrainCounters adds the CTA's counters to dst and zeroes them: the
+// boundary between two phases of phase-separated accounting.
+func (c *CTA) DrainCounters(dst *Counters) {
+	dst.Add(&c.ctrs)
+	for _, w := range c.warps {
+		dst.Add(w.ctrs)
+	}
+	c.ResetCounters()
 }
 
 // ResetCounters zeroes the CTA's counters (useful for phase-separated
@@ -144,77 +151,14 @@ func (cc *CTACache) Get(id, threads, sharedWords int) *CTA {
 	return c
 }
 
-// Kernel is a CTA program: it is invoked once per CTA of a launch with
-// the CTA and the device's global memory.
-type Kernel func(c *CTA, global *Memory)
-
-// LaunchStats reports what a grid launch executed, for consumption by
-// the timing model.
-type LaunchStats struct {
-	// PerCTA holds each CTA's instruction counters, indexed by CTA id.
-	PerCTA []Counters
-	// Footprint is the per-CTA resource footprint used for occupancy.
-	Footprint arch.KernelFootprint
-}
-
-// Total returns the sum of all per-CTA counters.
-func (s *LaunchStats) Total() Counters {
-	var t Counters
-	for i := range s.PerCTA {
-		t.Add(s.PerCTA[i])
-	}
-	return t
-}
-
 // Device is a simulated GPU: an architecture plus global memory.
 type Device struct {
 	Arch   *arch.Arch
 	Global *Memory
-	// AfterLaunch, when set, is invoked at the end of every Launch and
-	// LaunchParallel with the finished stats — a launch-boundary hook.
-	// The telemetry plane uses it to pump the flight recorder's live
-	// streamer at kernel ends, so streamed runs only need the ring to
-	// hold one launch's emissions. Called on the launching goroutine
-	// after all CTAs complete; it must not launch kernels itself.
-	AfterLaunch func(*LaunchStats)
 }
 
 // NewDevice creates a device of the given architecture with a global
 // memory of globalWords 64-bit words.
 func NewDevice(a *arch.Arch, globalWords int) *Device {
 	return &Device{Arch: a, Global: NewMemory(globalWords)}
-}
-
-// archFootprint builds the occupancy footprint of a launch.
-func archFootprint(threadsPerCTA, regsPerThread, sharedWords int) arch.KernelFootprint {
-	return arch.KernelFootprint{
-		ThreadsPerCTA:   threadsPerCTA,
-		RegsPerThread:   regsPerThread,
-		SharedMemPerCTA: sharedWords * 8,
-	}
-}
-
-// Launch runs kernel on a grid of ctas CTAs, each with threadsPerCTA
-// threads and sharedWords words of shared memory. CTAs execute
-// sequentially in id order (deterministic); hardware concurrency and
-// serialization beyond the occupancy limit are recovered analytically
-// by the timing model from the returned stats. LaunchParallel runs the
-// same grid across host cores for kernels whose CTAs are independent.
-func (d *Device) Launch(ctas, threadsPerCTA, sharedWords int, regsPerThread int, kernel Kernel) *LaunchStats {
-	if ctas <= 0 {
-		panic(fmt.Sprintf("simt: launch with %d CTAs", ctas))
-	}
-	stats := &LaunchStats{
-		PerCTA:    make([]Counters, ctas),
-		Footprint: archFootprint(threadsPerCTA, regsPerThread, sharedWords),
-	}
-	for i := 0; i < ctas; i++ {
-		c := NewCTA(i, threadsPerCTA, sharedWords)
-		kernel(c, d.Global)
-		stats.PerCTA[i] = c.Counters()
-	}
-	if d.AfterLaunch != nil {
-		d.AfterLaunch(stats)
-	}
-	return stats
 }

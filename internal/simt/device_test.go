@@ -1,81 +1,32 @@
 package simt
 
-import (
-	"testing"
-
-	"simtmp/internal/arch"
-)
-
-func TestDeviceLaunchRunsAllCTAs(t *testing.T) {
-	d := NewDevice(arch.PascalGTX1080(), 1024)
-	stats := d.Launch(4, 64, 16, 24, func(c *CTA, g *Memory) {
-		// Each CTA writes its id to global memory via warp 0.
-		w := c.Warp(0)
-		w.WithMask(1, func() {
-			w.StoreGlobal(g, func(int) int { return c.ID }, func(int) uint64 { return uint64(c.ID + 1) })
-		})
-	})
-	for i := 0; i < 4; i++ {
-		if got := d.Global.Load(i); got != uint64(i+1) {
-			t.Errorf("global[%d] = %d, want %d", i, got, i+1)
-		}
-	}
-	if len(stats.PerCTA) != 4 {
-		t.Fatalf("PerCTA has %d entries, want 4", len(stats.PerCTA))
-	}
-	for i, c := range stats.PerCTA {
-		if c.GMemStore != 1 {
-			t.Errorf("CTA %d GMemStore = %d, want 1", i, c.GMemStore)
-		}
-	}
-	total := stats.Total()
-	if total.GMemStore != 4 {
-		t.Errorf("total GMemStore = %d, want 4", total.GMemStore)
-	}
-	if stats.Footprint.ThreadsPerCTA != 64 || stats.Footprint.SharedMemPerCTA != 16*8 {
-		t.Errorf("footprint = %+v", stats.Footprint)
-	}
-}
-
-func TestDeviceLaunchZeroCTAsPanics(t *testing.T) {
-	d := NewDevice(arch.KeplerK80(), 16)
-	defer func() {
-		if recover() == nil {
-			t.Error("Launch(0 CTAs) did not panic")
-		}
-	}()
-	d.Launch(0, 32, 0, 0, func(*CTA, *Memory) {})
-}
+import "testing"
 
 // TestWarpReduceScenario exercises a composite kernel: a warp-wide
 // max-reduce using shuffles, the classic SIMT idiom, verifying the
 // engine supports real warp-synchronous programming.
 func TestWarpReduceScenario(t *testing.T) {
-	d := NewDevice(arch.MaxwellM40(), 64)
+	g := NewMemory(64)
 	// Seed global memory with values; lane i holds (i*7)%31.
 	for i := 0; i < 32; i++ {
-		d.Global.Store(i, uint64((i*7)%31))
+		g.Store(i, uint64((i*7)%31))
 	}
-	var result uint64
-	d.Launch(1, 32, 0, 16, func(c *CTA, g *Memory) {
-		w := c.Warp(0)
-		var regs [LaneCount]uint64
-		w.LoadGlobal(g, func(lane int) int { return lane }, func(lane int, v uint64) { regs[lane] = v })
-		for off := LaneCount / 2; off > 0; off /= 2 {
-			var incoming [LaneCount]uint64
-			w.Shfl(
-				func(lane int) uint64 { return regs[lane] },
-				func(lane int) int { return (lane + off) % LaneCount },
-				func(lane int, v uint64) { incoming[lane] = v })
-			w.Exec(1, func(lane int) {
-				if incoming[lane] > regs[lane] {
-					regs[lane] = incoming[lane]
-				}
-			})
-		}
-		result = regs[0]
-	})
-	if result != 30 {
+	w := NewCTA(0, 32, 0).Warp(0)
+	var regs [LaneCount]uint64
+	w.LoadGlobal(g, func(lane int) int { return lane }, func(lane int, v uint64) { regs[lane] = v })
+	for off := LaneCount / 2; off > 0; off /= 2 {
+		var incoming [LaneCount]uint64
+		w.Shfl(
+			func(lane int) uint64 { return regs[lane] },
+			func(lane int) int { return (lane + off) % LaneCount },
+			func(lane int, v uint64) { incoming[lane] = v })
+		w.Exec(1, func(lane int) {
+			if incoming[lane] > regs[lane] {
+				regs[lane] = incoming[lane]
+			}
+		})
+	}
+	if result := regs[0]; result != 30 {
 		t.Errorf("warp max-reduce = %d, want 30", result)
 	}
 }

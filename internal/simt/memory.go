@@ -5,8 +5,21 @@ import "fmt"
 // Memory is a word-addressed (64-bit) memory, used for both simulated
 // global device memory and per-CTA shared memory. Addresses are word
 // indices. Accesses out of range panic, mirroring a device-side fault.
+//
+// A memory from NewMemory resets in O(1): from its first Zero on,
+// every word carries the generation it was last written in, Zero
+// starts a new generation, and a word stamped with an older one reads
+// as 0. Stamps are per word, so warps that write disjoint words may run
+// on concurrent goroutines exactly as they could before (the matrix
+// scan does). A view from Wrap has no stamps: it is host-owned
+// storage, read and written as is.
 type Memory struct {
 	words []uint64
+	// stamps holds each word's generation; it is allocated by the
+	// first Zero, so a memory never reset carries none.
+	stamps []uint8
+	gen    uint8
+	view   bool // from Wrap: Zero clears the words themselves
 }
 
 // NewMemory allocates a zeroed memory of the given number of 64-bit
@@ -21,28 +34,40 @@ func NewMemory(words int) *Memory {
 // Wrap returns a Memory view over an existing word slice without
 // copying; stores through the view mutate the slice. Useful to expose
 // host-prepared data as device global memory.
-func Wrap(words []uint64) *Memory { return &Memory{words: words} }
+func Wrap(words []uint64) *Memory { return &Memory{words: words, view: true} }
 
 // Rebind repoints a wrapped view at a new word slice without
 // allocating, so long-lived views can track reusable host buffers.
-func (m *Memory) Rebind(words []uint64) { m.words = words }
+// The result is a view (see Wrap) whatever m was before.
+func (m *Memory) Rebind(words []uint64) { *m = Memory{words: words, view: true} }
 
 // Len returns the memory size in words.
 func (m *Memory) Len() int { return len(m.words) }
 
 // Load returns the word at addr.
-func (m *Memory) Load(addr int) uint64 { return m.words[addr] }
+func (m *Memory) Load(addr int) uint64 {
+	v := m.words[addr]
+	if addr < len(m.stamps) && m.stamps[addr] != m.gen {
+		return 0
+	}
+	return v
+}
 
 // Store writes v to addr.
-func (m *Memory) Store(addr int, v uint64) { m.words[addr] = v }
+func (m *Memory) Store(addr int, v uint64) {
+	m.words[addr] = v
+	if addr < len(m.stamps) {
+		m.stamps[addr] = m.gen
+	}
+}
 
 // CAS performs a compare-and-swap at addr: if the current value equals
 // old, it stores new and reports true; otherwise it reports false. It
 // returns the value observed before the operation either way.
 func (m *Memory) CAS(addr int, old, new uint64) (prev uint64, swapped bool) {
-	prev = m.words[addr]
+	prev = m.Load(addr)
 	if prev == old {
-		m.words[addr] = new
+		m.Store(addr, new)
 		return prev, true
 	}
 	return prev, false
@@ -51,38 +76,70 @@ func (m *Memory) CAS(addr int, old, new uint64) (prev uint64, swapped bool) {
 // AtomicAdd adds delta to the word at addr and returns the previous
 // value.
 func (m *Memory) AtomicAdd(addr int, delta uint64) (prev uint64) {
-	prev = m.words[addr]
-	m.words[addr] = prev + delta
+	prev = m.Load(addr)
+	m.Store(addr, prev+delta)
 	return prev
 }
 
 // AtomicExch stores v at addr and returns the previous value.
 func (m *Memory) AtomicExch(addr int, v uint64) (prev uint64) {
-	prev = m.words[addr]
-	m.words[addr] = v
+	prev = m.Load(addr)
+	m.Store(addr, v)
 	return prev
 }
 
 // Fill sets words [addr, addr+n) to v.
 func (m *Memory) Fill(addr, n int, v uint64) {
-	for i := 0; i < n; i++ {
-		m.words[addr+i] = v
+	words := m.words[addr : addr+n]
+	for i := range words {
+		words[i] = v
+	}
+	if m.stamps != nil {
+		stamps := m.stamps[addr : addr+n]
+		for i := range stamps {
+			stamps[i] = m.gen
+		}
 	}
 }
 
-// Zero clears the whole memory (compiles to a memclr; used by CTA.Reset
-// so a reused CTA is indistinguishable from a fresh one).
+// Zero makes the whole memory read as zero. For a memory from
+// NewMemory it starts a new generation instead of clearing the words,
+// so its cost does not depend on the size; only when the 8-bit
+// generation wraps, once every 256 calls, are the words and stamps
+// really cleared. A view from Wrap is cleared word by word.
 func (m *Memory) Zero() {
-	for i := range m.words {
-		m.words[i] = 0
+	switch {
+	case m.view:
+		clear(m.words)
+		return
+	case m.stamps == nil:
+		m.stamps = make([]uint8, len(m.words)) // every word now stale
+	}
+	m.gen++
+	if m.gen == 0 {
+		clear(m.words)
+		clear(m.stamps)
 	}
 }
 
 // Slice exposes words [addr, addr+n) as a Go slice aliasing the
 // underlying storage. It is intended for host-side setup and result
 // readout, not for kernel code (kernel code must go through warp
-// accessors so accesses are billed).
-func (m *Memory) Slice(addr, n int) []uint64 { return m.words[addr : addr+n] }
+// accessors so accesses are billed). Words left over from before the
+// last Zero are cleared first, so the slice reads what Load would; the
+// aliasing holds until the next Zero.
+func (m *Memory) Slice(addr, n int) []uint64 {
+	words := m.words[addr : addr+n]
+	if m.stamps != nil {
+		stamps := m.stamps[addr : addr+n]
+		for i, g := range stamps {
+			if g != m.gen {
+				words[i], stamps[i] = 0, m.gen
+			}
+		}
+	}
+	return words
+}
 
 // segmentWords is the size of one memory transaction in words: 128
 // bytes, i.e. 16 64-bit words, matching NVIDIA's L1/L2 line granularity

@@ -188,37 +188,3 @@ func (p *workerPool) putJob(j *parJob) {
 	p.free = append(p.free, j)
 	p.mu.Unlock()
 }
-
-// LaunchParallel is Launch with the CTA loop spread across a
-// GOMAXPROCS-bounded worker pool (workers <= 0 selects GOMAXPROCS).
-// Each CTA still executes its own warps sequentially and
-// deterministically; only whole CTAs run concurrently, and per-CTA
-// counters land in stats.PerCTA indexed by CTA id, so the merged
-// LaunchStats — and therefore the timing model's cycle accounting — is
-// bit-identical to the sequential Launch.
-//
-// The kernel must honor CTA independence, the same property the
-// hardware grid model guarantees nothing beyond: CTAs may read shared
-// global memory freely but must write only disjoint regions, and must
-// not communicate through global atomics whose outcome the result
-// depends on. Kernels needing cross-CTA atomics (the hash matcher's
-// shared tables) belong on Launch, where the sequential CTA order makes
-// the interleaving reproducible.
-func (d *Device) LaunchParallel(ctas, threadsPerCTA, sharedWords, regsPerThread, workers int, kernel Kernel) *LaunchStats {
-	if ctas <= 0 {
-		panic(fmt.Sprintf("simt: launch with %d CTAs", ctas))
-	}
-	stats := &LaunchStats{
-		PerCTA:    make([]Counters, ctas),
-		Footprint: archFootprint(threadsPerCTA, regsPerThread, sharedWords),
-	}
-	ParallelFor(ctas, workers, func(i int) {
-		c := NewCTA(i, threadsPerCTA, sharedWords)
-		kernel(c, d.Global)
-		stats.PerCTA[i] = c.Counters()
-	})
-	if d.AfterLaunch != nil {
-		d.AfterLaunch(stats)
-	}
-	return stats
-}

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"simtmp/internal/arch"
 )
 
 func TestParallelForCoversAllIterations(t *testing.T) {
@@ -54,7 +52,7 @@ func TestWorkersResolution(t *testing.T) {
 // countingKernel is a grid whose CTAs are independent: each CTA writes
 // a deterministic mix of per-lane values into its own disjoint global
 // region, exercising every counter class.
-func countingKernel(seed int64) (Kernel, int) {
+func countingKernel(seed int64) (func(c *CTA, g *Memory), int) {
 	const perCTA = 64
 	return func(c *CTA, g *Memory) {
 		rng := rand.New(rand.NewSource(seed + int64(c.ID)))
@@ -76,40 +74,44 @@ func countingKernel(seed int64) (Kernel, int) {
 	}, perCTA
 }
 
-// TestLaunchParallelDeterministic runs the same independent-CTA kernel
-// via Launch and LaunchParallel across seeds and asserts bit-identical
-// global memory, per-CTA counters, and totals.
-func TestLaunchParallelDeterministic(t *testing.T) {
-	a := arch.PascalGTX1080()
+// runGrid runs kernel on ctas fresh CTAs of 64 threads and 8 shared
+// words, spread over workers goroutines, and returns each CTA's
+// counters indexed by CTA id.
+func runGrid(ctas, workers int, kernel func(c *CTA, g *Memory), g *Memory) []Counters {
+	per := make([]Counters, ctas)
+	ParallelFor(ctas, workers, func(i int) {
+		c := NewCTA(i, 64, 8)
+		kernel(c, g)
+		per[i] = c.Counters()
+	})
+	return per
+}
+
+// TestParallelCTAsDeterministic runs the same independent-CTA kernel
+// on one goroutine and across several, and asserts bit-identical
+// global memory and per-CTA counters. Under -race it also shows that
+// CTAs writing disjoint words of one generation-stamped memory do not
+// race.
+func TestParallelCTAsDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		kernel, perCTA := countingKernel(seed)
 		const ctas = 12
-		seq := NewDevice(a, ctas*perCTA)
-		seqStats := seq.Launch(ctas, 64, 8, 16, kernel)
+		seq := NewMemory(ctas * perCTA)
+		seqCtrs := runGrid(ctas, 1, kernel, seq)
 
 		for _, workers := range []int{2, 4, 16} {
-			par := NewDevice(a, ctas*perCTA)
-			parStats := par.LaunchParallel(ctas, 64, 8, 16, workers, kernel)
-
-			if len(parStats.PerCTA) != len(seqStats.PerCTA) {
-				t.Fatalf("seed %d: PerCTA length %d != %d", seed, len(parStats.PerCTA), len(seqStats.PerCTA))
-			}
-			for i := range seqStats.PerCTA {
-				if parStats.PerCTA[i] != seqStats.PerCTA[i] {
+			par := NewMemory(ctas * perCTA)
+			parCtrs := runGrid(ctas, workers, kernel, par)
+			for i := range seqCtrs {
+				if parCtrs[i] != seqCtrs[i] {
 					t.Fatalf("seed %d workers %d: CTA %d counters differ:\npar %+v\nseq %+v",
-						seed, workers, i, parStats.PerCTA[i], seqStats.PerCTA[i])
+						seed, workers, i, parCtrs[i], seqCtrs[i])
 				}
 			}
-			if parStats.Total() != seqStats.Total() {
-				t.Fatalf("seed %d workers %d: totals differ", seed, workers)
-			}
-			if parStats.Footprint != seqStats.Footprint {
-				t.Fatalf("seed %d workers %d: footprints differ", seed, workers)
-			}
 			for addr := 0; addr < ctas*perCTA; addr++ {
-				if par.Global.Load(addr) != seq.Global.Load(addr) {
+				if par.Load(addr) != seq.Load(addr) {
 					t.Fatalf("seed %d workers %d: global[%d] = %d, want %d",
-						seed, workers, addr, par.Global.Load(addr), seq.Global.Load(addr))
+						seed, workers, addr, par.Load(addr), seq.Load(addr))
 				}
 			}
 		}

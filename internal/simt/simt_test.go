@@ -372,7 +372,7 @@ func TestCountersAddAndTotals(t *testing.T) {
 		vy.Field(i).SetUint(uint64(1000 * (i + 1)))
 	}
 	sum := x
-	sum.Add(y)
+	sum.Add(&y)
 	vs := reflect.ValueOf(sum)
 	for i := 0; i < vs.NumField(); i++ {
 		if got, want := vs.Field(i).Uint(), vx.Field(i).Uint()+vy.Field(i).Uint(); got != want {

@@ -30,6 +30,11 @@ func Clz(x uint32) int { return bits.LeadingZeros32(x) }
 // LaneMask returns a mask with only the given lane's bit set.
 func LaneMask(lane int) uint32 { return 1 << uint(lane) }
 
+// FirstLanes returns the mask of lanes [0, n), clamped to the warp: the
+// vote of the bounds predicate "lane < n" that kernels take before a
+// masked access, computed without evaluating it per lane.
+func FirstLanes(n int) uint32 { return FullMask >> uint(LaneCount-max(0, min(n, LaneCount))) }
+
 // Warp is a group of 32 lanes executing in lock step. All per-lane
 // computation is expressed as callbacks invoked for each active lane;
 // each primitive bills the warp's instruction counters exactly once

@@ -72,21 +72,24 @@ func NewModel(a *arch.Arch) Model {
 	return Model{A: a, P: ParamsFor(a.Generation)}
 }
 
-// PhaseCycles returns the simulated cycle cost of one phase.
-func (m Model) PhaseCycles(p Phase) float64 {
+// PhaseCycles returns the simulated cycle cost of one phase. The
+// model, the phase and its counters are passed by pointer: the engines
+// call this once per simulated phase, and copying the three structs
+// cost more than the arithmetic.
+func (m *Model) PhaseCycles(p *Phase) float64 {
 	switch p.Kind {
 	case Dependent:
-		return m.dependentCycles(p.Ctrs)
+		return m.dependentCycles(&p.Ctrs)
 	default:
-		return m.throughputCycles(p.Ctrs, p.ResidentWarps, p.WorkingSetWords)
+		return m.throughputCycles(&p.Ctrs, p.ResidentWarps, p.WorkingSetWords)
 	}
 }
 
 // dependentCycles sums per-instruction dependency latencies: the cost
 // of a single warp executing a serial chain with no other warps to
 // cover the stalls.
-func (m Model) dependentCycles(c simt.Counters) float64 {
-	p := m.P
+func (m *Model) dependentCycles(c *simt.Counters) float64 {
+	p := &m.P
 	return float64(c.ALU)*p.ALUDep +
 		float64(c.Ballot)*p.BallotDep +
 		float64(c.Shfl)*p.ShflDep +
@@ -101,12 +104,12 @@ func (m Model) dependentCycles(c simt.Counters) float64 {
 // throughputCycles models a many-warp phase: issue-limited cycles
 // overlap with memory transactions; the exposed fraction of memory
 // latency shrinks with the number of resident warps.
-func (m Model) throughputCycles(c simt.Counters, residentWarps, workingSet int) float64 {
+func (m *Model) throughputCycles(c *simt.Counters, residentWarps, workingSet int) float64 {
 	w := float64(residentWarps)
 	if w < 1 {
 		w = 1
 	}
-	p := m.P
+	p := &m.P
 
 	ipc := w * p.WarpIssueRate
 	if max := float64(m.A.IssueWidth); ipc > max {
@@ -140,7 +143,7 @@ func (m Model) throughputCycles(c simt.Counters, residentWarps, workingSet int) 
 
 // Seconds converts simulated cycles to simulated seconds on the
 // model's architecture.
-func (m Model) Seconds(cycles float64) float64 {
+func (m *Model) Seconds(cycles float64) float64 {
 	return cycles / m.A.ClockHz()
 }
 
@@ -151,39 +154,8 @@ func (m Model) Seconds(cycles float64) float64 {
 // cycles of bookkeeping. No matching phase runs at all — this is the
 // entire per-message cost, which is why cached re-fire rates sit far
 // above even the hash engine's.
-func (m Model) PersistentDeliverCycles() float64 {
+func (m *Model) PersistentDeliverCycles() float64 {
 	return 2*m.P.L2TransCycles + 2
-}
-
-// KernelCycles estimates one kernel launch from its LaunchStats: CTAs
-// run in waves of at most the occupancy limit; CTAs within a wave share
-// the SM, which the model approximates by treating the wave's combined
-// counters as one throughput phase with the wave's combined warps.
-// The fixed per-launch overhead (driver + queue management) is added
-// once.
-func (m Model) KernelCycles(stats *simt.LaunchStats, kind Kind) float64 {
-	occ := m.A.Occupancy(stats.Footprint)
-	if occ < 1 {
-		occ = 1
-	}
-	warpsPerCTA := (stats.Footprint.ThreadsPerCTA + arch.WarpSize - 1) / arch.WarpSize
-	total := 0.0
-	for start := 0; start < len(stats.PerCTA); start += occ {
-		end := start + occ
-		if end > len(stats.PerCTA) {
-			end = len(stats.PerCTA)
-		}
-		var wave simt.Counters
-		for i := start; i < end; i++ {
-			wave.Add(stats.PerCTA[i])
-		}
-		total += m.PhaseCycles(Phase{
-			Kind:          kind,
-			Ctrs:          wave,
-			ResidentWarps: (end - start) * warpsPerCTA,
-		})
-	}
-	return total + m.P.LaunchOverhead
 }
 
 // Overlap returns the pipelined duration of two concurrent phases: the

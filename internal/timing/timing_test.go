@@ -20,7 +20,7 @@ func TestKindString(t *testing.T) {
 func TestDependentCyclesSumLatencies(t *testing.T) {
 	m := NewModel(arch.PascalGTX1080())
 	c := simt.Counters{ALU: 10, Ballot: 2, SMemLoad: 1}
-	got := m.PhaseCycles(Phase{Kind: Dependent, Ctrs: c})
+	got := m.PhaseCycles(&Phase{Kind: Dependent, Ctrs: c})
 	want := 10*m.P.ALUDep + 2*m.P.BallotDep + 1*m.P.SMemDep
 	if got != want {
 		t.Errorf("dependent cycles = %v, want %v", got, want)
@@ -31,7 +31,7 @@ func TestThroughputIssueLimited(t *testing.T) {
 	m := NewModel(arch.PascalGTX1080())
 	// Pure ALU work with ample warps: issue width is the limiter.
 	c := simt.Counters{ALU: 40000}
-	got := m.PhaseCycles(Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 32})
+	got := m.PhaseCycles(&Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 32})
 	want := 40000.0 / float64(m.A.IssueWidth)
 	if got != want {
 		t.Errorf("issue-limited cycles = %v, want %v", got, want)
@@ -42,7 +42,7 @@ func TestThroughputMemoryLimited(t *testing.T) {
 	m := NewModel(arch.KeplerK80())
 	// Few instructions, many transactions: memory throughput limits.
 	c := simt.Counters{GMemLoad: 10, GMemTrans: 100000}
-	got := m.PhaseCycles(Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 64})
+	got := m.PhaseCycles(&Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 64})
 	if min := 100000 * m.P.TransCycles; got < min {
 		t.Errorf("memory-limited cycles = %v, want >= %v", got, min)
 	}
@@ -51,8 +51,8 @@ func TestThroughputMemoryLimited(t *testing.T) {
 func TestMoreWarpsHideMoreLatency(t *testing.T) {
 	m := NewModel(arch.MaxwellM40())
 	c := simt.Counters{GMemLoad: 1000, GMemTrans: 2000, ALU: 1000}
-	few := m.PhaseCycles(Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 2})
-	many := m.PhaseCycles(Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 32})
+	few := m.PhaseCycles(&Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 2})
+	many := m.PhaseCycles(&Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 32})
 	if many >= few {
 		t.Errorf("32 warps (%v cycles) not faster than 2 warps (%v cycles)", many, few)
 	}
@@ -61,7 +61,7 @@ func TestMoreWarpsHideMoreLatency(t *testing.T) {
 func TestZeroWarpsClamped(t *testing.T) {
 	m := NewModel(arch.PascalGTX1080())
 	c := simt.Counters{ALU: 100, GMemLoad: 10, GMemTrans: 10}
-	got := m.PhaseCycles(Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 0})
+	got := m.PhaseCycles(&Phase{Kind: Throughput, Ctrs: c, ResidentWarps: 0})
 	if got <= 0 {
 		t.Errorf("cycles with 0 warps = %v, want > 0", got)
 	}
@@ -83,46 +83,13 @@ func TestDependentChainCostSimilarAcrossGenerations(t *testing.T) {
 	var costs []float64
 	for _, a := range arch.All() {
 		m := NewModel(a)
-		costs = append(costs, m.PhaseCycles(Phase{Kind: Dependent, Ctrs: c}))
+		costs = append(costs, m.PhaseCycles(&Phase{Kind: Dependent, Ctrs: c}))
 	}
 	for _, x := range costs[1:] {
 		ratio := x / costs[0]
 		if ratio < 0.75 || ratio > 1.25 {
 			t.Errorf("dependent-chain cycle costs diverge: %v", costs)
 		}
-	}
-}
-
-func TestKernelCyclesWaves(t *testing.T) {
-	m := NewModel(arch.PascalGTX1080())
-	// Footprint limiting occupancy to 2 CTAs: 4 CTAs → 2 waves.
-	per := simt.Counters{ALU: 1000}
-	stats := &simt.LaunchStats{
-		PerCTA: []simt.Counters{per, per, per, per},
-		Footprint: arch.KernelFootprint{
-			ThreadsPerCTA: 1024, RegsPerThread: 32, SharedMemPerCTA: 32 * 1024,
-		},
-	}
-	four := m.KernelCycles(stats, Throughput)
-	stats2 := &simt.LaunchStats{PerCTA: stats.PerCTA[:2], Footprint: stats.Footprint}
-	two := m.KernelCycles(stats2, Throughput)
-	// Two waves of the same work should cost roughly twice one wave's
-	// variable cost (modulo the fixed launch overhead counted once).
-	varFour := four - m.P.LaunchOverhead
-	varTwo := two - m.P.LaunchOverhead
-	if varFour < 1.9*varTwo || varFour > 2.1*varTwo {
-		t.Errorf("serialization: 2 waves = %v cycles, 1 wave = %v", varFour, varTwo)
-	}
-}
-
-func TestKernelCyclesUnlaunchableFootprintStillFinite(t *testing.T) {
-	m := NewModel(arch.PascalGTX1080())
-	stats := &simt.LaunchStats{
-		PerCTA:    []simt.Counters{{ALU: 10}},
-		Footprint: arch.KernelFootprint{ThreadsPerCTA: 4096},
-	}
-	if got := m.KernelCycles(stats, Throughput); got <= 0 {
-		t.Errorf("KernelCycles = %v, want > 0", got)
 	}
 }
 
