@@ -52,8 +52,10 @@ type HashConfig struct {
 	HashName string
 	// Policy selects the collision resolution (default TwoLevel).
 	Policy CollisionPolicy
-	// Workers bounds the host goroutines simulating warps in parallel
-	// (0 = GOMAXPROCS, 1 = sequential). Only the TwoLevel policy
+	// Workers bounds the host goroutines simulating warps in parallel:
+	// 0 = auto (inline below the simt fan-out grain, else GOMAXPROCS;
+	// a sub-phase's work is its pending lanes), 1 = sequential, N ≥ 2
+	// = always N. Only the TwoLevel policy
 	// parallelizes: its primary and secondary CAS traffic target
 	// disjoint address ranges, so staging the operations concurrently
 	// and committing them in thread order is bit-identical to the
@@ -386,8 +388,12 @@ func (h *HashMatcher) twoLevelPhase(insert bool, keysMem *simt.Memory, pend *[]i
 		s.stageFn, s.foldFn, s.finishFn = h.stagePrimary, h.foldPrimary, h.foldSecondary
 	}
 
+	// Each sub-phase hands out one pass per pending lane; below the
+	// simt grain that is cheaper to run inline.
+	workers := simt.WorkersFor(h.cfg.Workers, pending)
+
 	// Sub-phase 1 (parallel): load keys, hash, stage the primary CAS.
-	simt.ParallelFor(warpsTotal, h.cfg.Workers, s.stageFn)
+	simt.ParallelFor(warpsTotal, workers, s.stageFn)
 	for wi := 0; wi < warpsTotal; wi++ {
 		simt.ApplyCAS(s.mem, s.warps[wi].prim)
 	}
@@ -395,13 +401,13 @@ func (h *HashMatcher) twoLevelPhase(insert bool, keysMem *simt.Memory, pend *[]i
 	// Sub-phase 2 (parallel): fold primary outcomes (successful CAS
 	// targets are unique addresses, so the index/assignment writes are
 	// disjoint), then stage the secondary fallback for the misses.
-	simt.ParallelFor(warpsTotal, h.cfg.Workers, s.foldFn)
+	simt.ParallelFor(warpsTotal, workers, s.foldFn)
 	for wi := 0; wi < warpsTotal; wi++ {
 		simt.ApplyCAS(s.mem, s.warps[wi].sec)
 	}
 
 	// Sub-phase 3 (parallel): fold secondary outcomes, mark survivors.
-	simt.ParallelFor(warpsTotal, h.cfg.Workers, s.finishFn)
+	simt.ParallelFor(warpsTotal, workers, s.finishFn)
 	s.ph.keysMem, s.ph.assign, s.ph.pendList, s.ph.still = nil, nil, nil, nil
 
 	// Per-CTA counters, summed in warp order.

@@ -45,7 +45,9 @@ type MatrixConfig struct {
 	// the cost of resources taken from the application.
 	SMs int
 	// Workers bounds the host goroutines simulating the scan phase's
-	// warps in parallel (0 = GOMAXPROCS, 1 = sequential). Host
+	// warps in parallel: 0 = auto (inline below the simt fan-out
+	// grain, else GOMAXPROCS; a window's work is warps × lanes ×
+	// window), 1 = sequential, N ≥ 2 = always N. Host
 	// parallelism changes wall-clock only: warps write disjoint vote
 	// rows and bill private counters, so results, counters and
 	// simulated cycles are bit-identical to the sequential path.
@@ -365,7 +367,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		if sc.scanFn == nil {
 			sc.scanFn = m.scanWarp
 		}
-		simt.ParallelFor(len(warps), m.cfg.Workers, sc.scanFn)
+		simt.ParallelFor(len(warps), simt.WorkersFor(m.cfg.Workers, len(warps)*simt.LaneCount*(wEnd-wStart)), sc.scanFn)
 		sc.scan.warps, sc.scan.cta = nil, nil
 		cta.SyncThreads()
 		cta.DrainCounters(&scanCtrs)

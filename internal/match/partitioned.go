@@ -30,7 +30,9 @@ type PartitionedConfig struct {
 	// (default 1; see MatrixConfig.SMs).
 	SMs int
 	// Workers bounds the host goroutines simulating partitions in
-	// parallel (0 = GOMAXPROCS, 1 = sequential). Partitions own
+	// parallel: 0 = auto (inline below the simt fan-out grain, else
+	// GOMAXPROCS; a round's work is its vote pairs), 1 = sequential,
+	// N ≥ 2 = always N. Partitions own
 	// disjoint queues, engines and assignment slices, and the
 	// floating-point cycle combination is replayed sequentially in
 	// partition order afterwards, so results, counters and simulated
@@ -131,9 +133,10 @@ func NewPartitionedMatcher(cfg PartitionedConfig) *PartitionedMatcher {
 		partCtrs: make([]simt.Counters, cfg.Queues),
 	}
 	for i := range p.engines {
-		// Partition engines run sequentially inside their goroutine
-		// (Workers: 1): host parallelism lives at the partition level,
-		// nesting pools would only add scheduling noise.
+		// Partition engines scan sequentially (Workers: 1): the round
+		// is the fan-out site, and its work estimate already counts
+		// these scans, so a nested fan-out could only add scheduling
+		// noise.
 		e := NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, MaxCTAs: 1, SMs: cfg.SMs, Workers: 1})
 		e.noFused = true
 		p.engines[i] = e
@@ -256,12 +259,15 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		// across host goroutines; each partition still walks its own
 		// CTA sub-blocks in message order (earlier block = higher
 		// priority). Cycle values land in per-(partition,CTA) slots.
+		// The round fans out only when its vote pairs reach the simt
+		// grain: the runtime's calls (a dozen messages per partition)
+		// cost less than waking a pool worker.
 		p.par.round, p.par.maxCTAs, p.par.subBlock = round, maxCTAs, subBlock
 		p.par.roundCycles = roundCycles
 		if p.parFn == nil {
 			p.parFn = p.roundPartition
 		}
-		simt.ParallelFor(q, p.cfg.Workers, p.parFn)
+		simt.ParallelFor(q, simt.WorkersFor(p.cfg.Workers, p.roundWork(round*maxCTAs*subBlock, maxCTAs*subBlock)), p.parFn)
 
 		// Replay the floating-point combination sequentially in the
 		// original (CTA, partition) order: float addition is not
@@ -350,6 +356,21 @@ func (p *PartitionedMatcher) roundPartition(pi int) {
 		p.par.roundCycles[slot] = cycles
 		p.partCtrs[pi].Add(&ctrs)
 	}
+}
+
+// roundWork estimates the lane operations a round hands out: for each
+// partition, its message lanes in the round's blocks (from message
+// start, at most span of them, in whole warps) times its requests, the
+// vote pairs of its scans.
+func (p *PartitionedMatcher) roundWork(start, span int) int {
+	work := 0
+	for pi := range p.parts {
+		pt := &p.parts[pi]
+		if msgs := min(len(pt.msgWords)-start, span); msgs > 0 {
+			work += (msgs + simt.LaneCount - 1) / simt.LaneCount * simt.LaneCount * len(pt.reqWords)
+		}
+	}
+	return work
 }
 
 // contention returns the calibrated cross-queue synchronization

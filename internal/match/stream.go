@@ -76,8 +76,9 @@ type StreamConfig struct {
 	// them against each other illegally.
 	Streams int
 	// Workers bounds the host goroutines simulating partitions in
-	// parallel (0 = GOMAXPROCS, 1 = sequential); bit-identical to the
-	// sequential path, see PartitionedConfig.Workers.
+	// parallel (0 = auto, 1 = sequential, N ≥ 2 = always N);
+	// bit-identical to the sequential path, see
+	// PartitionedConfig.Workers.
 	Workers int
 	// Recorder receives per-pass telemetry (nil = disabled).
 	Recorder *telemetry.Recorder

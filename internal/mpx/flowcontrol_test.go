@@ -285,8 +285,9 @@ func TestHealthStateMachine(t *testing.T) {
 }
 
 // TestFlowControlDeterminism replays the same capped overload workload
-// across engine execution modes: every overload counter must come out
-// identical — the shed sequence is part of the deterministic contract.
+// across engine execution modes (sequential, a forced fan-out over 4
+// workers, and auto): every overload counter must come out identical —
+// the shed sequence is part of the deterministic contract.
 func TestFlowControlDeterminism(t *testing.T) {
 	run := func(workers int) Stats {
 		rt := New(Config{
@@ -317,9 +318,11 @@ func TestFlowControlDeterminism(t *testing.T) {
 		}
 		return rt.Stats()
 	}
-	seq, par := run(1), run(0)
-	if seq != par {
-		t.Fatalf("overload counters diverge across engine modes:\n seq %+v\n par %+v", seq, par)
+	seq := run(1)
+	for _, workers := range []int{4, 0} {
+		if par := run(workers); seq != par {
+			t.Fatalf("overload counters diverge at %d engine workers:\n seq %+v\n par %+v", workers, seq, par)
+		}
 	}
 	if seq.ShedDrops == 0 || seq.NackRetransmits+seq.ShedRecovered == 0 {
 		t.Fatalf("workload exercised no shed/recovery machinery: %+v", seq)

@@ -143,9 +143,12 @@ type Config struct {
 	StallPatience int
 
 	// EngineWorkers bounds the host goroutines each matching engine
-	// uses to simulate its device-parallel phases (0 = GOMAXPROCS, the
-	// engines' own default; 1 forces sequential execution). Engine
-	// results are bit-identical either way; the knob exists so
+	// uses to simulate its device-parallel phases. 0, the engines' own
+	// default, is auto: a phase fans out over GOMAXPROCS goroutines
+	// only when its work reaches the simt fan-out grain and runs
+	// inline below it, as the runtime's usual per-step calls do. 1
+	// forces sequential execution and N ≥ 2 forces a fan-out over N.
+	// Engine results are bit-identical either way; the knob exists so
 	// determinism tests and load drivers can pin the execution mode.
 	EngineWorkers int
 

@@ -9,8 +9,8 @@ import (
 
 // Workers resolves a worker-count configuration value: n <= 0 selects
 // GOMAXPROCS (use every host core the runtime is allowed), any other
-// value is returned as-is. Engine configs use 0 for "parallel by
-// default" and 1 for "force sequential".
+// value is returned as-is. It is what ParallelFor does with its
+// workers argument; engine configs resolve theirs through WorkersFor.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -18,11 +18,39 @@ func Workers(n int) int {
 	return n
 }
 
+// fanoutGrain is the work, in simulated lane operations, below which
+// an engine's auto fan-out runs inline: handing iterations to pool
+// workers costs a wake-up and a wait per call, and on a 2-vCPU host
+// that overhead outweighed the parallel gain below about 100 µs of
+// sequential work per call. The matrix scan crossed over between
+// 32 Ki and 64 Ki units per call and the stream engine's partition
+// round between 28 Ki and 84 Ki; 48 Ki sits between both pairs
+// (DESIGN §11 has the sweep).
+const fanoutGrain = 48 << 10
+
+// WorkersFor resolves an engine's Workers value for one fan-out that
+// hands out an estimated work lane operations. workers <= 0 is auto:
+// a plain loop (1) below fanoutGrain, GOMAXPROCS at or above it. An
+// explicit count, 1 included, is returned unchanged, so tests can
+// force either path. Engine results never depend on the choice (see
+// ParallelFor's determinism contract), only host time does.
+func WorkersFor(workers, work int) int {
+	if workers > 0 {
+		return workers
+	}
+	if work < fanoutGrain {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // ParallelFor runs fn(i) for every i in [0, n) across up to workers
 // goroutines and returns when all calls completed. workers <= 0 selects
-// GOMAXPROCS; workers == 1 (or n == 1) degenerates to a plain loop with
-// no goroutine or channel traffic, so the sequential path stays the
-// zero-overhead baseline.
+// GOMAXPROCS whatever the work; workers == 1 (or n == 1) degenerates to
+// a plain loop with no goroutine or channel traffic, so the sequential
+// path stays the zero-overhead baseline. Engines pass
+// WorkersFor(cfg.Workers, work), which turns an auto setting into that
+// plain loop when the call is too small to pay for the hand-off.
 //
 // The calling goroutine runs iterations itself and is helped by idle
 // workers of a process-wide pool (see workerPool), so a steady-state

@@ -49,6 +49,67 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// onPoolHelper reports whether the caller runs on a pool helper
+// goroutine rather than on the goroutine that called ParallelFor.
+func onPoolHelper() bool {
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "/simt.helper") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestWorkersForGrain pins the auto resolution on both sides of the
+// fan-out grain: auto runs inline below it and takes GOMAXPROCS at and
+// above it, explicit counts pass through whatever the work, and a
+// below-grain auto call hands no iteration to the pool.
+func TestWorkersForGrain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, auto := range []int{0, -1} {
+		for work, want := range map[int]int{0: 1, fanoutGrain - 1: 1, fanoutGrain: 4, 64 * fanoutGrain: 4} {
+			if got := WorkersFor(auto, work); got != want {
+				t.Errorf("WorkersFor(%d, %d) = %d, want %d", auto, work, got, want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 4, 7} {
+		for _, work := range []int{0, fanoutGrain - 1, fanoutGrain, 64 * fanoutGrain} {
+			if got := WorkersFor(n, work); got != n {
+				t.Errorf("WorkersFor(%d, %d) = %d, want it unchanged", n, work, got)
+			}
+		}
+	}
+
+	// run counts the iterations of a 16-iteration call that ran on a
+	// pool helper. Each sleeps, so an idle helper has time to join.
+	run := func(workers int) int32 {
+		var helped atomic.Int32
+		ParallelFor(16, workers, func(int) {
+			if onPoolHelper() {
+				helped.Add(1)
+			}
+			time.Sleep(100 * time.Microsecond)
+		})
+		return helped.Load()
+	}
+	if n := run(WorkersFor(0, fanoutGrain-1)); n != 0 {
+		t.Errorf("below-grain auto call ran %d iterations on pool helpers, want 0", n)
+	}
+	// The converse shows the probe can see a helper at all. A helper may
+	// be slow to wake on a loaded host, so it gets several chances.
+	for try := 0; run(WorkersFor(0, fanoutGrain)) == 0; try++ {
+		if try == 50 {
+			t.Fatal("above-grain auto call never ran an iteration on a pool helper")
+		}
+	}
+}
+
 // countingKernel is a grid whose CTAs are independent: each CTA writes
 // a deterministic mix of per-lane values into its own disjoint global
 // region, exercising every counter class.

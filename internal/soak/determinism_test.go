@@ -1,6 +1,7 @@
 package soak
 
 import (
+	"fmt"
 	"testing"
 
 	"simtmp/internal/mpx"
@@ -46,10 +47,11 @@ func TestSoakDeterministicReplay(t *testing.T) {
 
 // TestSoakDeterministicAcrossEngineWorkers pins that host-parallel
 // match-engine execution does not perturb the simulated timeline:
-// sequential engines (EngineWorkers=1) and fully parallel engines
-// (EngineWorkers=0 → GOMAXPROCS) must produce byte-identical records.
-// Under `go test -race` this doubles as the data-race audit of the
-// parallel match path under soak load.
+// sequential engines (EngineWorkers=1), engines forced to fan out
+// over 4 workers, and auto engines (EngineWorkers=0, which run these
+// small calls inline) must produce byte-identical records. Under
+// `go test -race` this doubles as the data-race audit of the parallel
+// match path under soak load.
 func TestSoakDeterministicAcrossEngineWorkers(t *testing.T) {
 	cfg := Config{Level: mpx.Unordered, Seed: 13, Messages: 15_000}
 	if testing.Short() {
@@ -57,10 +59,12 @@ func TestSoakDeterministicAcrossEngineWorkers(t *testing.T) {
 	}
 	seq := cfg
 	seq.EngineWorkers = 1
-	par := cfg
-	par.EngineWorkers = 0
-	sameRecords(t, "engine workers 1 vs GOMAXPROCS",
-		soakRecords(t, seq), soakRecords(t, par))
+	want := soakRecords(t, seq)
+	for _, workers := range []int{4, 0} {
+		other := cfg
+		other.EngineWorkers = workers
+		sameRecords(t, fmt.Sprintf("engine workers 1 vs %d", workers), want, soakRecords(t, other))
+	}
 }
 
 // TestSoakDeterministicAcrossSuiteWorkers pins that running seeds

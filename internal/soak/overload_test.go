@@ -47,7 +47,7 @@ func TestOverloadBoundedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
-	cfg.EngineWorkers = 0
+	cfg.EngineWorkers = 4
 	par, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)

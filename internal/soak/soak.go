@@ -66,9 +66,9 @@ type Config struct {
 	// only traffic, the matching-dominated regime).
 	PayloadBytes int
 
-	// EngineWorkers pins the engines' host-parallel fan-out
-	// (0 = GOMAXPROCS, 1 = sequential); results are bit-identical
-	// either way.
+	// EngineWorkers pins the engines' host-parallel fan-out (0 = auto,
+	// inline below the simt fan-out grain; 1 = sequential; N ≥ 2 =
+	// always N); results are bit-identical either way.
 	EngineWorkers int
 	// Window and QueueCap pass through to the runtime (0 = defaults).
 	Window   int
