@@ -135,15 +135,20 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 // runtime.MemStats.Mallocs over batches of calls at GOMAXPROCS 4. Most
 // cases sit below the simt fan-out grain, where auto (Workers 0) runs
 // inline, so every case also runs at an explicit Workers 4, which
-// always fans out. It wants one batch of steady-state calls that
-// allocates nothing (see steadyMallocs).
+// always fans out. The auto cases keep the bare engine name, the
+// explicit ones run under workers=4/. It wants one batch of
+// steady-state calls that allocates nothing (see steadyMallocs).
 func TestMatchIntoZeroAllocMultiWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const calls = 50
 	for _, workers := range []int{4, 0} {
+		prefix := ""
+		if workers != 0 {
+			prefix = fmt.Sprintf("workers=%d/", workers)
+		}
 		for _, c := range reusableCases(workers) {
 			c := c
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
+			t.Run(prefix+c.name, func(t *testing.T) {
 				var res Result
 				run := func() {
 					if err := c.run(&res); err != nil {
