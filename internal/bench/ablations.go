@@ -6,6 +6,7 @@ import (
 
 	"simtmp/internal/envelope"
 	"simtmp/internal/match"
+	"simtmp/internal/simt"
 	"simtmp/internal/workload"
 )
 
@@ -94,15 +95,22 @@ type OrderRow struct {
 // ordered queue would yield the same performance ... a reversed queue
 // would decrease performance").
 func OrderSensitivity() []OrderRow {
-	var out []OrderRow
-	for _, n := range []int{2048, 4096, 8192} {
-		msgs, reqs := uniqueOrderedWorkload(n)
-		m := match.NewMatrixMatcher(match.MatrixConfig{})
-		fwd := mustMatch(m, msgs, reqs)
-		rev := mustMatch(m, msgs, workload.Reverse(reqs))
-		fr := mrate(fwd.Assignment.Matched(), fwd.SimSeconds)
-		rr := mrate(rev.Assignment.Matched(), rev.SimSeconds)
-		out = append(out, OrderRow{QueueLen: n, OrderedRateM: fr, ReversedRateM: rr, Slowdown: fr / rr})
+	lengths := []int{2048, 4096, 8192}
+	// One point per queue length and order: rates[2i] ordered,
+	// rates[2i+1] reversed.
+	rates := make([]float64, 2*len(lengths))
+	simt.ParallelFor(len(rates), 0, func(k int) {
+		msgs, reqs := uniqueOrderedWorkload(lengths[k/2])
+		if k%2 == 1 {
+			reqs = workload.Reverse(reqs)
+		}
+		res := mustMatch(match.NewMatrixMatcher(match.MatrixConfig{}), msgs, reqs)
+		rates[k] = mrate(res.Assignment.Matched(), res.SimSeconds)
+	})
+	out := make([]OrderRow, len(lengths))
+	for i, n := range lengths {
+		fr, rr := rates[2*i], rates[2*i+1]
+		out[i] = OrderRow{QueueLen: n, OrderedRateM: fr, ReversedRateM: rr, Slowdown: fr / rr}
 	}
 	return out
 }
@@ -217,13 +225,13 @@ type WindowRow struct {
 // AblationWindow sweeps the matrix matcher's scan window at 1024
 // elements.
 func AblationWindow() []WindowRow {
-	var out []WindowRow
 	msgs, reqs := workload.FullyMatching(1024, 9)
-	for _, win := range []int{32, 64, 96, 128} {
-		m := match.NewMatrixMatcher(match.MatrixConfig{Window: win})
-		res := mustMatch(m, msgs, reqs)
-		out = append(out, WindowRow{Window: win, RateM: mrate(res.Assignment.Matched(), res.SimSeconds)})
-	}
+	windows := []int{32, 64, 96, 128}
+	out := make([]WindowRow, len(windows))
+	simt.ParallelFor(len(out), 0, func(k int) {
+		res := mustMatch(match.NewMatrixMatcher(match.MatrixConfig{Window: windows[k]}), msgs, reqs)
+		out[k] = WindowRow{Window: windows[k], RateM: mrate(res.Assignment.Matched(), res.SimSeconds)}
+	})
 	return out
 }
 
@@ -260,9 +268,10 @@ type CommParRow struct {
 // majority — exactly the paper's observation.
 func CommParallel() []CommParRow {
 	const total = 1680
-	var out []CommParRow
-	var base float64
-	for _, comms := range []int{1, 2, 4, 7} {
+	commCounts := []int{1, 2, 4, 7}
+	out := make([]CommParRow, len(commCounts))
+	simt.ParallelFor(len(out), 0, func(k int) {
+		comms := commCounts[k]
 		var msgs []envelope.Envelope
 		var reqs []envelope.Request
 		for cm := 0; cm < comms; cm++ {
@@ -272,13 +281,12 @@ func CommParallel() []CommParRow {
 			msgs = append(msgs, m...)
 			reqs = append(reqs, r...)
 		}
-		cp := match.NewCommParallelMatcher(match.MatrixConfig{})
-		res := mustMatch(cp, msgs, reqs)
-		r := mrate(res.Assignment.Matched(), res.SimSeconds)
-		if comms == 1 {
-			base = r
-		}
-		out = append(out, CommParRow{Comms: comms, RateM: r, Speedup: r / base})
+		res := mustMatch(match.NewCommParallelMatcher(match.MatrixConfig{}), msgs, reqs)
+		out[k] = CommParRow{Comms: comms, RateM: mrate(res.Assignment.Matched(), res.SimSeconds)}
+	})
+	// Speedups are relative to the one-communicator row.
+	for k := range out {
+		out[k].Speedup = out[k].RateM / out[0].RateM
 	}
 	return out
 }

@@ -3,6 +3,13 @@
 // able to print the same series the paper reports. The calibration
 // tests in this package pin the simulated rates to the published
 // bands, making the reproduction claims executable.
+//
+// The sweeps run their independent points through simt.ParallelFor:
+// each point builds its own matcher and workload and writes its own
+// index-addressed row, so the rows are bit-identical for any worker
+// count or GOMAXPROCS; only host wall-clock changes. Host-timed
+// sections (the CPU reference and the endpoint cpu-list rows) run one
+// point after another.
 package bench
 
 import (

@@ -17,8 +17,8 @@ import (
 
 // The sweeps are deterministic, so tests share one result set instead
 // of regenerating per test (the full Figure 5 sweep alone costs
-// seconds of host time). The shared sets run on 4 host workers, the
-// count TestFiguresIndependentOfWorkers checks against a sequential
+// seconds of host time). The shared sets run at GOMAXPROCS 4, the
+// setting TestFiguresIndependentOfWorkers checks against a one-core
 // run.
 var (
 	fig4Once sync.Once
@@ -32,17 +32,17 @@ var (
 )
 
 func figure4Cached() []Fig4Point {
-	fig4Once.Do(func() { fig4Pts = Figure4Workers(4) })
+	fig4Once.Do(func() { atProcs(4, func() { fig4Pts = Figure4() }) })
 	return fig4Pts
 }
 
 func figure5Cached() []Fig5Point {
-	fig5Once.Do(func() { fig5Pts = Figure5Workers(4) })
+	fig5Once.Do(func() { atProcs(4, func() { fig5Pts = Figure5() }) })
 	return fig5Pts
 }
 
 func figure6bCached() []Fig6bPoint {
-	fig6Once.Do(func() { fig6Pts = Figure6bWorkers(4) })
+	fig6Once.Do(func() { atProcs(4, func() { fig6Pts = Figure6b() }) })
 	return fig6Pts
 }
 
@@ -308,7 +308,7 @@ func TestAblationMatchFractionLinear(t *testing.T) {
 }
 
 func TestOrderSensitivityDirection(t *testing.T) {
-	rows := OrderSensitivity()
+	rows := sweepsCached().order
 	for _, r := range rows {
 		if r.Slowdown < 1.02 {
 			t.Errorf("@%d: reversed queue not slower (%.2fx)", r.QueueLen, r.Slowdown)
@@ -477,7 +477,7 @@ func TestApplicabilityMatrix(t *testing.T) {
 }
 
 func TestStreamingDynamics(t *testing.T) {
-	rows := Streaming()
+	rows := sweepsCached().stream
 	at := func(engine string, offered float64) StreamRow {
 		for _, r := range rows {
 			if r.Engine == engine && r.OfferedM == offered {
@@ -546,7 +546,7 @@ func TestMessageSizeSweep(t *testing.T) {
 }
 
 func TestSMSweepLinearScaling(t *testing.T) {
-	rows := SMSweep()
+	rows := sweepsCached().sms
 	prev := map[string]float64{}
 	for _, r := range rows {
 		// 8 CTAs over occupancy 2: 4 waves on 1 SM, 1 wave on 4+ SMs.
@@ -625,7 +625,7 @@ func TestEndpointScalingStory(t *testing.T) {
 }
 
 func TestCommParallelExperiment(t *testing.T) {
-	rows := CommParallel()
+	rows := sweepsCached().commpar
 	for _, r := range rows {
 		switch r.Comms {
 		case 1:
@@ -641,7 +641,7 @@ func TestCommParallelExperiment(t *testing.T) {
 }
 
 func TestAblationWindowRuns(t *testing.T) {
-	rows := AblationWindow()
+	rows := sweepsCached().window
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}

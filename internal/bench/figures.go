@@ -10,13 +10,6 @@ import (
 	"simtmp/internal/workload"
 )
 
-// The figure sweeps fan their points across host worker goroutines via
-// simt.ParallelFor. Every point is independent — it builds its own
-// matcher, its own workload, and writes its own index-ordered output
-// slot — so the series is bit-identical for any worker count; only the
-// host wall-clock changes. Workers follows simt.Workers: 0 means
-// GOMAXPROCS, 1 means plain sequential execution.
-
 // Fig4Point is one point of Figure 4: single-CTA matrix matching rate
 // versus queue length, per architecture.
 type Fig4Point struct {
@@ -29,14 +22,11 @@ type Fig4Point struct {
 // queue lengths 16..4096 on all three architectures (the paper plots
 // 16..1024 and discusses the degradation beyond), using all host
 // cores.
-func Figure4() []Fig4Point { return Figure4Workers(0) }
-
-// Figure4Workers is Figure4 with an explicit host worker count.
-func Figure4Workers(workers int) []Fig4Point {
+func Figure4() []Fig4Point {
 	lengths := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 	archs := archNames()
 	out := make([]Fig4Point, len(archs)*len(lengths))
-	simt.ParallelFor(len(out), workers, func(k int) {
+	simt.ParallelFor(len(out), 0, func(k int) {
 		a, n := archs[k/len(lengths)], lengths[k%len(lengths)]
 		m := match.NewMatrixMatcher(match.MatrixConfig{Arch: a})
 		msgs, reqs := workload.FullyMatching(n, int64(n))
@@ -70,21 +60,16 @@ type Fig5Point struct {
 // Figure5 sweeps the rank-partitioned matcher on Pascal across queue
 // counts {1..32} and total lengths, allocating ceil(len/1024) CTAs as
 // the paper's annotations do, using all host cores.
-func Figure5() []Fig5Point { return Figure5Workers(0) }
-
-// Figure5Workers is Figure5 with an explicit host worker count.
-func Figure5Workers(workers int) []Fig5Point { return figure5On(arch.PascalGTX1080(), workers) }
+func Figure5() []Fig5Point { return Figure5On(arch.PascalGTX1080()) }
 
 // Figure5On runs the Figure 5 sweep on an arbitrary architecture (the
 // paper reports the GTX1080 curve plus average speedups of 2.12× over
 // the K80 and 1.56× over the M40).
-func Figure5On(a *arch.Arch) []Fig5Point { return figure5On(a, 0) }
-
-func figure5On(a *arch.Arch, workers int) []Fig5Point {
+func Figure5On(a *arch.Arch) []Fig5Point {
 	queues := []int{1, 2, 4, 8, 16, 32}
 	lengths := []int{512, 1024, 2048, 4096, 8192}
 	out := make([]Fig5Point, len(queues)*len(lengths))
-	simt.ParallelFor(len(out), workers, func(k int) {
+	simt.ParallelFor(len(out), 0, func(k int) {
 		q, n := queues[k/len(lengths)], lengths[k%len(lengths)]
 		ctas := (n + 1023) / 1024
 		msgs, reqs := workload.Generate(workload.Config{N: n, Peers: 64, Tags: 32, Seed: int64(n)})
@@ -110,9 +95,9 @@ func PrintFigure5(w io.Writer, pts []Fig5Point) {
 // Figure5Speedups returns the average Pascal speedup over Kepler and
 // Maxwell across the Figure 5 sweep (paper: 2.12× and 1.56×).
 func Figure5Speedups() (overKepler, overMaxwell float64) {
-	pascal := figure5On(arch.PascalGTX1080(), 0)
-	kepler := figure5On(arch.KeplerK80(), 0)
-	maxwell := figure5On(arch.MaxwellM40(), 0)
+	pascal := Figure5On(arch.PascalGTX1080())
+	kepler := Figure5On(arch.KeplerK80())
+	maxwell := Figure5On(arch.MaxwellM40())
 	var sk, sm float64
 	for i := range pascal {
 		sk += pascal[i].RateM / kepler[i].RateM
@@ -135,15 +120,12 @@ type Fig6bPoint struct {
 // Figure6b sweeps the hash matcher (random unique tuples, the paper's
 // setup) over element counts and CTA counts on all architectures,
 // using all host cores.
-func Figure6b() []Fig6bPoint { return Figure6bWorkers(0) }
-
-// Figure6bWorkers is Figure6b with an explicit host worker count.
-func Figure6bWorkers(workers int) []Fig6bPoint {
+func Figure6b() []Fig6bPoint {
 	elements := []int{64, 256, 1024, 4096, 8192}
 	ctas := []int{1, 4, 32}
 	archs := archNames()
 	out := make([]Fig6bPoint, len(archs)*len(ctas)*len(elements))
-	simt.ParallelFor(len(out), workers, func(k int) {
+	simt.ParallelFor(len(out), 0, func(k int) {
 		a := archs[k/(len(ctas)*len(elements))]
 		c := ctas[k/len(elements)%len(ctas)]
 		n := elements[k%len(elements)]

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"simtmp/internal/match"
+	"simtmp/internal/simt"
 	"simtmp/internal/workload"
 )
 
@@ -29,30 +30,29 @@ type SMRow struct {
 func SMSweep() []SMRow {
 	const n = 8192 // 8 CTAs of 1024 messages
 	msgs, reqs := workload.Generate(workload.Config{N: n, Peers: 64, Tags: 32, Seed: 4})
-	var out []SMRow
-	var base float64
-	for _, sms := range []int{1, 2, 4, 8} {
-		m := match.NewMatrixMatcher(match.MatrixConfig{MaxCTAs: 8, SMs: sms})
-		res := mustMatch(m, msgs, reqs)
-		r := mrate(res.Assignment.Matched(), res.SimSeconds)
-		if sms == 1 {
-			base = r
-		}
-		out = append(out, SMRow{
-			Engine: "matrix", SMs: sms, RateM: r, Speedup: r / base, AppSMsLeft: 20 - sms,
-		})
+	smCounts := []int{1, 2, 4, 8}
+	engines := []struct {
+		name  string
+		build func(sms int) match.Matcher
+	}{
+		{"matrix", func(sms int) match.Matcher {
+			return match.NewMatrixMatcher(match.MatrixConfig{MaxCTAs: 8, SMs: sms})
+		}},
+		{"partitioned", func(sms int) match.Matcher {
+			return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, SMs: sms})
+		}},
 	}
-	var pbase float64
-	for _, sms := range []int{1, 2, 4, 8} {
-		p := match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, SMs: sms})
-		res := mustMatch(p, msgs, reqs)
-		r := mrate(res.Assignment.Matched(), res.SimSeconds)
-		if sms == 1 {
-			pbase = r
+	out := make([]SMRow, len(engines)*len(smCounts))
+	simt.ParallelFor(len(out), 0, func(k int) {
+		e, sms := engines[k/len(smCounts)], smCounts[k%len(smCounts)]
+		res := mustMatch(e.build(sms), msgs, reqs)
+		out[k] = SMRow{
+			Engine: e.name, SMs: sms, RateM: mrate(res.Assignment.Matched(), res.SimSeconds), AppSMsLeft: 20 - sms,
 		}
-		out = append(out, SMRow{
-			Engine: "partitioned", SMs: sms, RateM: r, Speedup: r / pbase, AppSMsLeft: 20 - sms,
-		})
+	})
+	// Speedups are relative to each engine's one-SM row.
+	for k := range out {
+		out[k].Speedup = out[k].RateM / out[k-k%len(smCounts)].RateM
 	}
 	return out
 }

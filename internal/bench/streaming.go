@@ -6,6 +6,7 @@ import (
 
 	"simtmp/internal/envelope"
 	"simtmp/internal/match"
+	"simtmp/internal/simt"
 )
 
 // StreamRow reports one point of the sustained-load experiment: an
@@ -116,20 +117,27 @@ func runStream(name string, m match.Matcher, offeredM float64, rounds int) Strea
 
 // Streaming sweeps offered load over the three GPU engines.
 func Streaming() []StreamRow {
-	const rounds = 25
-	var out []StreamRow
-	for _, offered := range []float64{2, 5, 10} {
-		m := match.NewMatrixMatcher(match.MatrixConfig{Compact: true, MaxCTAs: 8})
-		out = append(out, runStream("matrix", m, offered, rounds))
+	const rounds, points = 25, 3
+	engines := []struct {
+		name    string
+		offered [points]float64
+		build   func() match.Matcher
+	}{
+		{"matrix", [points]float64{2, 5, 10}, func() match.Matcher {
+			return match.NewMatrixMatcher(match.MatrixConfig{Compact: true, MaxCTAs: 8})
+		}},
+		{"partitioned", [points]float64{10, 40, 100}, func() match.Matcher {
+			return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, Compact: true})
+		}},
+		{"hash", [points]float64{100, 400, 900}, func() match.Matcher {
+			return match.MustHashMatcher(match.HashConfig{CTAs: 32})
+		}},
 	}
-	for _, offered := range []float64{10, 40, 100} {
-		p := match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, Compact: true})
-		out = append(out, runStream("partitioned", p, offered, rounds))
-	}
-	for _, offered := range []float64{100, 400, 900} {
-		h := match.MustHashMatcher(match.HashConfig{CTAs: 32})
-		out = append(out, runStream("hash", h, offered, rounds))
-	}
+	out := make([]StreamRow, len(engines)*points)
+	simt.ParallelFor(len(out), 0, func(k int) {
+		e := engines[k/points]
+		out[k] = runStream(e.name, e.build(), e.offered[k%points], rounds)
+	})
 	return out
 }
 

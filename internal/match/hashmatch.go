@@ -52,16 +52,6 @@ type HashConfig struct {
 	HashName string
 	// Policy selects the collision resolution (default TwoLevel).
 	Policy CollisionPolicy
-	// Workers bounds the host goroutines simulating warps in parallel:
-	// 0 = auto (inline below the simt fan-out grain, else GOMAXPROCS;
-	// a sub-phase's work is its pending lanes), 1 = sequential, N ≥ 2
-	// = always N. Only the TwoLevel policy
-	// parallelizes: its primary and secondary CAS traffic target
-	// disjoint address ranges, so staging the operations concurrently
-	// and committing them in thread order is bit-identical to the
-	// sequential interleaving. LinearProbe's probe steps share one
-	// address space and always run sequentially.
-	Workers int
 	// Recorder receives per-iteration telemetry (nil = disabled, the
 	// default; emission is nil-safe and allocation-free).
 	Recorder *telemetry.Recorder
@@ -103,35 +93,17 @@ type hashScratch struct {
 	msgKeys []uint64
 	still   []bool
 	perCTA  []simt.Counters
-	warps   []*hashWarp
+	warp    *simt.Warp // every warp of a phase, one after another
+	lanes   hashLanes
 	byKey   map[uint64][]int
-
-	// ph carries the state of the current two-level sub-phase so the
-	// three worker bodies can be persistent method values (fresh
-	// closures per phase would allocate; see matrixScratch.scan).
-	ph struct {
-		insert            bool
-		keysMem           *simt.Memory
-		pendList          []int
-		pending           int
-		assign            Assignment
-		primSize, secSize int
-		still             []bool
-	}
-	stageFn, foldFn, finishFn func(int)
 }
 
-// hashWarp is one warp's persistent state across the sub-phases of a
-// phase-split kernel: its simulated warp (with a private counter sink),
-// per-lane registers, and staged CAS traffic.
-type hashWarp struct {
-	w       *simt.Warp
-	ids     [simt.LaneCount]int
-	keys    [simt.LaneCount]uint64
-	placedA [simt.LaneCount]bool // placed/matched via the primary table
-	placedB [simt.LaneCount]bool // placed/matched via the secondary table
-	prim    []simt.CASIntent
-	sec     []simt.CASIntent
+// hashLanes holds the per-lane registers of the warp an element phase
+// is running.
+type hashLanes struct {
+	ids   [simt.LaneCount]int    // request or message index
+	keys  [simt.LaneCount]uint64 // packed tuple key
+	slots [simt.LaneCount]int    // table slot of the lane's current CAS
 }
 
 // NewHashMatcher returns a matcher with the given configuration. It
@@ -263,16 +235,8 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 	var totalCtrs simt.Counters
 	for {
 		res.Iterations++
-		var inserted, matched int
-		var insCycles, probeCycles float64
-		var insCtrs, probeCtrs simt.Counters
-		if h.cfg.Policy == TwoLevel {
-			inserted, insCycles, insCtrs = h.twoLevelPhase(true, s.reqMem, &s.pendReq, nil, primSize, secSize)
-			matched, probeCycles, probeCtrs = h.twoLevelPhase(false, s.msgMem, &s.pendMsg, res.Assignment, primSize, secSize)
-		} else {
-			inserted, insCycles, insCtrs = h.insertProbePhase(s.mem, primSize, s.primIdx, s.reqKeys, &s.pendReq)
-			matched, probeCycles, probeCtrs = h.probeLinearPhase(s.mem, primSize, s.primIdx, s.msgKeys, &s.pendMsg, res.Assignment)
-		}
+		inserted, insCycles, insCtrs := h.elementPhase(true, s.reqMem, &s.pendReq, nil, primSize, secSize)
+		matched, probeCycles, probeCtrs := h.elementPhase(false, s.msgMem, &s.pendMsg, res.Assignment, primSize, secSize)
 		rec.Span(h.cfg.Track, evMatchPass,
 			base+h.model.Seconds(totalCycles), h.model.Seconds(insCycles+probeCycles),
 			argInserted, int64(inserted), argMatched, int64(matched))
@@ -352,73 +316,52 @@ func (h *HashMatcher) warpPlan(pending int) (warpsTotal, warpsPerCTA int) {
 	return warpsTotal, warpsPerCTA
 }
 
-// twoLevelPhase runs one element-parallel phase — request insert
-// (insert=true) or message probe (insert=false) — of the two-level
-// policy. The warp bodies are phase-split so host goroutines can
-// simulate them concurrently while staying bit-identical to sequential
-// warp-major execution: warps stage their primary CAS traffic in
-// parallel, the intents commit sequentially in thread order, then the
-// fallback round runs the same way against the secondary table. The
-// reordering is sound because primary ops touch only [0, primSize) and
-// secondary ops only [primSize, primSize+secSize): an operation's
-// outcome depends solely on earlier operations to the same table, and
-// the order within each table is preserved.
-func (h *HashMatcher) twoLevelPhase(insert bool, keysMem *simt.Memory, pend *[]int, assign Assignment, primSize, secSize int) (int, float64, simt.Counters) {
+// elementPhase runs one element-parallel phase — request insert
+// (insert=true) or message probe (insert=false) — with one thread per
+// pending element, warp by warp in warp order. Each warp loads its
+// elements' keys and hashes them, the policy's warp body issues the
+// table CASes and returns the lanes it placed or matched, and the
+// other lanes stay pending. The pending list is compacted in place
+// afterwards; the phase returns the entries retired, its cycles and
+// its counters.
+func (h *HashMatcher) elementPhase(insert bool, keysMem *simt.Memory, pend *[]int, assign Assignment, primSize, secSize int) (int, float64, simt.Counters) {
 	s := &h.scratch
 	pending := len(*pend)
 	if pending == 0 {
 		return 0, 0, simt.Counters{}
 	}
-	if cap(s.still) < pending {
-		s.still = make([]bool, pending)
+	s.still = grow(s.still, pending)
+	still := s.still
+	if s.warp == nil {
+		s.warp = simt.NewWarp(0, new(simt.Counters))
 	}
-	still := s.still[:pending]
-	pendList := *pend
+	w, l := s.warp, &s.lanes
 
 	warpsTotal, warpsPerCTA := h.warpPlan(pending)
-	for len(s.warps) < warpsTotal {
-		s.warps = append(s.warps, &hashWarp{w: simt.NewWarp(len(s.warps)%simt.MaxWarpsPerCTA, new(simt.Counters))})
-	}
-
-	s.ph.insert, s.ph.keysMem, s.ph.assign = insert, keysMem, assign
-	s.ph.pendList, s.ph.pending = pendList, pending
-	s.ph.primSize, s.ph.secSize = primSize, secSize
-	s.ph.still = still
-	if s.stageFn == nil {
-		s.stageFn, s.foldFn, s.finishFn = h.stagePrimary, h.foldPrimary, h.foldSecondary
-	}
-
-	// Each sub-phase hands out one pass per pending lane; below the
-	// simt grain that is cheaper to run inline.
-	workers := simt.WorkersFor(h.cfg.Workers, pending)
-
-	// Sub-phase 1 (parallel): load keys, hash, stage the primary CAS.
-	simt.ParallelFor(warpsTotal, workers, s.stageFn)
-	for wi := 0; wi < warpsTotal; wi++ {
-		simt.ApplyCAS(s.mem, s.warps[wi].prim)
-	}
-
-	// Sub-phase 2 (parallel): fold primary outcomes (successful CAS
-	// targets are unique addresses, so the index/assignment writes are
-	// disjoint), then stage the secondary fallback for the misses.
-	simt.ParallelFor(warpsTotal, workers, s.foldFn)
-	for wi := 0; wi < warpsTotal; wi++ {
-		simt.ApplyCAS(s.mem, s.warps[wi].sec)
-	}
-
-	// Sub-phase 3 (parallel): fold secondary outcomes, mark survivors.
-	simt.ParallelFor(warpsTotal, workers, s.finishFn)
-	s.ph.keysMem, s.ph.assign, s.ph.pendList, s.ph.still = nil, nil, nil, nil
-
-	// Per-CTA counters, summed in warp order.
-	nCTAs := (warpsTotal + warpsPerCTA - 1) / warpsPerCTA
 	perCTA := s.perCTA[:0]
-	for c := 0; c < nCTAs; c++ {
-		var ctrs simt.Counters
-		for wi := c * warpsPerCTA; wi < warpsTotal && wi < (c+1)*warpsPerCTA; wi++ {
-			ctrs.Add(s.warps[wi].w.Counters())
+	var ctaCtrs simt.Counters
+	for wi := 0; wi < warpsTotal; wi++ {
+		*w.Counters() = simt.Counters{}
+		w.SetActive(simt.FullMask)
+		base := wi * simt.LaneCount
+		w.SetActive(w.BallotMask(simt.FirstLanes(pending - base)))
+		w.Exec(1, func(lane int) { l.ids[lane] = (*pend)[base+lane] })
+		w.LoadGlobal(keysMem,
+			func(lane int) int { return l.ids[lane] },
+			func(lane int, v uint64) { l.keys[lane] = v })
+		w.Exec(h.cost, func(lane int) {}) // hash evaluation
+		var won uint32
+		if h.cfg.Policy == TwoLevel {
+			won = h.twoLevelWarp(w, insert, assign, primSize, secSize)
+		} else {
+			won = h.linearWarp(w, insert, assign, primSize)
 		}
-		perCTA = append(perCTA, ctrs)
+		w.Exec(1, func(lane int) { still[base+lane] = won&simt.LaneMask(lane) == 0 })
+		ctaCtrs.Add(w.Counters())
+		if (wi+1)%warpsPerCTA == 0 || wi == warpsTotal-1 {
+			perCTA = append(perCTA, ctaCtrs)
+			ctaCtrs = simt.Counters{}
+		}
 	}
 	s.perCTA = perCTA
 
@@ -426,97 +369,86 @@ func (h *HashMatcher) twoLevelPhase(insert bool, keysMem *simt.Memory, pend *[]i
 	return compactPending(pend, still), cycles, ctrs
 }
 
-// stagePrimary is sub-phase 1 of twoLevelPhase for one warp (state in
-// h.scratch.ph): reset the warp, load the pending keys, hash, and
-// stage the primary-table CAS. Installed once as a persistent method
-// value; see hashScratch.ph.
-func (h *HashMatcher) stagePrimary(wi int) {
+// twoLevelWarp is one warp of a TwoLevel phase: the primary-table CAS,
+// then the secondary-table fallback for the lanes it missed; a lane
+// missing both defers to the next iteration. The primary table is
+// [0, primSize) and the secondary [primSize, primSize+secSize), so
+// running both CASes warp by warp gives every slot the same operation
+// sequence as running each table's CASes for all warps in turn. It
+// returns the lanes placed or matched.
+func (h *HashMatcher) twoLevelWarp(w *simt.Warp, insert bool, assign Assignment, primSize, secSize int) uint32 {
 	s := &h.scratch
-	ws := s.warps[wi]
-	w := ws.w
-	*w.Counters() = simt.Counters{}
-	w.SetActive(simt.FullMask)
-	ws.placedA = [simt.LaneCount]bool{}
-	ws.placedB = [simt.LaneCount]bool{}
-	base := wi * simt.LaneCount
-	active := w.BallotMask(simt.FirstLanes(s.ph.pending - base))
-	w.SetActive(active)
-	w.Exec(1, func(lane int) { ws.ids[lane] = s.ph.pendList[base+lane] })
-	w.LoadGlobal(s.ph.keysMem,
-		func(lane int) int { return ws.ids[lane] },
-		func(lane int, v uint64) { ws.keys[lane] = v })
-	w.Exec(h.cost, func(lane int) {}) // hash evaluation
-	if s.ph.insert {
-		ws.prim = w.StageCAS(ws.prim[:0],
-			func(lane int) int { return h.primarySlot(ws.keys[lane], s.ph.primSize) },
-			func(int) uint64 { return 0 },
-			func(lane int) uint64 { return ws.keys[lane] })
-	} else {
-		ws.prim = w.StageCAS(ws.prim[:0],
-			func(lane int) int { return h.primarySlot(ws.keys[lane], s.ph.primSize) },
-			func(lane int) uint64 { return ws.keys[lane] },
-			func(int) uint64 { return 0 })
-	}
-}
-
-// foldPrimary is sub-phase 2 for one warp: fold the primary CAS
-// outcomes and stage the secondary fallback for the misses.
-func (h *HashMatcher) foldPrimary(wi int) {
-	s := &h.scratch
-	ws := s.warps[wi]
-	w := ws.w
-	for i := range ws.prim {
-		in := &ws.prim[i]
-		if !in.Swapped {
-			continue
-		}
-		ws.placedA[in.Lane] = true
-		if s.ph.insert {
-			s.primIdx[in.Addr] = ws.ids[in.Lane]
-		} else {
-			s.ph.assign[s.primIdx[in.Addr]] = ws.ids[in.Lane]
-		}
-	}
-	secMask := w.Ballot(func(lane int) bool { return !ws.placedA[lane] })
-	ws.sec = ws.sec[:0]
-	if secMask != 0 {
-		w.WithMask(secMask, func() {
-			if s.ph.insert {
-				ws.sec = w.StageCAS(ws.sec,
-					func(lane int) int { return s.ph.primSize + h.secondarySlot(ws.keys[lane], s.ph.secSize) },
-					func(int) uint64 { return 0 },
-					func(lane int) uint64 { return ws.keys[lane] })
-			} else {
-				ws.sec = w.StageCAS(ws.sec,
-					func(lane int) int { return s.ph.primSize + h.secondarySlot(ws.keys[lane], s.ph.secSize) },
-					func(lane int) uint64 { return ws.keys[lane] },
-					func(int) uint64 { return 0 })
-			}
+	won := h.claim(w, insert, 0, s.primIdx, assign,
+		func(lane int) int { return h.primarySlot(s.lanes.keys[lane], primSize) })
+	if miss := w.BallotMask(^won); miss != 0 {
+		w.WithMask(miss, func() {
+			won |= h.claim(w, insert, primSize, s.secIdx, assign,
+				func(lane int) int { return h.secondarySlot(s.lanes.keys[lane], secSize) })
 		})
 	}
+	return won
 }
 
-// foldSecondary is sub-phase 3 for one warp: fold the secondary CAS
-// outcomes and mark the still-unplaced survivors.
-func (h *HashMatcher) foldSecondary(wi int) {
+// linearWarp is one warp of a LinearProbe phase: bounded probing from
+// each lane's home slot in the one table. An insert tries the home
+// slot on every lane first; each further step votes the lanes still
+// unplaced. It returns the lanes placed or matched.
+func (h *HashMatcher) linearWarp(w *simt.Warp, insert bool, assign Assignment, primSize int) uint32 {
 	s := &h.scratch
-	ws := s.warps[wi]
-	w := ws.w
-	for i := range ws.sec {
-		in := &ws.sec[i]
-		if !in.Swapped {
-			continue
-		}
-		ws.placedB[in.Lane] = true
-		if s.ph.insert {
-			s.secIdx[in.Addr-s.ph.primSize] = ws.ids[in.Lane]
-		} else {
-			s.ph.assign[s.secIdx[in.Addr-s.ph.primSize]] = ws.ids[in.Lane]
-		}
+	var won uint32
+	step := 0
+	probe := func(lane int) int { return (h.primarySlot(s.lanes.keys[lane], primSize) + step) % primSize }
+	if insert {
+		won = h.claim(w, insert, 0, s.primIdx, assign, probe)
+		step++
 	}
-	base := wi * simt.LaneCount
-	w.Exec(1, func(lane int) { s.ph.still[base+lane] = !ws.placedA[lane] && !ws.placedB[lane] })
-	w.SetActive(simt.FullMask)
+	for ; step < maxProbe; step++ {
+		try := w.BallotMask(^won)
+		if try == 0 {
+			break
+		}
+		w.WithMask(try, func() { won |= h.claim(w, insert, 0, s.primIdx, assign, probe) })
+	}
+	return won
+}
+
+// claim issues one warp-wide CAS on table slot off+slot(lane) for each
+// active lane. An insert swaps an empty slot (0) for the lane's key and
+// records the lane's request in idx; a probe swaps the lane's key back
+// to 0, which frees the slot, and assigns the slot's request the
+// lane's message. It returns the lanes whose CAS succeeded.
+func (h *HashMatcher) claim(w *simt.Warp, insert bool, off int, idx []int, assign Assignment, slot func(lane int) int) uint32 {
+	l := &h.scratch.lanes
+	var won uint32
+	w.AtomicCAS(h.scratch.mem,
+		func(lane int) int {
+			l.slots[lane] = slot(lane)
+			return off + l.slots[lane]
+		},
+		func(lane int) uint64 {
+			if insert {
+				return 0
+			}
+			return l.keys[lane]
+		},
+		func(lane int) uint64 {
+			if insert {
+				return l.keys[lane]
+			}
+			return 0
+		},
+		func(lane int, _ uint64, swapped bool) {
+			if !swapped {
+				return
+			}
+			won |= simt.LaneMask(lane)
+			if insert {
+				idx[l.slots[lane]] = l.ids[lane]
+			} else {
+				assign[idx[l.slots[lane]]] = l.ids[lane]
+			}
+		})
+	return won
 }
 
 // phaseTiming converts one phase's per-CTA counters into cycles: waves
@@ -564,141 +496,4 @@ func compactPending(pend *[]int, still []bool) int {
 	}
 	*pend = next
 	return len(src) - len(next)
-}
-
-// insertProbePhase inserts pending requests under the LinearProbe
-// ablation: one thread per request, bounded probing from the home slot.
-// Probe steps share one address space, so this path stays sequential
-// (see HashConfig.Workers).
-func (h *HashMatcher) insertProbePhase(mem *simt.Memory, primSize int, primIdx []int, reqKeys []uint64, pend *[]int) (int, float64, simt.Counters) {
-	keysMem := simt.Wrap(reqKeys)
-	return h.runElementKernel(pend, func(w *simt.Warp, warpBase int, keep func(lane int, stillPending bool)) {
-		var ids [simt.LaneCount]int
-		var keys [simt.LaneCount]uint64
-		w.Exec(1, func(lane int) { ids[lane] = (*pend)[warpBase+lane] })
-		w.LoadGlobal(keysMem,
-			func(lane int) int { return ids[lane] },
-			func(lane int, v uint64) { keys[lane] = v })
-		w.Exec(h.cost, func(lane int) {}) // hash evaluation
-
-		// Home-slot attempt (unmasked), then bounded probing.
-		var done [simt.LaneCount]bool
-		w.AtomicCAS(mem,
-			func(lane int) int { return h.primarySlot(keys[lane], primSize) },
-			func(lane int) uint64 { return 0 },
-			func(lane int) uint64 { return keys[lane] },
-			func(lane int, prev uint64, swapped bool) {
-				if swapped {
-					primIdx[h.primarySlot(keys[lane], primSize)] = ids[lane]
-					done[lane] = true
-				}
-			})
-		for step := 1; step < maxProbe; step++ {
-			tryMask := w.Ballot(func(lane int) bool { return !done[lane] })
-			if tryMask == 0 {
-				break
-			}
-			step := step
-			w.WithMask(tryMask, func() {
-				w.AtomicCAS(mem,
-					func(lane int) int { return (h.primarySlot(keys[lane], primSize) + step) % primSize },
-					func(lane int) uint64 { return 0 },
-					func(lane int) uint64 { return keys[lane] },
-					func(lane int, prev uint64, swapped bool) {
-						if swapped {
-							slot := (h.primarySlot(keys[lane], primSize) + step) % primSize
-							primIdx[slot] = ids[lane]
-							done[lane] = true
-						}
-					})
-			})
-		}
-		w.Exec(1, func(lane int) { keep(lane, !done[lane]) })
-	})
-}
-
-// probeLinearPhase matches pending messages under LinearProbe: a
-// successful claim CASes the slot back to empty, which both records the
-// match and frees the slot for later inserts.
-func (h *HashMatcher) probeLinearPhase(mem *simt.Memory, primSize int, primIdx []int, msgKeys []uint64, pend *[]int, assign Assignment) (int, float64, simt.Counters) {
-	keysMem := simt.Wrap(msgKeys)
-	return h.runElementKernel(pend, func(w *simt.Warp, warpBase int, keep func(lane int, stillPending bool)) {
-		var ids [simt.LaneCount]int
-		var keys [simt.LaneCount]uint64
-		w.Exec(1, func(lane int) { ids[lane] = (*pend)[warpBase+lane] })
-		w.LoadGlobal(keysMem,
-			func(lane int) int { return ids[lane] },
-			func(lane int, v uint64) { keys[lane] = v })
-		w.Exec(h.cost, func(lane int) {}) // hash evaluation
-
-		var matched [simt.LaneCount]bool
-		for step := 0; step < maxProbe; step++ {
-			tryMask := w.Ballot(func(lane int) bool { return !matched[lane] })
-			if tryMask == 0 {
-				break
-			}
-			step := step
-			w.WithMask(tryMask, func() {
-				w.AtomicCAS(mem,
-					func(lane int) int { return (h.primarySlot(keys[lane], primSize) + step) % primSize },
-					func(lane int) uint64 { return keys[lane] },
-					func(lane int) uint64 { return 0 },
-					func(lane int, prev uint64, swapped bool) {
-						if swapped {
-							slot := (h.primarySlot(keys[lane], primSize) + step) % primSize
-							assign[primIdx[slot]] = ids[lane]
-							matched[lane] = true
-						}
-					})
-			})
-		}
-		w.Exec(1, func(lane int) { keep(lane, !matched[lane]) })
-	})
-}
-
-// runElementKernel runs body once per warp of pending elements,
-// sequentially in warp order, reusing the pooled warps; body receives a
-// callback to mark which lanes remain pending, and the pending list is
-// compacted in place afterwards.
-func (h *HashMatcher) runElementKernel(pend *[]int, body func(w *simt.Warp, warpBase int, keep func(lane int, stillPending bool))) (int, float64, simt.Counters) {
-	s := &h.scratch
-	pending := len(*pend)
-	if pending == 0 {
-		return 0, 0, simt.Counters{}
-	}
-	if cap(s.still) < pending {
-		s.still = make([]bool, pending)
-	}
-	still := s.still[:pending]
-
-	warpsTotal, warpsPerCTA := h.warpPlan(pending)
-	for len(s.warps) < warpsTotal {
-		s.warps = append(s.warps, &hashWarp{w: simt.NewWarp(len(s.warps)%simt.MaxWarpsPerCTA, new(simt.Counters))})
-	}
-
-	perCTA := s.perCTA[:0]
-	var ctaCtrs simt.Counters
-	for wi := 0; wi < warpsTotal; wi++ {
-		w := s.warps[wi].w
-		*w.Counters() = simt.Counters{}
-		w.SetActive(simt.FullMask)
-		base := wi * simt.LaneCount
-		active := w.BallotMask(simt.FirstLanes(pending - base))
-		w.SetActive(active)
-		body(w, base, func(lane int, stillPending bool) {
-			if base+lane < pending {
-				still[base+lane] = stillPending
-			}
-		})
-		w.SetActive(simt.FullMask)
-		ctaCtrs.Add(w.Counters())
-		if (wi+1)%warpsPerCTA == 0 || wi == warpsTotal-1 {
-			perCTA = append(perCTA, ctaCtrs)
-			ctaCtrs = simt.Counters{}
-		}
-	}
-	s.perCTA = perCTA
-
-	cycles, ctrs := h.phaseTiming(perCTA, warpsPerCTA)
-	return compactPending(pend, still), cycles, ctrs
 }

@@ -44,14 +44,6 @@ type MatrixConfig struct {
 	// CTA waves in parallel — the linear scaling §VI-A predicts — at
 	// the cost of resources taken from the application.
 	SMs int
-	// Workers bounds the host goroutines simulating the scan phase's
-	// warps in parallel: 0 = auto (inline below the simt fan-out
-	// grain, else GOMAXPROCS; a window's work is warps × lanes ×
-	// window), 1 = sequential, N ≥ 2 = always N. Host
-	// parallelism changes wall-clock only: warps write disjoint vote
-	// rows and bill private counters, so results, counters and
-	// simulated cycles are bit-identical to the sequential path.
-	Workers int
 	// Recorder receives per-pass telemetry (nil = disabled, the
 	// default; emission is nil-safe and allocation-free).
 	Recorder *telemetry.Recorder
@@ -91,8 +83,8 @@ type MatrixMatcher struct {
 
 	// Reusable scratch, grown monotonically so the steady-state Match
 	// path allocates nothing. A matcher is consequently NOT safe for
-	// concurrent Match calls; concurrent workers each get their own
-	// instance (see PartitionedMatcher).
+	// concurrent Match calls; concurrent callers each need their own
+	// instance.
 	scratch matrixScratch
 }
 
@@ -109,19 +101,6 @@ type matrixScratch struct {
 	// kernel runs over, re-initialized per call (the memory only grows).
 	compactMem *simt.Memory
 	compactQ   queue.Queue
-
-	// scan carries the per-window state of the parallel scan so the
-	// worker body can be one persistent method value: a fresh closure
-	// per window would escape to the heap (ParallelFor hands it to
-	// goroutines) and break the zero-allocation steady state.
-	scan struct {
-		warps        []*simt.Warp
-		cta          *simt.CTA
-		wStart, wEnd int
-		stride       int
-		blockLen     int
-	}
-	scanFn func(int)
 }
 
 // NewMatrixMatcher returns a matcher with the given configuration.
@@ -355,20 +334,22 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		}
 		cta.SyncThreads()
 
-		// Scan (Algorithm 1): every warp votes for every request of the
-		// window; votes land in the shared-memory matrix. The warps are
-		// independent here — each reads the (now frozen) request buffer
-		// and its own message registers, writes its own matrix row, and
-		// bills its own counter sink — so the host may simulate them
-		// concurrently with bit-identical results.
-		sc := &m.scratch
-		sc.scan.warps, sc.scan.cta, sc.scan.stride = warps, cta, stride
-		sc.scan.wStart, sc.scan.wEnd, sc.scan.blockLen = wStart, wEnd, blockLen
-		if sc.scanFn == nil {
-			sc.scanFn = m.scanWarp
+		// Scan (Algorithm 1): every warp votes its messages against
+		// every request of the window; votes land in the shared-memory
+		// matrix, one row per warp. Lanes past the block hold no message
+		// and cannot vote: the ballot is billed the same, but their
+		// predicate is not evaluated.
+		for wi, w := range warps {
+			regs := &msgRegs[wi]
+			held := w.Active() & simt.FirstLanes(blockLen-wi*simt.LaneCount)
+			for i := wStart; i < wEnd; i++ {
+				col := i - wStart
+				req := w.LoadSharedUniform(cta.Shared, simt.MaxWarpsPerCTA*stride+col)
+				w.Issue(2) // header compare ALU work
+				vote := w.BallotMask(matchVotes(held, regs, req))
+				w.StoreSharedUniform(cta.Shared, wi*stride+col, uint64(vote))
+			}
 		}
-		simt.ParallelFor(len(warps), simt.WorkersFor(m.cfg.Workers, len(warps)*simt.LaneCount*(wEnd-wStart)), sc.scanFn)
-		sc.scan.warps, sc.scan.cta = nil, nil
 		cta.SyncThreads()
 		cta.DrainCounters(&scanCtrs)
 
@@ -427,27 +408,6 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	cycles := m.blockCycles(&scanCtrs, &reduceCtrs, msgWarps, windows)
 	scanCtrs.Add(&reduceCtrs)
 	return cycles, scanCtrs
-}
-
-// scanWarp is the parallel scan body for one warp: it votes the warp's
-// messages against every request of the current window (state in
-// m.scratch.scan). It is installed once as a persistent method value;
-// see matrixScratch.scan.
-func (m *MatrixMatcher) scanWarp(wi int) {
-	sc := &m.scratch.scan
-	w := sc.warps[wi]
-	cta, stride := sc.cta, sc.stride
-	regs := &m.scratch.msgRegs[wi]
-	// Lanes past the block hold no message and cannot vote: the ballot
-	// is billed the same, but their predicate is not evaluated.
-	held := w.Active() & simt.FirstLanes(sc.blockLen-wi*simt.LaneCount)
-	for i := sc.wStart; i < sc.wEnd; i++ {
-		col := i - sc.wStart
-		req := w.LoadSharedUniform(cta.Shared, simt.MaxWarpsPerCTA*stride+col)
-		w.Issue(2) // header compare ALU work
-		vote := w.BallotMask(matchVotes(held, regs, req))
-		w.StoreSharedUniform(cta.Shared, wi*stride+col, uint64(vote))
-	}
 }
 
 // matchVotes computes the scan and fused ballots' votes inline, for

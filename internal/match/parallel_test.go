@@ -4,146 +4,96 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
-	"simtmp/internal/simt"
 	"simtmp/internal/workload"
 )
 
-// parallelBatch is one MatchInto input of TestParallelLaunchDeterministic.
-// side names where its first fan-out lands against the simt grain:
-// "below" must run inline under auto Workers and "above" must fan out;
-// "" leaves it unchecked.
-type parallelBatch struct {
-	name string
-	side string
-	msgs []envelope.Envelope
-	reqs []envelope.Request
-}
-
-// TestParallelLaunchDeterministic pins the engine-level determinism
-// contract of host parallelism: for every fan-out engine, running the
-// same batches with Workers 0 (auto), 1 (sequential) and 4 (forced
-// fan-out) must produce bit-identical assignments, simulated seconds,
-// counters and iteration counts — host goroutines may only change
-// wall-clock. Each engine also gets one batch just below the simt
-// fan-out grain and one just above it, so auto takes both paths. Run
-// under -race in CI, this doubles as the data-race check on the
-// parallel paths.
+// TestParallelLaunchDeterministic pins the contract sweep-level host
+// parallelism rests on: engine instances driven from concurrent
+// goroutines, one fresh instance per batch as the report's sweeps run
+// their points, return results bit-identical to one reused instance
+// fed the same batches one after another —
+// assignments, simulated seconds, counters and iteration counts. Run
+// under -race in CI, it doubles as the check that engines share no
+// mutable state across instances.
 func TestParallelLaunchDeterministic(t *testing.T) {
-	// At GOMAXPROCS 1 auto never fans out, so the side checks need more.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	a := arch.PascalGTX1080()
-	seeded := func(gen func(seed int64) ([]envelope.Envelope, []envelope.Request)) []parallelBatch {
-		var out []parallelBatch
+	type batch struct {
+		msgs []envelope.Envelope
+		reqs []envelope.Request
+	}
+	seeded := func(gen func(seed int64) ([]envelope.Envelope, []envelope.Request)) []batch {
+		var out []batch
 		for _, seed := range []int64{1, 7, 42, 20170529} {
 			msgs, reqs := gen(seed)
-			out = append(out, parallelBatch{fmt.Sprintf("seed%d", seed), "", msgs, reqs})
+			out = append(out, batch{msgs, reqs})
 		}
 		return out
 	}
+	rtMsgs, rtReqs := runtimeStreamWorkload(48)
 	generic := func(seed int64) ([]envelope.Envelope, []envelope.Request) {
 		return workload.Generate(workload.Config{N: 1500, Peers: 64, Tags: 32, Seed: seed})
 	}
-	edge := func(side string) func([]envelope.Envelope, []envelope.Request) parallelBatch {
-		return func(msgs []envelope.Envelope, reqs []envelope.Request) parallelBatch {
-			return parallelBatch{fmt.Sprintf("%s-grain-%dx%d", side, len(msgs), len(reqs)), side, msgs, reqs}
-		}
-	}
-	matrixWork := func(_ ReusableMatcher, b parallelBatch) int {
-		// The first window's scan: warps × lanes × window.
-		warps := (len(b.msgs) + simt.LaneCount - 1) / simt.LaneCount
-		return warps * simt.LaneCount * min(DefaultWindow, len(b.reqs))
-	}
-	partitionWork := func(m ReusableMatcher, b parallelBatch) int {
-		// The first round, from the partitions the call just filled.
-		p := m.(*PartitionedMatcher)
-		return p.roundWork(0, p.cfg.MaxCTAs*simt.MaxWarpsPerCTA/p.cfg.Queues*simt.LaneCount)
-	}
-	hashWork := func(_ ReusableMatcher, b parallelBatch) int {
-		// The first insert phase: one pending lane per request.
-		return len(b.reqs)
-	}
-
 	engines := []struct {
 		name    string
-		build   func(workers int) ReusableMatcher
-		batches []parallelBatch
-		work    func(m ReusableMatcher, b parallelBatch) int
+		build   func() ReusableMatcher
+		batches []batch
 	}{
 		{
-			"matrix", func(w int) ReusableMatcher {
-				return NewMatrixMatcher(MatrixConfig{Arch: a, MaxCTAs: 2, Workers: w})
-			},
-			// The simt grain is 48 Ki lane operations; 11 and 12 warps
-			// scan 44 Ki and 48 Ki lane votes a window.
-			append(seeded(generic),
-				edge("below")(workload.FullyMatching(352, 5)),
-				edge("above")(workload.FullyMatching(384, 5))),
-			matrixWork,
+			"matrix", func() ReusableMatcher { return NewMatrixMatcher(MatrixConfig{Arch: a, MaxCTAs: 2}) },
+			seeded(generic),
 		},
 		{
-			"partitioned", func(w int) ReusableMatcher {
-				return NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Workers: w})
+			"partitioned", func() ReusableMatcher {
+				return NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2})
 			},
-			append(seeded(generic),
-				edge("below")(workload.Generate(workload.Config{N: 480, Peers: 64, Tags: 32, Seed: 5})),
-				edge("above")(workload.Generate(workload.Config{N: 576, Peers: 64, Tags: 32, Seed: 5}))),
-			partitionWork,
+			seeded(generic),
 		},
 		{
-			"stream", func(w int) ReusableMatcher {
-				return NewStreamMatcher(StreamConfig{Arch: a, Streams: 4, Workers: w})
-			},
+			"stream", func() ReusableMatcher { return NewStreamMatcher(StreamConfig{Arch: a, Streams: 4}) },
 			append(seeded(func(seed int64) ([]envelope.Envelope, []envelope.Request) {
 				return streamWorkload(1500, 4, seed)
-			}),
-				edge("below")(runtimeStreamWorkload(256)),
-				edge("above")(runtimeStreamWorkload(288))),
-			partitionWork,
+			}), batch{rtMsgs, rtReqs}),
 		},
 		{
-			"hash", func(w int) ReusableMatcher {
-				return MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Workers: w})
-			},
-			append(seeded(func(seed int64) ([]envelope.Envelope, []envelope.Request) {
+			"hash", func() ReusableMatcher { return MustHashMatcher(HashConfig{Arch: a, CTAs: 4}) },
+			seeded(func(seed int64) ([]envelope.Envelope, []envelope.Request) {
 				return workload.UniqueTuples(1500, seed)
 			}),
-				// One pending lane per request: 512 either side of 48 Ki.
-				edge("below")(workload.UniqueTuples(48<<10-512, 5)),
-				edge("above")(workload.UniqueTuples(48<<10+512, 5))),
-			hashWork,
 		},
 	}
 
 	for _, e := range engines {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
-			seq := e.build(1)
-			others := []struct {
-				workers int
-				m       ReusableMatcher
-			}{{0, e.build(0)}, {4, e.build(4)}}
-			for _, b := range e.batches {
-				var want Result
-				if err := seq.MatchInto(&want, b.msgs, b.reqs); err != nil {
-					t.Fatalf("%s: sequential: %v", b.name, err)
+			want := make([]Result, len(e.batches))
+			seq := e.build()
+			for i, b := range e.batches {
+				if err := seq.MatchInto(&want[i], b.msgs, b.reqs); err != nil {
+					t.Fatalf("batch %d: sequential: %v", i, err)
 				}
-				if b.side != "" {
-					work := e.work(seq, b)
-					if inline := simt.WorkersFor(0, work) == 1; inline != (b.side == "below") {
-						t.Errorf("%s: first fan-out estimates %d lane operations, which is not %s the grain", b.name, work, b.side)
-					}
+			}
+			got := make([]Result, len(e.batches))
+			errs := make([]error, len(e.batches))
+			var wg sync.WaitGroup
+			for i, b := range e.batches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = e.build().MatchInto(&got[i], b.msgs, b.reqs)
+				}()
+			}
+			wg.Wait()
+			for i := range e.batches {
+				if errs[i] != nil {
+					t.Fatalf("batch %d: concurrent: %v", i, errs[i])
 				}
-				for _, o := range others {
-					var got Result
-					if err := o.m.MatchInto(&got, b.msgs, b.reqs); err != nil {
-						t.Fatalf("%s: workers %d: %v", b.name, o.workers, err)
-					}
-					sameResult(t, fmt.Sprintf("%s: workers %d", b.name, o.workers), &want, &got)
-				}
+				sameResult(t, fmt.Sprintf("batch %d", i), &want[i], &got[i])
 			}
 		})
 	}

@@ -29,18 +29,8 @@ type PartitionedConfig struct {
 	// SMs dedicates multiple SMs to the communication kernel
 	// (default 1; see MatrixConfig.SMs).
 	SMs int
-	// Workers bounds the host goroutines simulating partitions in
-	// parallel: 0 = auto (inline below the simt fan-out grain, else
-	// GOMAXPROCS; a round's work is its vote pairs), 1 = sequential,
-	// N ≥ 2 = always N. Partitions own
-	// disjoint queues, engines and assignment slices, and the
-	// floating-point cycle combination is replayed sequentially in
-	// partition order afterwards, so results, counters and simulated
-	// cycles are bit-identical to the sequential path.
-	Workers int
 	// Recorder receives per-pass telemetry (nil = disabled, the
-	// default). Events are emitted only from the sequential
-	// orchestration, never from partition workers.
+	// default).
 	Recorder *telemetry.Recorder
 	// Track is the recorder timeline events land on (the owning GPU).
 	Track int
@@ -73,30 +63,17 @@ const (
 type PartitionedMatcher struct {
 	cfg PartitionedConfig
 	key partitionKey
-	// engines holds one matrix engine per partition so partition
-	// blocks can be simulated on concurrent host goroutines without
-	// sharing scratch; engines[0] doubles as the footprint/timing
-	// representative.
-	engines []*MatrixMatcher
-	model   timing.Model
+	// engine runs every partition's blocks, one after another, on its
+	// one scratch; it also supplies the footprint and wave timing.
+	engine *MatrixMatcher
+	model  timing.Model
 
 	// Reusable per-call scratch (grown monotonically); a matcher is
 	// NOT safe for concurrent Match calls.
-	parts       []partScratch
-	partCtrs    []simt.Counters
-	roundCycles []float64
-	ctaCycles   []float64
-	packedMsgs  []uint64
-	packedReqs  []uint64
-
-	// par carries the per-round state of the parallel partition fan-out
-	// so the worker body can be one persistent method value (a fresh
-	// closure per round would allocate; see matrixScratch.scan).
-	par struct {
-		round, maxCTAs, subBlock int
-		roundCycles              []float64
-	}
-	parFn func(int)
+	parts      []partScratch
+	ctaCycles  []float64
+	packedMsgs []uint64
+	packedReqs []uint64
 }
 
 // partScratch holds one partition's physical queues and local result.
@@ -126,21 +103,12 @@ func NewPartitionedMatcher(cfg PartitionedConfig) *PartitionedMatcher {
 		cfg.SMs = 1
 	}
 	p := &PartitionedMatcher{
-		cfg:      cfg,
-		engines:  make([]*MatrixMatcher, cfg.Queues),
-		model:    timing.NewModel(cfg.Arch),
-		parts:    make([]partScratch, cfg.Queues),
-		partCtrs: make([]simt.Counters, cfg.Queues),
+		cfg:    cfg,
+		engine: NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, MaxCTAs: 1, SMs: cfg.SMs}),
+		model:  timing.NewModel(cfg.Arch),
+		parts:  make([]partScratch, cfg.Queues),
 	}
-	for i := range p.engines {
-		// Partition engines scan sequentially (Workers: 1): the round
-		// is the fan-out site, and its work estimate already counts
-		// these scans, so a nested fan-out could only add scheduling
-		// noise.
-		e := NewMatrixMatcher(MatrixConfig{Arch: cfg.Arch, MaxCTAs: 1, SMs: cfg.SMs, Workers: 1})
-		e.noFused = true
-		p.engines[i] = e
-	}
+	p.engine.noFused = true
 	return p
 }
 
@@ -223,7 +191,6 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	for pi := range p.parts {
 		pt := &p.parts[pi]
 		pt.assign = ensureAssignment(pt.assign, len(pt.reqWords))
-		p.partCtrs[pi] = simt.Counters{}
 	}
 
 	warpsPerQueue := simt.MaxWarpsPerCTA / q
@@ -232,20 +199,14 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	}
 	subBlock := warpsPerQueue * simt.LaneCount
 
-	occ := p.cfg.Arch.Occupancy(p.engines[0].footprint())
+	occ := p.cfg.Arch.Occupancy(p.engine.footprint())
 	if occ < 1 {
 		occ = 1
 	}
 
 	maxCTAs := p.cfg.MaxCTAs
-	if cap(p.roundCycles) < q*maxCTAs {
-		p.roundCycles = make([]float64, q*maxCTAs)
-	}
-	roundCycles := p.roundCycles[:q*maxCTAs]
-	if cap(p.ctaCycles) < maxCTAs {
-		p.ctaCycles = make([]float64, maxCTAs)
-	}
-	ctaCycles := p.ctaCycles[:maxCTAs]
+	p.ctaCycles = grow(p.ctaCycles, maxCTAs)
+	ctaCycles := p.ctaCycles
 
 	rec := p.cfg.Recorder
 	base := rec.Clock()
@@ -254,40 +215,25 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	var totalCycles float64
 	var totalCtrs simt.Counters
 	for round := 0; ; round++ {
-		// Partitions are independent — disjoint queues, private engine
-		// scratch, private assignment — so the round's blocks run
-		// across host goroutines; each partition still walks its own
-		// CTA sub-blocks in message order (earlier block = higher
-		// priority). Cycle values land in per-(partition,CTA) slots.
-		// The round fans out only when its vote pairs reach the simt
-		// grain: the runtime's calls (a dozen messages per partition)
-		// cost less than waking a pool worker.
-		p.par.round, p.par.maxCTAs, p.par.subBlock = round, maxCTAs, subBlock
-		p.par.roundCycles = roundCycles
-		if p.parFn == nil {
-			p.parFn = p.roundPartition
-		}
-		simt.ParallelFor(q, simt.WorkersFor(p.cfg.Workers, p.roundWork(round*maxCTAs*subBlock, maxCTAs*subBlock)), p.parFn)
-
-		// Replay the floating-point combination sequentially in the
-		// original (CTA, partition) order: float addition is not
-		// associative, and bit-identical simulated time across worker
-		// counts is part of the determinism contract. CTA c hosts
-		// every queue's c-th sub-block on disjoint warp groups, so the
-		// longest queue dominates and the rest add interference.
+		// CTA c of the round hosts every partition's c-th sub-block on
+		// disjoint warp groups, so the longest partition dominates and
+		// the rest add interference. Each partition walks its own
+		// sub-blocks in message order (earlier block = higher priority).
 		progress := false
 		for c := 0; c < maxCTAs; c++ {
+			blockStart := (round*maxCTAs + c) * subBlock
 			maxQ, sumQ := 0.0, 0.0
-			for pi := 0; pi < q; pi++ {
-				cycles := roundCycles[pi*maxCTAs+c]
-				if cycles < 0 {
+			for pi := range p.parts {
+				pt := &p.parts[pi]
+				if blockStart >= len(pt.msgWords) {
 					continue
 				}
+				blockEnd := min(blockStart+subBlock, len(pt.msgWords))
+				cycles, ctrs := p.engine.matchBlock(pt.msgWords, pt.reqWords, blockStart, blockEnd, pt.assign)
+				totalCtrs.Add(&ctrs)
 				progress = true
 				sumQ += cycles
-				if cycles > maxQ {
-					maxQ = cycles
-				}
+				maxQ = max(maxQ, cycles)
 			}
 			const interference = 0.02
 			ctaCycles[c] = maxQ + interference*(sumQ-maxQ)
@@ -295,7 +241,7 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		if !progress {
 			break
 		}
-		roundTotal := p.engines[0].combineWaves(ctaCycles, occ)
+		roundTotal := p.engine.combineWaves(ctaCycles, occ)
 		// Spans are stamped pre-contention: the cross-queue multiplier
 		// applies to the whole kernel at the end, so per-round spans show
 		// relative pass structure, not the final wall position.
@@ -305,12 +251,6 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 		totalCycles += roundTotal
 		res.Iterations++
 	}
-	// Counter merging is integer addition, so summing the per-partition
-	// sinks in partition order matches the sequential interleaving.
-	for pi := range p.partCtrs {
-		totalCtrs.Add(&p.partCtrs[pi])
-	}
-
 	totalCycles *= p.contention()
 	totalCycles += p.model.P.LaunchOverhead
 
@@ -325,52 +265,13 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	}
 
 	if p.cfg.Compact {
-		totalCycles += p.engines[0].compactionCycles(packedMsgs, res.Assignment)
+		totalCycles += p.engine.compactionCycles(packedMsgs, res.Assignment)
 	}
 
 	res.SimSeconds = p.model.Seconds(totalCycles)
 	res.Counters = totalCtrs
 	emitKernelStats(rec, p.cfg.Track, base, base+res.SimSeconds, occ, totalCtrs)
 	return nil
-}
-
-// roundPartition is the parallel round body for one partition: it runs
-// the partition's CTA sub-blocks of the current round (state in p.par)
-// on the partition's private engine and records per-slot cycles. It is
-// installed once as a persistent method value; see the par field.
-func (p *PartitionedMatcher) roundPartition(pi int) {
-	pt := &p.parts[pi]
-	round, maxCTAs, subBlock := p.par.round, p.par.maxCTAs, p.par.subBlock
-	for c := 0; c < maxCTAs; c++ {
-		slot := pi*maxCTAs + c
-		blockStart := (round*maxCTAs + c) * subBlock
-		if blockStart >= len(pt.msgWords) {
-			p.par.roundCycles[slot] = -1
-			continue
-		}
-		blockEnd := blockStart + subBlock
-		if blockEnd > len(pt.msgWords) {
-			blockEnd = len(pt.msgWords)
-		}
-		cycles, ctrs := p.engines[pi].matchBlock(pt.msgWords, pt.reqWords, blockStart, blockEnd, pt.assign)
-		p.par.roundCycles[slot] = cycles
-		p.partCtrs[pi].Add(&ctrs)
-	}
-}
-
-// roundWork estimates the lane operations a round hands out: for each
-// partition, its message lanes in the round's blocks (from message
-// start, at most span of them, in whole warps) times its requests, the
-// vote pairs of its scans.
-func (p *PartitionedMatcher) roundWork(start, span int) int {
-	work := 0
-	for pi := range p.parts {
-		pt := &p.parts[pi]
-		if msgs := min(len(pt.msgWords)-start, span); msgs > 0 {
-			work += (msgs + simt.LaneCount - 1) / simt.LaneCount * simt.LaneCount * len(pt.reqWords)
-		}
-	}
-	return work
 }
 
 // contention returns the calibrated cross-queue synchronization

@@ -75,11 +75,6 @@ type StreamConfig struct {
 	// than live streams merely co-schedules streams, never reorders
 	// them against each other illegally.
 	Streams int
-	// Workers bounds the host goroutines simulating partitions in
-	// parallel (0 = auto, 1 = sequential, N ≥ 2 = always N);
-	// bit-identical to the sequential path, see
-	// PartitionedConfig.Workers.
-	Workers int
 	// Recorder receives per-pass telemetry (nil = disabled).
 	Recorder *telemetry.Recorder
 	// Track is the recorder timeline events land on (the owning GPU).
@@ -100,7 +95,7 @@ func NewStreamMatcher(cfg StreamConfig) *PartitionedMatcher {
 	}
 	p := NewPartitionedMatcher(PartitionedConfig{
 		Arch: cfg.Arch, Queues: cfg.Streams,
-		Workers: cfg.Workers, Recorder: cfg.Recorder, Track: cfg.Track,
+		Recorder: cfg.Recorder, Track: cfg.Track,
 	})
 	p.key = keyStream
 	return p

@@ -7,10 +7,7 @@ import (
 
 // Interned telemetry names, resolved once at package init so the
 // engines' emission paths never touch the intern table (see the
-// telemetry package's zero-allocation contract). Events are emitted
-// only from the sequential MatchInto orchestration — never from
-// ParallelFor warp bodies — which keeps recorded ordering independent
-// of host scheduling.
+// telemetry package's zero-allocation contract).
 var (
 	evMatchPass = telemetry.Name("match.pass")
 	evUMQDepth  = telemetry.Name("umq.depth")

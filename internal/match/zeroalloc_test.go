@@ -1,7 +1,6 @@
 package match
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -28,8 +27,7 @@ func runtimeStreamWorkload(n int) ([]envelope.Envelope, []envelope.Request) {
 }
 
 // reusableCases builds steady-state MatchInto cases per GPU engine on
-// representative workloads, every engine at the given Workers: the
-// default configurations (matrix, partitioned, hash and stream), the
+// representative workloads: the default configurations (matrix, partitioned, hash and stream), the
 // stream engine on the runtime's small per-call shape, plus the
 // compacting matrix and partitioned engines the runtime builds (on
 // workloads where half the messages find no receive, so compaction
@@ -39,7 +37,7 @@ func runtimeStreamWorkload(n int) ([]envelope.Envelope, []envelope.Request) {
 // zero-allocation contract covers: a full flight-recorder ring
 // overwrites in place, so enabling telemetry must not reintroduce
 // steady-state allocations.
-func reusableCases(workers int) []matchCase {
+func reusableCases() []matchCase {
 	a := arch.PascalGTX1080()
 	fullMsgs, fullReqs := workload.FullyMatching(256, 1)
 	partMsgs, partReqs := workload.Generate(workload.Config{N: 1024, Peers: 64, Tags: 32, Seed: 1})
@@ -59,31 +57,31 @@ func reusableCases(workers int) []matchCase {
 			suffix = "+telemetry"
 		}
 		{
-			m := NewMatrixMatcher(MatrixConfig{Arch: a, Workers: workers, Recorder: rec})
+			m := NewMatrixMatcher(MatrixConfig{Arch: a, Recorder: rec})
 			cases = append(cases, matchCase{"matrix" + suffix, func(res *Result) error {
 				return m.MatchInto(res, fullMsgs, fullReqs)
 			}})
 		}
 		{
-			m := NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Workers: workers, Recorder: rec})
+			m := NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Recorder: rec})
 			cases = append(cases, matchCase{"partitioned" + suffix, func(res *Result) error {
 				return m.MatchInto(res, partMsgs, partReqs)
 			}})
 		}
 		{
-			m := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Workers: workers, Recorder: rec})
+			m := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Recorder: rec})
 			cases = append(cases, matchCase{"hash" + suffix, func(res *Result) error {
 				return m.MatchInto(res, uniqMsgs, uniqReqs)
 			}})
 		}
 		{
-			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 8, Workers: workers, Recorder: rec})
+			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 8, Recorder: rec})
 			cases = append(cases, matchCase{"stream" + suffix, func(res *Result) error {
 				return m.MatchInto(res, streamMsgs, streamReqs)
 			}})
 		}
 		{
-			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 4, Workers: workers, Recorder: rec})
+			m := NewStreamMatcher(StreamConfig{Arch: a, Streams: 4, Recorder: rec})
 			cases = append(cases, matchCase{"stream-runtime" + suffix, func(res *Result) error {
 				return m.MatchInto(res, rtMsgs, rtReqs)
 			}})
@@ -93,11 +91,11 @@ func reusableCases(workers int) []matchCase {
 			if sms > 1 {
 				name = "+compact+sms2"
 			}
-			mm := NewMatrixMatcher(MatrixConfig{Arch: a, Compact: true, SMs: sms, Workers: workers, Recorder: rec})
+			mm := NewMatrixMatcher(MatrixConfig{Arch: a, Compact: true, SMs: sms, Recorder: rec})
 			cases = append(cases, matchCase{"matrix" + name + suffix, func(res *Result) error {
 				return mm.MatchInto(res, fullMsgs, residueReqs)
 			}})
-			pm := NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Compact: true, SMs: sms, Workers: workers, Recorder: rec})
+			pm := NewPartitionedMatcher(PartitionedConfig{Arch: a, Queues: 8, MaxCTAs: 2, Compact: true, SMs: sms, Recorder: rec})
 			cases = append(cases, matchCase{"partitioned" + name + suffix, func(res *Result) error {
 				return pm.MatchInto(res, partMsgs, partResidueReqs)
 			}})
@@ -110,7 +108,7 @@ func reusableCases(workers int) []matchCase {
 // contract: after one warm-up call grows the scratch buffers, repeated
 // MatchInto calls on the same shape allocate nothing.
 func TestMatchIntoZeroAlloc(t *testing.T) {
-	for _, c := range reusableCases(0) {
+	for _, c := range reusableCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			var res Result
@@ -129,48 +127,38 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMatchIntoZeroAllocMultiWorker is TestMatchIntoZeroAlloc on the
-// fan-out path: testing.AllocsPerRun pins GOMAXPROCS to 1, where every
-// Workers value resolves to a plain loop, so this variant counts
-// runtime.MemStats.Mallocs over batches of calls at GOMAXPROCS 4. Most
-// cases sit below the simt fan-out grain, where auto (Workers 0) runs
-// inline, so every case also runs at an explicit Workers 4, which
-// always fans out. The auto cases keep the bare engine name, the
-// explicit ones run under workers=4/. It wants one batch of
-// steady-state calls that allocates nothing (see steadyMallocs).
+// TestMatchIntoZeroAllocMultiWorker is TestMatchIntoZeroAlloc with
+// more host cores available: testing.AllocsPerRun pins GOMAXPROCS to
+// 1, so this variant counts runtime.MemStats.Mallocs over batches of
+// calls at GOMAXPROCS 4. The engines run every call on the caller's
+// goroutine whatever GOMAXPROCS is, so each case must find one batch
+// of steady-state calls that allocates nothing (see steadyMallocs).
 func TestMatchIntoZeroAllocMultiWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const calls = 50
-	for _, workers := range []int{4, 0} {
-		prefix := ""
-		if workers != 0 {
-			prefix = fmt.Sprintf("workers=%d/", workers)
-		}
-		for _, c := range reusableCases(workers) {
-			c := c
-			t.Run(prefix+c.name, func(t *testing.T) {
-				var res Result
-				run := func() {
-					if err := c.run(&res); err != nil {
-						t.Fatal(err)
-					}
+	for _, c := range reusableCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			var res Result
+			run := func() {
+				if err := c.run(&res); err != nil {
+					t.Fatal(err)
 				}
-				if n := steadyMallocs(calls, run); n != 0 {
-					t.Errorf("%s: every batch of %d MatchInto calls at GOMAXPROCS 4 allocated, at least %d times; want a batch with 0",
-						c.name, calls, n)
-				}
-			})
-		}
+			}
+			if n := steadyMallocs(calls, run); n != 0 {
+				t.Errorf("%s: every batch of %d MatchInto calls at GOMAXPROCS 4 allocated, at least %d times; want a batch with 0",
+					c.name, calls, n)
+			}
+		})
 	}
 }
 
 // steadyMallocs returns the fewest heap allocations any batch of calls
 // consecutive calls of f made, over up to 20 batches (stopping at the
-// first clean one). The first batch grows the scratch buffers and
-// starts simt's worker pool, and on a loaded host the runtime itself
-// allocates now and then when it starts another OS thread to run a
-// woken goroutine; an allocation on f's own path recurs in every
-// batch, so it can never read 0.
+// first clean one). The first batch grows the scratch buffers, and on
+// a loaded host the runtime itself allocates now and then (the garbage
+// collector's workers, another OS thread); an allocation on f's own
+// path recurs in every batch, so it can never read 0.
 func steadyMallocs(calls int, f func()) uint64 {
 	batch := func() uint64 {
 		var before, after runtime.MemStats
@@ -188,53 +176,10 @@ func steadyMallocs(calls int, f func()) uint64 {
 	return best
 }
 
-// grainCases are the per-call shapes the simt fan-out grain is
-// calibrated on (DESIGN §11), each at Workers 1 (sequential) and 0
-// (auto): the stream engine at the runtime's receive ratio (7 receives
-// per 3 messages, 48 messages being the lossy_streams call), the
-// compacting matrix engine and the two-level hash engine. Comparing a
-// shape's two rows shows whether fanning out its calls pays.
-func grainCases() []matchCase {
-	a := arch.PascalGTX1080()
-	var cases []matchCase
-	add := func(name string, build func(workers int) ReusableMatcher, msgs []envelope.Envelope, reqs []envelope.Request) {
-		for _, w := range []struct {
-			name    string
-			workers int
-		}{{"w1", 1}, {"auto", 0}} {
-			m := build(w.workers)
-			cases = append(cases, matchCase{"grain/" + name + "/" + w.name, func(res *Result) error {
-				return m.MatchInto(res, msgs, reqs)
-			}})
-		}
-	}
-	for _, n := range []int{48, 96, 192, 384, 768} {
-		msgs, reqs := runtimeStreamWorkload(n)
-		add(fmt.Sprintf("stream-%dx%d", n, len(reqs)), func(w int) ReusableMatcher {
-			return NewStreamMatcher(StreamConfig{Arch: a, Streams: 4, Workers: w})
-		}, msgs, reqs)
-	}
-	for _, n := range []int{256, 512, 1024} {
-		msgs, reqs := workload.Generate(workload.Config{N: n, Peers: 64, Tags: 32, Seed: 1})
-		add(fmt.Sprintf("matrix+compact-%d", n), func(w int) ReusableMatcher {
-			return NewMatrixMatcher(MatrixConfig{Arch: a, Compact: true, Workers: w})
-		}, msgs, reqs)
-	}
-	for _, n := range []int{1024, 4096, 16384} {
-		msgs, reqs := workload.UniqueTuples(n, 1)
-		add(fmt.Sprintf("hash-%d", n), func(w int) ReusableMatcher {
-			return MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Workers: w})
-		}, msgs, reqs)
-	}
-	return cases
-}
-
 // BenchmarkMatchInto is the benchmark-backed form of the contract:
-// run with -benchmem to see ns/op and allocs/op per engine. The grain/
-// cases also report cpu-ns/op, the process CPU time per call, which
-// exceeds ns/op when the call keeps pool workers busy.
+// run with -benchmem to see ns/op and allocs/op per engine.
 func BenchmarkMatchInto(b *testing.B) {
-	for _, c := range append(reusableCases(0), grainCases()...) {
+	for _, c := range reusableCases() {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			var res Result
@@ -243,14 +188,10 @@ func BenchmarkMatchInto(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			cpu0, cpuOK := processCPU()
 			for i := 0; i < b.N; i++ {
 				if err := c.run(&res); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if cpu1, _ := processCPU(); cpuOK {
-				b.ReportMetric(float64(cpu1-cpu0)/float64(b.N), "cpu-ns/op")
 			}
 		})
 	}

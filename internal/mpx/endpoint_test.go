@@ -371,7 +371,6 @@ func TestConfigNormalizeRejects(t *testing.T) {
 		{QueueCap: -1},
 		{RetryLimit: -1},
 		{StallPatience: -7},
-		{EngineWorkers: -1},
 		{UMQCap: -1},
 		{PRQCap: -9},
 		{StagingCap: -1},
@@ -400,13 +399,12 @@ func TestConfigNormalizeRejects(t *testing.T) {
 // Normalize either rejects with ErrBadConfig or returns a fully
 // defaulted config on which Normalize is the identity.
 func TestConfigNormalizeQuick(t *testing.T) {
-	f := func(level, shed int8, gpus, queues, qcap, streams, window, retry, stall, workers, umq, prq, staging int16, high, low float64) bool {
+	f := func(level, shed int8, gpus, queues, qcap, streams, window, retry, stall, umq, prq, staging int16, high, low float64) bool {
 		cfg := Config{
 			Level: Level(level % 8), Shed: ShedPolicy(shed % 5),
 			GPUs: int(gpus), Queues: int(queues), QueueCap: int(qcap),
 			Streams: int(streams), Window: int(window), RetryLimit: int(retry),
-			StallPatience: int(stall), EngineWorkers: int(workers),
-			UMQCap: int(umq), PRQCap: int(prq), StagingCap: int(staging),
+			StallPatience: int(stall), UMQCap: int(umq), PRQCap: int(prq), StagingCap: int(staging),
 			Health: HealthConfig{HighWater: high / 100, LowWater: low / 100},
 		}
 		n, err := cfg.Normalize()

@@ -285,15 +285,13 @@ func TestHealthStateMachine(t *testing.T) {
 }
 
 // TestFlowControlDeterminism replays the same capped overload workload
-// across engine execution modes (sequential, a forced fan-out over 4
-// workers, and auto): every overload counter must come out identical —
-// the shed sequence is part of the deterministic contract.
+// twice: every overload counter must come out identical — the shed
+// sequence is part of the deterministic contract.
 func TestFlowControlDeterminism(t *testing.T) {
-	run := func(workers int) Stats {
+	run := func() Stats {
 		rt := New(Config{
 			Level: FullMPI, GPUs: 4, UMQCap: 8, StagingCap: 4, Shed: ShedDropOldest,
-			EngineWorkers: workers,
-			Fault:         &fault.Config{Seed: 11, Drop: 0.02, Duplicate: 0.01, SlowReceiver: 0.05},
+			Fault: &fault.Config{Seed: 11, Drop: 0.02, Duplicate: 0.01, SlowReceiver: 0.05},
 		})
 		const total = 400
 		for i := 0; i < total; i++ {
@@ -318,11 +316,9 @@ func TestFlowControlDeterminism(t *testing.T) {
 		}
 		return rt.Stats()
 	}
-	seq := run(1)
-	for _, workers := range []int{4, 0} {
-		if par := run(workers); seq != par {
-			t.Fatalf("overload counters diverge at %d engine workers:\n seq %+v\n par %+v", workers, seq, par)
-		}
+	seq := run()
+	if replay := run(); seq != replay {
+		t.Fatalf("overload counters diverge on replay:\n first  %+v\n replay %+v", seq, replay)
 	}
 	if seq.ShedDrops == 0 || seq.NackRetransmits+seq.ShedRecovered == 0 {
 		t.Fatalf("workload exercised no shed/recovery machinery: %+v", seq)

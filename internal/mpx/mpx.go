@@ -142,16 +142,6 @@ type Config struct {
 	// *StallError (default 100).
 	StallPatience int
 
-	// EngineWorkers bounds the host goroutines each matching engine
-	// uses to simulate its device-parallel phases. 0, the engines' own
-	// default, is auto: a phase fans out over GOMAXPROCS goroutines
-	// only when its work reaches the simt fan-out grain and runs
-	// inline below it, as the runtime's usual per-step calls do. 1
-	// forces sequential execution and N ≥ 2 forces a fan-out over N.
-	// Engine results are bit-identical either way; the knob exists so
-	// determinism tests and load drivers can pin the execution mode.
-	EngineWorkers int
-
 	// OnDeliver, when set, is invoked once per delivered receive during
 	// a progress step, with the handle and the simulated transport time
 	// of the delivering step. It runs with the runtime lock held, so
@@ -501,7 +491,7 @@ func (c Config) Normalize() (Config, error) {
 	}{
 		{"GPUs", c.GPUs}, {"Queues", c.Queues}, {"QueueCap", c.QueueCap},
 		{"Streams", c.Streams}, {"Window", c.Window}, {"RetryLimit", c.RetryLimit},
-		{"StallPatience", c.StallPatience}, {"EngineWorkers", c.EngineWorkers},
+		{"StallPatience", c.StallPatience},
 		{"UMQCap", c.UMQCap}, {"PRQCap", c.PRQCap}, {"StagingCap", c.StagingCap},
 	} {
 		if f.v < 0 {
@@ -635,17 +625,16 @@ func (rt *Runtime) newEngine(g int) match.ReusableMatcher {
 	case NoSourceWildcard, NoUnexpected:
 		return match.NewPartitionedMatcher(match.PartitionedConfig{
 			Arch: rt.cfg.Arch, Queues: rt.cfg.Queues, Compact: rt.cfg.Level != NoUnexpected,
-			Workers: rt.cfg.EngineWorkers, Recorder: rt.rec, Track: g,
+			Recorder: rt.rec, Track: g,
 		})
 	case Unordered:
-		return match.MustHashMatcher(match.HashConfig{Arch: rt.cfg.Arch, Workers: rt.cfg.EngineWorkers, Recorder: rt.rec, Track: g})
+		return match.MustHashMatcher(match.HashConfig{Arch: rt.cfg.Arch, Recorder: rt.rec, Track: g})
 	case StreamOrdered:
 		return match.NewStreamMatcher(match.StreamConfig{
-			Arch: rt.cfg.Arch, Streams: rt.cfg.Streams,
-			Workers: rt.cfg.EngineWorkers, Recorder: rt.rec, Track: g,
+			Arch: rt.cfg.Arch, Streams: rt.cfg.Streams, Recorder: rt.rec, Track: g,
 		})
 	default:
-		return match.NewMatrixMatcher(match.MatrixConfig{Arch: rt.cfg.Arch, Compact: true, Workers: rt.cfg.EngineWorkers, Recorder: rt.rec, Track: g})
+		return match.NewMatrixMatcher(match.MatrixConfig{Arch: rt.cfg.Arch, Compact: true, Recorder: rt.rec, Track: g})
 	}
 }
 

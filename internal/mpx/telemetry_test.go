@@ -201,18 +201,16 @@ func TestTelemetryCorrelatesFaultsAndRetransmits(t *testing.T) {
 	}
 }
 
-// TestPersistentTelemetryDeterministicAcrossEngineWorkers pins the
-// seal-cache observability contract: a persistent workload (seal,
-// cached re-fires, one forced invalidation) exports byte-identical
-// trace and summary documents whether the matching engines run
-// sequentially or sharded across host workers, and the
-// match.cache.* events appear on the simulated-time axis.
-func TestPersistentTelemetryDeterministicAcrossEngineWorkers(t *testing.T) {
-	run := func(workers int) telemetry.Capture {
+// TestPersistentTelemetryDeterministic pins the seal-cache
+// observability contract: a persistent workload (seal, cached
+// re-fires, one forced invalidation) exports byte-identical trace and
+// summary documents on replay, and the match.cache.* events appear on
+// the simulated-time axis.
+func TestPersistentTelemetryDeterministic(t *testing.T) {
+	run := func() telemetry.Capture {
 		rt := New(Config{
-			GPUs:          2,
-			EngineWorkers: workers,
-			Telemetry:     &telemetry.Config{Enabled: true, BufferSize: 4096},
+			GPUs:      2,
+			Telemetry: &telemetry.Config{Enabled: true, BufferSize: 4096},
 		})
 		ps, err := rt.SendInit(0, 1, 3, 0, []byte("persistent payload"))
 		if err != nil {
@@ -265,25 +263,25 @@ func TestPersistentTelemetryDeterministicAcrossEngineWorkers(t *testing.T) {
 		return rt.Recorder().Snapshot()
 	}
 
-	seq, par := run(1), run(4)
+	first, replay := run(), run()
 	var ts, tp, ss, sp bytes.Buffer
-	if err := seq.WriteTrace(&ts); err != nil {
+	if err := first.WriteTrace(&ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.WriteTrace(&tp); err != nil {
+	if err := replay.WriteTrace(&tp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ts.Bytes(), tp.Bytes()) {
-		t.Error("persistent trace bytes differ between sequential and parallel engines")
+		t.Error("persistent trace bytes differ on replay")
 	}
-	if err := seq.WriteSummary(&ss); err != nil {
+	if err := first.WriteSummary(&ss); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.WriteSummary(&sp); err != nil {
+	if err := replay.WriteSummary(&sp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ss.Bytes(), sp.Bytes()) {
-		t.Errorf("persistent summaries differ between sequential and parallel engines:\n%s\n---\n%s",
+		t.Errorf("persistent summaries differ on replay:\n%s\n---\n%s",
 			ss.String(), sp.String())
 	}
 }

@@ -11,11 +11,9 @@ import (
 // sequentially and deterministically by kernel code; SyncThreads marks
 // barrier points for the timing model.
 //
-// Each warp bills into its own counter sink, so kernel code may run
-// warps of one CTA on concurrent host goroutines (the scan phase of the
-// matrix matcher does) without racing on the accounting; Counters sums
-// the sinks in warp-id order, which is bit-identical to a shared sink
-// because counter merging is integer addition.
+// Each warp bills into its own counter sink; Counters sums the sinks
+// in warp-id order, which equals one shared sink because counter
+// merging is integer addition.
 type CTA struct {
 	// ID is the CTA index within its grid.
 	ID int
@@ -129,8 +127,7 @@ type ctaShape struct{ threads, sharedWords int }
 
 // CTACache reuses CTA instances by shape, resetting them on every Get,
 // so steady-state kernel loops allocate nothing. The cache is NOT safe
-// for concurrent use: give each worker goroutine its own cache (the
-// engines hold one per matcher instance).
+// for concurrent use (the engines hold one per matcher instance).
 type CTACache struct {
 	ctas map[ctaShape]*CTA
 }

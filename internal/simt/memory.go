@@ -9,10 +9,9 @@ import "fmt"
 // A memory from NewMemory resets in O(1): from its first Zero on,
 // every word carries the generation it was last written in, Zero
 // starts a new generation, and a word stamped with an older one reads
-// as 0. Stamps are per word, so warps that write disjoint words may run
-// on concurrent goroutines exactly as they could before (the matrix
-// scan does). A view from Wrap has no stamps: it is host-owned
-// storage, read and written as is.
+// as 0. Stamps are per word, so goroutines writing disjoint words do
+// not race. A view from Wrap has no stamps: it is host-owned storage,
+// read and written as is.
 type Memory struct {
 	words []uint64
 	// stamps holds each word's generation; it is allocated by the

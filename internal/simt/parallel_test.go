@@ -49,67 +49,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// onPoolHelper reports whether the caller runs on a pool helper
-// goroutine rather than on the goroutine that called ParallelFor.
-func onPoolHelper() bool {
-	pcs := make([]uintptr, 16)
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-	for {
-		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, "/simt.helper") {
-			return true
-		}
-		if !more {
-			return false
-		}
-	}
-}
-
-// TestWorkersForGrain pins the auto resolution on both sides of the
-// fan-out grain: auto runs inline below it and takes GOMAXPROCS at and
-// above it, explicit counts pass through whatever the work, and a
-// below-grain auto call hands no iteration to the pool.
-func TestWorkersForGrain(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, auto := range []int{0, -1} {
-		for work, want := range map[int]int{0: 1, fanoutGrain - 1: 1, fanoutGrain: 4, 64 * fanoutGrain: 4} {
-			if got := WorkersFor(auto, work); got != want {
-				t.Errorf("WorkersFor(%d, %d) = %d, want %d", auto, work, got, want)
-			}
-		}
-	}
-	for _, n := range []int{1, 2, 4, 7} {
-		for _, work := range []int{0, fanoutGrain - 1, fanoutGrain, 64 * fanoutGrain} {
-			if got := WorkersFor(n, work); got != n {
-				t.Errorf("WorkersFor(%d, %d) = %d, want it unchanged", n, work, got)
-			}
-		}
-	}
-
-	// run counts the iterations of a 16-iteration call that ran on a
-	// pool helper. Each sleeps, so an idle helper has time to join.
-	run := func(workers int) int32 {
-		var helped atomic.Int32
-		ParallelFor(16, workers, func(int) {
-			if onPoolHelper() {
-				helped.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
-		})
-		return helped.Load()
-	}
-	if n := run(WorkersFor(0, fanoutGrain-1)); n != 0 {
-		t.Errorf("below-grain auto call ran %d iterations on pool helpers, want 0", n)
-	}
-	// The converse shows the probe can see a helper at all. A helper may
-	// be slow to wake on a loaded host, so it gets several chances.
-	for try := 0; run(WorkersFor(0, fanoutGrain)) == 0; try++ {
-		if try == 50 {
-			t.Fatal("above-grain auto call never ran an iteration on a pool helper")
-		}
-	}
-}
-
 // countingKernel is a grid whose CTAs are independent: each CTA writes
 // a deterministic mix of per-lane values into its own disjoint global
 // region, exercising every counter class.
@@ -287,54 +226,9 @@ func TestCTACacheReusesByShape(t *testing.T) {
 	}
 }
 
-// mallocs counts the heap allocations of calls calls of f at the
-// current GOMAXPROCS. Unlike testing.AllocsPerRun it does not pin
-// GOMAXPROCS to 1, so it sees the multi-worker paths.
-func mallocs(calls int, f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// steadyMallocs returns the fewest allocations any batch of calls
-// consecutive calls of f made, over up to 20 batches (stopping at the
-// first clean one). The first batches start the pool's workers, and on
-// a loaded host the runtime itself allocates now and then when it
-// starts another OS thread to run a woken goroutine; a clean batch
-// shows the steady state allocates nothing. An allocation on f's own
-// path recurs in every batch, so it can never read 0.
-func steadyMallocs(calls int, f func()) uint64 {
-	best := mallocs(calls, f)
-	for b := 1; b < 20 && best != 0; b++ {
-		best = min(best, mallocs(calls, f))
-	}
-	return best
-}
-
-// TestParallelForMultiWorkerZeroAlloc pins the pool: with several
-// workers available, a steady-state ParallelFor call with a persistent
-// body allocates nothing.
-func TestParallelForMultiWorkerZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var sink [64]atomic.Int64
-	body := func(i int) { sink[i].Add(1) }
-	for _, workers := range []int{0, 2, 4} {
-		const calls = 1000
-		if got := steadyMallocs(calls, func() { ParallelFor(len(sink), workers, body) }); got != 0 {
-			t.Errorf("workers=%d: every batch of %d ParallelFor calls allocated, at least %d times; want a batch with 0",
-				workers, calls, got)
-		}
-	}
-}
-
 // TestParallelForNestedCompletes runs ParallelFor inside ParallelFor
-// iterations, as the chaos conformance runner does over runtimes whose
-// engines fan out again. The handoff takes only idle workers, so every
-// level must finish and cover its iterations exactly once.
+// iterations, three levels deep: every level must finish and cover its
+// iterations exactly once.
 func TestParallelForNestedCompletes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const outer, inner = 16, 32
@@ -364,10 +258,9 @@ func TestParallelForNestedCompletes(t *testing.T) {
 }
 
 // TestParallelForSurvivesGoexit covers t.Fatal inside an iteration:
-// an iteration that calls runtime.Goexit on a pool worker ends that
-// worker without hanging the call, and the pool keeps serving later
-// calls. The caller claims iteration 0 first and sleeps in it, so a
-// worker runs iteration 1 in nearly every trial.
+// an iteration that calls runtime.Goexit ends its own goroutine
+// without hanging the call, whichever goroutine ran it, and later
+// calls still cover every iteration.
 func TestParallelForSurvivesGoexit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for trial := 0; trial < 10; trial++ {

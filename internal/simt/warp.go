@@ -243,50 +243,6 @@ func (w *Warp) AtomicCAS(m *Memory, addr func(lane int) int, old, new func(lane 
 	w.ctrs.GMemTrans += transactions(w.addrBuf)
 }
 
-// CASIntent is one lane's deferred compare-and-swap, staged by
-// StageCAS and executed by ApplyCAS. Staging separates the expensive
-// per-lane work (address/operand computation, instruction billing) from
-// the order-sensitive memory mutation, so warps can stage concurrently
-// while the apply step serializes in thread order — the host-parallel
-// equivalent of the sequential interleaving.
-type CASIntent struct {
-	Addr     int
-	Old, New uint64
-	Lane     int
-	// Prev and Swapped are filled by ApplyCAS.
-	Prev    uint64
-	Swapped bool
-}
-
-// StageCAS bills one warp-wide compare-and-swap exactly as AtomicCAS
-// would (one atomic instruction plus the coalescing transactions of the
-// active lanes' addresses) and appends each active lane's operation to
-// buf in ascending lane order, without touching memory. The returned
-// slice must be passed to ApplyCAS before its results are read.
-func (w *Warp) StageCAS(buf []CASIntent, addr func(lane int) int, old, new func(lane int) uint64) []CASIntent {
-	w.ctrs.Atomic++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		buf = append(buf, CASIntent{Addr: a, Old: old(lane), New: new(lane), Lane: lane})
-	})
-	w.ctrs.GMemTrans += transactions(w.addrBuf)
-	return buf
-}
-
-// ApplyCAS executes staged intents against m in slice order, recording
-// each operation's outcome in place. Applying per-warp intent buffers
-// in warp-id order reproduces exactly the interleaving of sequential
-// warp execution, because within one staged instruction lanes always
-// resolve in ascending lane order (as AtomicCAS does).
-func ApplyCAS(m *Memory, intents []CASIntent) {
-	for i := range intents {
-		in := &intents[i]
-		in.Prev, in.Swapped = m.CAS(in.Addr, in.Old, in.New)
-	}
-}
-
 // AtomicAdd issues one warp-wide atomic add; each active lane adds
 // delta(lane) at addr(lane) and receives the previous value via sink.
 func (w *Warp) AtomicAdd(m *Memory, addr func(lane int) int, delta func(lane int) uint64, sink func(lane int, prev uint64)) {

@@ -1,7 +1,7 @@
 package soak
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
 
 	"simtmp/internal/mpx"
@@ -45,32 +45,13 @@ func TestSoakDeterministicReplay(t *testing.T) {
 	sameRecords(t, "replay", a, b)
 }
 
-// TestSoakDeterministicAcrossEngineWorkers pins that host-parallel
-// match-engine execution does not perturb the simulated timeline:
-// sequential engines (EngineWorkers=1), engines forced to fan out
-// over 4 workers, and auto engines (EngineWorkers=0, which run these
-// small calls inline) must produce byte-identical records. Under
-// `go test -race` this doubles as the data-race audit of the parallel
-// match path under soak load.
-func TestSoakDeterministicAcrossEngineWorkers(t *testing.T) {
-	cfg := Config{Level: mpx.Unordered, Seed: 13, Messages: 15_000}
-	if testing.Short() {
-		cfg.Messages = 4_000
-	}
-	seq := cfg
-	seq.EngineWorkers = 1
-	want := soakRecords(t, seq)
-	for _, workers := range []int{4, 0} {
-		other := cfg
-		other.EngineWorkers = workers
-		sameRecords(t, fmt.Sprintf("engine workers 1 vs %d", workers), want, soakRecords(t, other))
-	}
-}
-
 // TestSoakDeterministicAcrossSuiteWorkers pins that running seeds
-// concurrently via simt.ParallelFor (RunSuite Workers) yields the same
-// records as running them sequentially.
+// concurrently via simt.ParallelFor (RunSuite Workers 0, GOMAXPROCS,
+// here 4) yields the same records as running them one after another
+// (Workers 1). Under `go test -race` it doubles as the data-race audit
+// of concurrent soak runs.
 func TestSoakDeterministicAcrossSuiteWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := Config{Level: mpx.Unordered, Seed: 17, Messages: 8_000, KeepRecords: true}
 	if testing.Short() {
 		base.Messages = 3_000

@@ -37,55 +37,52 @@ func overloadBase(shed mpx.ShedPolicy) Config {
 // exceed the caps, something actually sheds (the overload is real),
 // every shed is accounted (client-side count + runtime ShedDrops ==
 // ShedRecovered at quiescence — no silent loss), the post-overload
-// p99 recovers, and the entire report is byte-identical across the
-// sequential and host-parallel engines.
+// p99 recovers, and the entire report is byte-identical on replay.
 func TestOverloadBoundedDeterministic(t *testing.T) {
 	cfg := overloadBase(mpx.ShedDropOldest)
 
-	cfg.EngineWorkers = 1
-	seq, err := Run(cfg)
+	first, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("sequential run: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	cfg.EngineWorkers = 4
-	par, err := Run(cfg)
+	replay, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("parallel run: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 
-	if !seq.CapsOK {
-		t.Fatalf("caps violated: UMQ peak %d, PRQ peak %d", seq.UMQPeak, seq.PRQPeak)
+	if !first.CapsOK {
+		t.Fatalf("caps violated: UMQ peak %d, PRQ peak %d", first.UMQPeak, first.PRQPeak)
 	}
-	if seq.SheddedArrivals == 0 && seq.Stats.Sheds == 0 {
+	if first.SheddedArrivals == 0 && first.Stats.Sheds == 0 {
 		t.Fatalf("overload window shed nothing; the scenario is not exercising backpressure")
 	}
-	if seq.Stats.ShedDrops != seq.Stats.ShedRecovered {
-		t.Fatalf("silent loss: %d frames shed by drop policy, %d recovered", seq.Stats.ShedDrops, seq.Stats.ShedRecovered)
+	if first.Stats.ShedDrops != first.Stats.ShedRecovered {
+		t.Fatalf("silent loss: %d frames shed by drop policy, %d recovered", first.Stats.ShedDrops, first.Stats.ShedRecovered)
 	}
-	if seq.OverloadStart >= seq.OverloadEnd {
-		t.Fatalf("overload window [%d,%d) not recorded", seq.OverloadStart, seq.OverloadEnd)
+	if first.OverloadStart >= first.OverloadEnd {
+		t.Fatalf("overload window [%d,%d) not recorded", first.OverloadStart, first.OverloadEnd)
 	}
-	if seq.SteadyP99 <= 0 {
+	if first.SteadyP99 <= 0 {
 		t.Fatalf("steady p99 not computed")
 	}
-	if !seq.Recovered {
+	if !first.Recovered {
 		t.Fatalf("post-overload p99 never re-entered %v× steady (steady %v µs, last window %v µs)",
-			cfg.Overload.RecoveryFactor, seq.SteadyP99, seq.RecoveryP99)
+			cfg.Overload.RecoveryFactor, first.SteadyP99, first.RecoveryP99)
 	}
-	if seq.RecoverySimSeconds < 0 {
-		t.Fatalf("negative recovery time %v", seq.RecoverySimSeconds)
+	if first.RecoverySimSeconds < 0 {
+		t.Fatalf("negative recovery time %v", first.RecoverySimSeconds)
 	}
 
-	// Engine-mode equivalence, down to every per-message latency and
-	// every shed slot.
-	if !reflect.DeepEqual(seq.Records, par.Records) {
-		t.Fatalf("per-message records diverge across engine modes")
+	// Replay equivalence, down to every per-message latency and every
+	// shed slot.
+	if !reflect.DeepEqual(first.Records, replay.Records) {
+		t.Fatalf("per-message records diverge on replay")
 	}
-	seqCopy, parCopy := *seq, *par
-	seqCopy.Records, parCopy.Records = nil, nil
-	seqCopy.Hist, parCopy.Hist = nil, nil
-	if !reflect.DeepEqual(seqCopy, parCopy) {
-		t.Fatalf("reports diverge across engine modes:\nseq: %+v\npar: %+v", seqCopy, parCopy)
+	firstCopy, replayCopy := *first, *replay
+	firstCopy.Records, replayCopy.Records = nil, nil
+	firstCopy.Hist, replayCopy.Hist = nil, nil
+	if !reflect.DeepEqual(firstCopy, replayCopy) {
+		t.Fatalf("reports diverge on replay:\nfirst:  %+v\nreplay: %+v", firstCopy, replayCopy)
 	}
 }
 
@@ -93,7 +90,6 @@ func TestOverloadBoundedDeterministic(t *testing.T) {
 // yields the same shed counts and records, byte for byte.
 func TestOverloadReplayIdentical(t *testing.T) {
 	cfg := overloadBase(mpx.ShedDropNewest)
-	cfg.EngineWorkers = 1
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +112,6 @@ func TestOverloadReplayIdentical(t *testing.T) {
 // never has to reject, and shed slots are excluded from quantiles.
 func TestOverloadRejectShedsClientSide(t *testing.T) {
 	cfg := overloadBase(mpx.ShedReject)
-	cfg.EngineWorkers = 1
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +140,7 @@ func TestOverloadRejectShedsClientSide(t *testing.T) {
 // TestOverloadInactiveLeavesReportClean: a plain soak reports CapsOK
 // (vacuously) and zeroed overload fields — the historical surface.
 func TestOverloadInactiveLeavesReportClean(t *testing.T) {
-	rep, err := Run(Config{GPUs: 2, Seed: 1, Messages: 1500, EngineWorkers: 1, KeepRecords: true})
+	rep, err := Run(Config{GPUs: 2, Seed: 1, Messages: 1500, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}

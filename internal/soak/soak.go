@@ -66,10 +66,6 @@ type Config struct {
 	// only traffic, the matching-dominated regime).
 	PayloadBytes int
 
-	// EngineWorkers pins the engines' host-parallel fan-out (0 = auto,
-	// inline below the simt fan-out grain; 1 = sequential; N ≥ 2 =
-	// always N); results are bit-identical either way.
-	EngineWorkers int
 	// Window and QueueCap pass through to the runtime (0 = defaults).
 	Window   int
 	QueueCap int
@@ -229,8 +225,7 @@ func Run(cfg Config) (*Report, error) {
 	over := cfg.Overload
 	rt := mpx.New(mpx.Config{
 		Level: cfg.Level, GPUs: cfg.GPUs, QueueCap: cfg.QueueCap,
-		Window: cfg.Window, EngineWorkers: cfg.EngineWorkers,
-		Fault: cfg.Fault, Telemetry: cfg.Telemetry,
+		Window: cfg.Window, Fault: cfg.Fault, Telemetry: cfg.Telemetry,
 		UMQCap: over.UMQCap, PRQCap: over.PRQCap,
 		StagingCap: over.StagingCap, Shed: over.Shed,
 		OnDeliver: func(r *mpx.Recv, now float64) {
@@ -478,8 +473,8 @@ type SuiteConfig struct {
 	// Seeds is the number of seeds (default 3).
 	Seeds int
 	// Workers fans the runs across host goroutines via
-	// simt.ParallelFor (default 1; 0 = GOMAXPROCS). Results are
-	// byte-identical to sequential execution.
+	// simt.ParallelFor (0 = GOMAXPROCS, the default; 1 = one after
+	// another). Results are byte-identical to sequential execution.
 	Workers int
 	// MaxSpread is the relative cross-seed spread the quantiles must
 	// stay within (default 0.10, the beads 10% gate).
@@ -507,9 +502,6 @@ func RunSuite(sc SuiteConfig) (*SuiteReport, error) {
 	}
 	if sc.MaxSpread <= 0 {
 		sc.MaxSpread = 0.10
-	}
-	if sc.Workers == 0 {
-		sc.Workers = 1
 	}
 	runs := make([]*Report, sc.Seeds)
 	errs := make([]error, sc.Seeds)
