@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math/bits"
 
 	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
@@ -103,7 +104,9 @@ type hashScratch struct {
 type hashLanes struct {
 	ids   [simt.LaneCount]int    // request or message index
 	keys  [simt.LaneCount]uint64 // packed tuple key
+	home  [simt.LaneCount]int    // primary-table slot of the key
 	slots [simt.LaneCount]int    // table slot of the lane's current CAS
+	zero  [simt.LaneCount]uint64 // the empty-slot word, for every lane
 }
 
 // NewHashMatcher returns a matcher with the given configuration. It
@@ -344,19 +347,25 @@ func (h *HashMatcher) elementPhase(insert bool, keysMem *simt.Memory, pend *[]in
 		*w.Counters() = simt.Counters{}
 		w.SetActive(simt.FullMask)
 		base := wi * simt.LaneCount
-		w.SetActive(w.BallotMask(simt.FirstLanes(pending - base)))
-		w.Exec(1, func(lane int) { l.ids[lane] = (*pend)[base+lane] })
-		w.LoadGlobal(keysMem,
-			func(lane int) int { return l.ids[lane] },
-			func(lane int, v uint64) { l.keys[lane] = v })
-		w.Exec(h.cost, func(lane int) {}) // hash evaluation
+		n := min(simt.LaneCount, pending-base) // lanes [0, n) hold an element
+		w.SetActive(w.BallotMask(simt.FirstLanes(n)))
+		w.Issue(1)
+		copy(l.ids[:n], (*pend)[base:])
+		w.LoadGlobalGather(keysMem, &l.ids, &l.keys)
+		w.Issue(h.cost) // hash evaluation
+		for lane := range n {
+			l.home[lane] = h.primarySlot(l.keys[lane], primSize)
+		}
 		var won uint32
 		if h.cfg.Policy == TwoLevel {
 			won = h.twoLevelWarp(w, insert, assign, primSize, secSize)
 		} else {
 			won = h.linearWarp(w, insert, assign, primSize)
 		}
-		w.Exec(1, func(lane int) { still[base+lane] = won&simt.LaneMask(lane) == 0 })
+		w.Issue(1)
+		for lane := range n {
+			still[base+lane] = won&simt.LaneMask(lane) == 0
+		}
 		ctaCtrs.Add(w.Counters())
 		if (wi+1)%warpsPerCTA == 0 || wi == warpsTotal-1 {
 			perCTA = append(perCTA, ctaCtrs)
@@ -378,12 +387,15 @@ func (h *HashMatcher) elementPhase(insert bool, keysMem *simt.Memory, pend *[]in
 // returns the lanes placed or matched.
 func (h *HashMatcher) twoLevelWarp(w *simt.Warp, insert bool, assign Assignment, primSize, secSize int) uint32 {
 	s := &h.scratch
-	won := h.claim(w, insert, 0, s.primIdx, assign,
-		func(lane int) int { return h.primarySlot(s.lanes.keys[lane], primSize) })
+	l := &s.lanes
+	won := h.claim(w, insert, 0, &l.home, s.primIdx, assign)
 	if miss := w.BallotMask(^won); miss != 0 {
 		w.WithMask(miss, func() {
-			won |= h.claim(w, insert, primSize, s.secIdx, assign,
-				func(lane int) int { return h.secondarySlot(s.lanes.keys[lane], secSize) })
+			for a := w.Active(); a != 0; a &= a - 1 {
+				lane := bits.TrailingZeros32(a)
+				l.slots[lane] = h.secondarySlot(l.keys[lane], secSize)
+			}
+			won |= h.claim(w, insert, primSize, &l.slots, s.secIdx, assign)
 		})
 	}
 	return won
@@ -395,11 +407,11 @@ func (h *HashMatcher) twoLevelWarp(w *simt.Warp, insert bool, assign Assignment,
 // unplaced. It returns the lanes placed or matched.
 func (h *HashMatcher) linearWarp(w *simt.Warp, insert bool, assign Assignment, primSize int) uint32 {
 	s := &h.scratch
+	l := &s.lanes
 	var won uint32
 	step := 0
-	probe := func(lane int) int { return (h.primarySlot(s.lanes.keys[lane], primSize) + step) % primSize }
 	if insert {
-		won = h.claim(w, insert, 0, s.primIdx, assign, probe)
+		won = h.claim(w, insert, 0, &l.home, s.primIdx, assign)
 		step++
 	}
 	for ; step < maxProbe; step++ {
@@ -407,47 +419,44 @@ func (h *HashMatcher) linearWarp(w *simt.Warp, insert bool, assign Assignment, p
 		if try == 0 {
 			break
 		}
-		w.WithMask(try, func() { won |= h.claim(w, insert, 0, s.primIdx, assign, probe) })
+		w.WithMask(try, func() {
+			for a := w.Active(); a != 0; a &= a - 1 {
+				lane := bits.TrailingZeros32(a)
+				l.slots[lane] = (l.home[lane] + step) % primSize
+			}
+			won |= h.claim(w, insert, 0, &l.slots, s.primIdx, assign)
+		})
 	}
 	return won
 }
 
-// claim issues one warp-wide CAS on table slot off+slot(lane) for each
+// claim issues one warp-wide CAS on table slot off+slots[lane] for each
 // active lane. An insert swaps an empty slot (0) for the lane's key and
 // records the lane's request in idx; a probe swaps the lane's key back
 // to 0, which frees the slot, and assigns the slot's request the
-// lane's message. It returns the lanes whose CAS succeeded.
-func (h *HashMatcher) claim(w *simt.Warp, insert bool, off int, idx []int, assign Assignment, slot func(lane int) int) uint32 {
+// lane's message. It returns the lanes whose CAS succeeded. At most one
+// lane wins a slot, so recording the winners after the CAS is the same
+// as recording each as it swaps.
+func (h *HashMatcher) claim(w *simt.Warp, insert bool, off int, slots *[simt.LaneCount]int, idx []int, assign Assignment) uint32 {
 	l := &h.scratch.lanes
-	var won uint32
-	w.AtomicCAS(h.scratch.mem,
-		func(lane int) int {
-			l.slots[lane] = slot(lane)
-			return off + l.slots[lane]
-		},
-		func(lane int) uint64 {
-			if insert {
-				return 0
-			}
-			return l.keys[lane]
-		},
-		func(lane int) uint64 {
-			if insert {
-				return l.keys[lane]
-			}
-			return 0
-		},
-		func(lane int, _ uint64, swapped bool) {
-			if !swapped {
-				return
-			}
-			won |= simt.LaneMask(lane)
-			if insert {
-				idx[l.slots[lane]] = l.ids[lane]
-			} else {
-				assign[idx[l.slots[lane]]] = l.ids[lane]
-			}
-		})
+	var addr [simt.LaneCount]int
+	for a := w.Active(); a != 0; a &= a - 1 {
+		lane := bits.TrailingZeros32(a)
+		addr[lane] = off + slots[lane]
+	}
+	old, new := &l.zero, &l.keys
+	if !insert {
+		old, new = new, old
+	}
+	won := w.AtomicCAS(h.scratch.mem, &addr, old, new)
+	for a := won; a != 0; a &= a - 1 {
+		lane := bits.TrailingZeros32(a)
+		if insert {
+			idx[slots[lane]] = l.ids[lane]
+		} else {
+			assign[idx[slots[lane]]] = l.ids[lane]
+		}
+	}
 	return won
 }
 

@@ -97,10 +97,11 @@ type matrixScratch struct {
 	waveCycles []float64
 	ctas       simt.CTACache
 
-	// compactMem and compactQ are the message queue the compaction
-	// kernel runs over, re-initialized per call (the memory only grows).
-	compactMem *simt.Memory
-	compactQ   queue.Queue
+	// compactMem views compactWords, and compactQ is the message queue
+	// the compaction kernel runs over in it, re-initialized per call.
+	compactWords []uint64
+	compactMem   simt.Memory
+	compactQ     queue.Queue
 }
 
 // NewMatrixMatcher returns a matcher with the given configuration.
@@ -288,13 +289,11 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	// holding a message, so the registers need no clearing.
 	m.scratch.msgRegs = grow(m.scratch.msgRegs, msgWarps)
 	msgRegs := m.scratch.msgRegs
+	msgMem, reqMem := globalOf(msgs), globalOf(reqs)
 	for wi, w := range warps {
 		start := blockStart + wi*simt.LaneCount
 		valid := w.BallotMask(simt.FirstLanes(blockEnd - start))
-		w.WithMask(valid, func() {
-			w.LoadGlobal(globalOf(msgs), func(lane int) int { return start + lane },
-				func(lane int, v uint64) { msgRegs[wi][lane] = v })
-		})
+		w.WithMask(valid, func() { w.LoadGlobalRange(msgMem, start, &msgRegs[wi]) })
 	}
 	// The message loads bill to the scan phase.
 	var scanCtrs, reduceCtrs simt.Counters
@@ -325,11 +324,8 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			inWin := w.BallotMask(simt.FirstLanes(wEnd - wStart - off))
 			w.WithMask(inWin, func() {
 				var tmp [simt.LaneCount]uint64
-				w.LoadGlobal(globalOf(reqs), func(lane int) int { return wStart + off + lane },
-					func(lane int, v uint64) { tmp[lane] = v })
-				w.StoreShared(cta.Shared, func(lane int) int {
-					return simt.MaxWarpsPerCTA*stride + off + lane
-				}, func(lane int) uint64 { return tmp[lane] })
+				w.LoadGlobalRange(reqMem, wStart+off, &tmp)
+				w.StoreSharedRange(cta.Shared, simt.MaxWarpsPerCTA*stride+off, &tmp)
 			})
 		}
 		cta.SyncThreads()
@@ -357,6 +353,9 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// resolves each column to the earliest unclaimed message.
 		w0 := warps[0]
 		rowMask := simt.FirstLanes(msgWarps)
+		// Lane l of the column read holds row l's vote; only the block's
+		// rows are loaded and read.
+		var colVotes [simt.LaneCount]uint64
 		for i := wStart; i < wEnd; i++ {
 			col := i - wStart
 			// Skip columns already claimed by an earlier CTA or round.
@@ -364,16 +363,11 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			if assign[i] != NoMatch {
 				continue
 			}
-			var colVotes [simt.LaneCount]uint32
-			w0.WithMask(rowMask, func() {
-				w0.LoadShared(cta.Shared,
-					func(lane int) int { return lane*stride + col },
-					func(lane int, v uint64) { colVotes[lane] = uint32(v) })
-			})
+			w0.WithMask(rowMask, func() { w0.LoadSharedStrided(cta.Shared, col, stride, &colVotes) })
 			w0.Issue(1) // vote & mask
 			var votes uint32
 			for lane, v := range colVotes[:msgWarps] {
-				if v&masks[lane] != 0 {
+				if uint32(v)&masks[lane] != 0 {
 					votes |= simt.LaneMask(lane)
 				}
 			}
@@ -386,7 +380,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			winner := simt.Ffs(bidders) - 1
 			w0.WithMask(simt.LaneMask(winner), func() {
 				w0.Issue(3) // ffs, mask clear, index math
-				bit := simt.Ffs(colVotes[winner]&masks[winner]) - 1
+				bit := simt.Ffs(uint32(colVotes[winner])&masks[winner]) - 1
 				masks[winner] &^= 1 << uint(bit)
 				assign[i] = blockStart + winner*simt.LaneCount + bit
 				matchedInBlock++
@@ -453,32 +447,27 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	cta := m.scratch.ctas.Get(0, simt.LaneCount, simt.LaneCount)
 	w := cta.Warp(0)
 
-	var lo, hi [simt.LaneCount]uint64
-	w.LoadGlobal(globalOf(msgs), func(lane int) int {
-		if blockStart+lane < blockEnd {
-			return blockStart + lane
-		}
-		return blockStart
-	}, func(lane int, v uint64) {
-		if blockStart+lane < blockEnd {
-			lo[lane] = v
-		}
-	})
-	if blockLen > simt.LaneCount {
-		w.LoadGlobal(globalOf(msgs), func(lane int) int {
-			if blockStart+simt.LaneCount+lane < blockEnd {
-				return blockStart + simt.LaneCount + lane
-			}
-			return blockStart
-		}, func(lane int, v uint64) {
-			if blockStart+simt.LaneCount+lane < blockEnd {
-				hi[lane] = v
-			}
-		})
-	}
 	// Unclaimed messages per register file; lanes past the block hold
 	// none, so their predicate is never evaluated.
 	maskLo, maskHi := simt.FirstLanes(blockLen), simt.FirstLanes(blockLen-simt.LaneCount)
+
+	// The warp loads without predication: a lane past the block clamps
+	// its address to blockStart and discards the word. For lo, lane 0
+	// reads blockStart too, so the load bills just the block's range.
+	// For hi, the clamped lanes of a 33–63 message block add
+	// blockStart's segment, which the hi range never touches.
+	msgMem, reqMem := globalOf(msgs), globalOf(reqs)
+	var lo, hi [simt.LaneCount]uint64
+	w.SetActive(maskLo)
+	w.LoadGlobalRange(msgMem, blockStart, &lo)
+	if blockLen > simt.LaneCount {
+		w.SetActive(maskHi)
+		w.LoadGlobalRange(msgMem, blockStart+simt.LaneCount, &hi)
+		if blockLen < 2*simt.LaneCount {
+			w.Counters().GMemTrans++
+		}
+	}
+	w.SetActive(simt.FullMask)
 	matched := 0
 
 	for i := range reqs {
@@ -491,13 +480,13 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// is not dramatically faster than the matrix (Figure 4 is
 		// roughly flat across queue lengths).
 		if i%simt.LaneCount == 0 {
-			w.LoadGlobal(globalOf(reqs), func(lane int) int {
-				if i+lane < len(reqs) {
-					return i + lane
-				}
-				return i
-			}, func(lane int, v uint64) {})
-			w.StoreShared(cta.Shared, func(lane int) int { return lane }, func(lane int) uint64 { return 0 })
+			// Clamped lanes read lane 0's word: no extra segment. The
+			// kernel's staging stores zeros; the values are not used.
+			var staged [simt.LaneCount]uint64
+			w.SetActive(simt.FirstLanes(len(reqs) - i))
+			w.LoadGlobalRange(reqMem, i, &staged)
+			w.SetActive(simt.FullMask)
+			w.StoreSharedRange(cta.Shared, 0, &zeroLanes)
 		}
 		w.LoadSharedUniform(cta.Shared, i%simt.LaneCount)
 		w.Issue(2)
@@ -541,11 +530,10 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 // step the paper measures at roughly 10% of the matching rate).
 func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float64 {
 	sc := &m.scratch
-	if sc.compactMem == nil || sc.compactMem.Len() < len(msgs) {
-		sc.compactMem = simt.NewMemory(len(msgs))
-	}
+	sc.compactWords = grow(sc.compactWords, len(msgs))
+	sc.compactMem.Rebind(sc.compactWords)
 	q := &sc.compactQ
-	q.Init(sc.compactMem, 0, len(msgs))
+	q.Init(&sc.compactMem, 0, len(msgs))
 	for _, w := range msgs {
 		q.Push(w) //nolint:errcheck // capacity is exact
 	}
@@ -564,6 +552,9 @@ func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float
 		Kind: timing.Throughput, Ctrs: cta.Counters(), ResidentWarps: simt.MaxWarpsPerCTA,
 	})*2 + entries*m.model.P.CompactPerEntry + m.model.P.LaunchOverhead
 }
+
+// zeroLanes is the fused path's staging-store source.
+var zeroLanes [simt.LaneCount]uint64
 
 // globalOf wraps a host slice as device global memory for kernel loads.
 // The copy-free view keeps simulation fast while still billing real

@@ -196,3 +196,26 @@ func BenchmarkMatchInto(b *testing.B) {
 		})
 	}
 }
+
+// TestCompactionScratchGrowsGeometrically feeds the compaction kernel
+// a residue that deepens by one message per call, from 1 to 4096: its
+// queue memory must grow geometrically, so the calls allocate a
+// logarithmic number of times rather than once per call.
+func TestCompactionScratchGrowsGeometrically(t *testing.T) {
+	const n = 4096
+	msgs := make([]uint64, n)
+	for i := range msgs {
+		msgs[i] = uint64(i) + 1
+	}
+	m := NewMatrixMatcher(MatrixConfig{Compact: true})
+	m.compactionCycles(msgs[:1], nil) // builds the compaction CTA
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 2; k <= n; k++ {
+		m.compactionCycles(msgs[:k], nil)
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 2*12 {
+		t.Errorf("%d calls with a residue growing to %d allocate %d times, want at most %d (2 per doubling)", n-1, n, allocs, 2*12)
+	}
+}

@@ -193,11 +193,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		for wi, w := range busy {
 			start := tileStart + wi*simt.LaneCount
 			valid := w.BallotMask(simt.FirstLanes(q.count - start))
-			w.WithMask(valid, func() {
-				w.LoadGlobal(q.mem,
-					func(lane int) int { return q.base + start + lane },
-					func(lane int, v uint64) { words[wi][lane] = v })
-			})
+			w.WithMask(valid, func() { w.LoadGlobalRange(q.mem, q.base+start, &words[wi]) })
 			var keep uint32
 			for m := valid; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
@@ -213,19 +209,15 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 		// in shared memory (a ≤32-element scan: one warp suffices).
 		w0 := warps[0]
 		nw := len(warps)
-		var warpOffsets [simt.MaxWarpsPerCTA]int
+		var warpOffsets [simt.MaxWarpsPerCTA]uint64
 		w0.WithMask(simt.FirstLanes(nw), func() {
 			w0.Issue(2)
 			sum := 0
 			for i := 0; i < nw; i++ {
-				warpOffsets[i] = sum
+				warpOffsets[i] = uint64(sum)
 				sum += simt.Popc(masks[i])
 			}
-			if cta.Shared.Len() > 0 {
-				w0.StoreShared(cta.Shared,
-					func(lane int) int { return lane % cta.Shared.Len() },
-					func(lane int) uint64 { return uint64(warpOffsets[lane]) })
-			}
+			w0.StoreSharedRange(cta.Shared, 0, &warpOffsets)
 		})
 		cta.SyncThreads()
 
@@ -235,12 +227,7 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 			mask := masks[wi]
 			w.WithMask(mask, func() {
 				w.Issue(2) // offset computation (popc + add)
-				w.StoreGlobal(q.mem,
-					func(lane int) int {
-						prefix := simt.Popc(mask & (simt.LaneMask(lane) - 1))
-						return q.base + writeBase + warpOffsets[wi] + prefix
-					},
-					func(lane int) uint64 { return words[wi][lane] })
+				w.StoreGlobalPacked(q.mem, q.base+writeBase+int(warpOffsets[wi]), &words[wi])
 			})
 		}
 		cta.SyncThreads()

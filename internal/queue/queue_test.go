@@ -351,3 +351,27 @@ func TestCompactSIMTConservesLive(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactZeroAlloc pins Compact's allocation contract on a reused
+// CTA: whatever the queue length (empty, a partial tile, several
+// tiles) and the CTA width, compacting allocates nothing.
+func TestCompactZeroAlloc(t *testing.T) {
+	mem := simt.NewMemory(4096)
+	var q Queue
+	for _, threads := range []int{32, 1024} {
+		cta := simt.NewCTA(0, threads, simt.MaxWarpsPerCTA)
+		for _, n := range []int{0, 17, 1024, 4096} {
+			allocs := testing.AllocsPerRun(20, func() {
+				q.Init(mem, 0, n)
+				for i := 0; i < n; i++ {
+					q.Push(uint64(i%3) * packedEnv(i, 1)) // every third is a bubble
+				}
+				cta.Reset()
+				q.Compact(cta)
+			})
+			if allocs != 0 {
+				t.Errorf("Compact of %d entries on a %d-thread CTA allocates %v per call, want 0", n, threads, allocs)
+			}
+		}
+	}
+}

@@ -44,20 +44,21 @@ func TestSharedOpsBillConflicts(t *testing.T) {
 	var ctrs Counters
 	w := NewWarp(0, &ctrs)
 	sm := NewMemory(33 * 32)
+	var dst [LaneCount]uint64
 	// Column access with stride 32: worst case, 31 extra passes.
-	w.LoadShared(sm, func(lane int) int { return lane * 32 }, func(int, uint64) {})
+	w.LoadSharedStrided(sm, 0, 32, &dst)
 	if ctrs.SMemConflict != 31 {
 		t.Errorf("stride-32 load: conflicts = %d, want 31", ctrs.SMemConflict)
 	}
 	// Padded stride 33: conflict-free.
 	before := ctrs.SMemConflict
-	w.LoadShared(sm, func(lane int) int { return lane * 33 }, func(int, uint64) {})
+	w.LoadSharedStrided(sm, 0, 33, &dst)
 	if ctrs.SMemConflict != before {
 		t.Errorf("stride-33 load billed conflicts")
 	}
-	// Stores too.
-	w.StoreShared(sm, func(lane int) int { return lane * 32 }, func(int) uint64 { return 0 })
-	if ctrs.SMemConflict != before+31 {
-		t.Errorf("stride-32 store: conflicts = %d, want %d", ctrs.SMemConflict, before+31)
+	// A lane-contiguous store touches every bank once.
+	w.StoreSharedRange(sm, 7, &dst)
+	if ctrs.SMemConflict != before {
+		t.Errorf("range store billed conflicts")
 	}
 }

@@ -1,13 +1,14 @@
 // Package simt is a warp-accurate simulator of the SIMT execution
 // model the paper's matching algorithms are written against: 32-lane
 // warps executing in lock step with active masks, warp-level intrinsics
-// (ballot, shuffle, ffs/clz/popc), CTAs of up to 32 warps with shared
+// (ballot, ffs/clz/popc), coalesced and bank-modeled lane-array memory
+// accesses, warp-wide compare-and-swap, CTAs of up to 32 warps with shared
 // memory and barriers, and devices with word-addressed global memory.
 //
-// Kernels are expressed in warp-synchronous style: per-lane computation
-// is supplied as callbacks that the warp applies to its active lanes,
-// and every primitive bills the warp-instruction counters that the
-// timing model (internal/timing) converts into per-architecture cycles.
+// Kernels are expressed in warp-synchronous style: per-lane values live
+// in lane arrays that kernel code computes over inline, and every warp
+// primitive bills the warp-instruction counters that the timing model
+// (internal/timing) converts into per-architecture cycles.
 // Functional execution is sequential and deterministic; concurrency is
 // modeled analytically from the counters, never from goroutine
 // scheduling, so results are exactly reproducible.
@@ -18,7 +19,7 @@ package simt
 type Counters struct {
 	ALU          uint64 // arithmetic/logic, incl. ffs/clz/popc lane ops
 	Ballot       uint64 // warp vote instructions (ballot/any/all)
-	Shfl         uint64 // warp shuffle instructions
+	Shfl         uint64 // warp shuffle instructions (timing prices them; no kernel issues one)
 	SMemLoad     uint64 // shared memory load instructions
 	SMemStore    uint64 // shared memory store instructions
 	SMemConflict uint64 // extra serialized cycles from bank conflicts

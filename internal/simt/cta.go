@@ -11,9 +11,9 @@ import (
 // sequentially and deterministically by kernel code; SyncThreads marks
 // barrier points for the timing model.
 //
-// Each warp bills into its own counter sink; Counters sums the sinks
-// in warp-id order, which equals one shared sink because counter
-// merging is integer addition.
+// The warps and the barriers bill into one counter sink owned by the
+// CTA, so Counters, DrainCounters and Reset cost the same at any warp
+// count.
 type CTA struct {
 	// ID is the CTA index within its grid.
 	ID int
@@ -22,7 +22,7 @@ type CTA struct {
 
 	threads int
 	warps   []*Warp
-	ctrs    Counters // CTA-level billing (barriers)
+	ctrs    Counters // the sink every warp and barrier bills into
 }
 
 // MaxWarpsPerCTA is the hardware limit the paper leans on: "so far all
@@ -41,7 +41,7 @@ func NewCTA(id, threads, sharedWords int) *CTA {
 	c := &CTA{ID: id, Shared: NewMemory(sharedWords), threads: threads}
 	c.warps = make([]*Warp, nWarps)
 	for i := range c.warps {
-		c.warps[i] = NewWarp(i, new(Counters))
+		c.warps[i] = NewWarp(i, &c.ctrs)
 	}
 	c.resetMasks()
 	return c
@@ -93,34 +93,19 @@ func (c *CTA) SyncThreads() {
 	c.ctrs.Sync += uint64(len(c.warps))
 }
 
-// Counters returns the CTA's accumulated counters: the CTA-level
-// (barrier) billing plus every warp's sink, summed in warp-id order.
-func (c *CTA) Counters() Counters {
-	t := c.ctrs
-	for _, w := range c.warps {
-		t.Add(w.ctrs)
-	}
-	return t
-}
+// Counters returns the CTA's accumulated counters.
+func (c *CTA) Counters() Counters { return c.ctrs }
 
 // DrainCounters adds the CTA's counters to dst and zeroes them: the
 // boundary between two phases of phase-separated accounting.
 func (c *CTA) DrainCounters(dst *Counters) {
 	dst.Add(&c.ctrs)
-	for _, w := range c.warps {
-		dst.Add(w.ctrs)
-	}
-	c.ResetCounters()
+	c.ctrs = Counters{}
 }
 
 // ResetCounters zeroes the CTA's counters (useful for phase-separated
 // accounting).
-func (c *CTA) ResetCounters() {
-	c.ctrs = Counters{}
-	for _, w := range c.warps {
-		*w.ctrs = Counters{}
-	}
-}
+func (c *CTA) ResetCounters() { c.ctrs = Counters{} }
 
 // ctaShape keys CTA reuse by construction parameters.
 type ctaShape struct{ threads, sharedWords int }

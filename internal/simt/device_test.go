@@ -3,30 +3,34 @@ package simt
 import "testing"
 
 // TestWarpReduceScenario exercises a composite kernel: a warp-wide
-// max-reduce using shuffles, the classic SIMT idiom, verifying the
-// engine supports real warp-synchronous programming.
+// max-reduce through shared memory, the classic tree in which the lower
+// half of the active lanes folds in the upper half each step, built from
+// the lane-array primitives.
 func TestWarpReduceScenario(t *testing.T) {
 	g := NewMemory(64)
 	// Seed global memory with values; lane i holds (i*7)%31.
 	for i := 0; i < 32; i++ {
 		g.Store(i, uint64((i*7)%31))
 	}
-	w := NewCTA(0, 32, 0).Warp(0)
-	var regs [LaneCount]uint64
-	w.LoadGlobal(g, func(lane int) int { return lane }, func(lane int, v uint64) { regs[lane] = v })
+	c := NewCTA(0, 32, LaneCount)
+	w := c.Warp(0)
+	var regs, upper [LaneCount]uint64
+	w.LoadGlobalRange(g, 0, &regs)
+	w.StoreSharedRange(c.Shared, 0, &regs)
 	for off := LaneCount / 2; off > 0; off /= 2 {
-		var incoming [LaneCount]uint64
-		w.Shfl(
-			func(lane int) uint64 { return regs[lane] },
-			func(lane int) int { return (lane + off) % LaneCount },
-			func(lane int, v uint64) { incoming[lane] = v })
-		w.Exec(1, func(lane int) {
-			if incoming[lane] > regs[lane] {
-				regs[lane] = incoming[lane]
+		w.WithMask(FirstLanes(off), func() {
+			w.LoadSharedStrided(c.Shared, off, 1, &upper)
+			w.Issue(1)
+			for lane := 0; lane < off; lane++ {
+				regs[lane] = max(regs[lane], upper[lane])
 			}
+			w.StoreSharedRange(c.Shared, 0, &regs)
 		})
 	}
-	if result := regs[0]; result != 30 {
+	if result := c.Shared.Load(0); result != 30 {
 		t.Errorf("warp max-reduce = %d, want 30", result)
+	}
+	if ctrs := c.Counters(); ctrs.SMemLoad != 5 || ctrs.SMemStore != 6 || ctrs.SMemConflict != 0 {
+		t.Errorf("reduce billed %+v, want 5 loads, 6 stores, no conflicts", ctrs)
 	}
 }

@@ -33,7 +33,7 @@ func TestIssueMatchesExec(t *testing.T) {
 		mf, mc := newTestWarp()
 		ref.SetActive(mask)
 		mf.SetActive(mask)
-		ref.Exec(n, func(lane int) {})
+		refExec(ref, n, func(lane int) {})
 		mf.Issue(n)
 		if *rc != *mc {
 			t.Fatalf("trial %d (mask %#x, n %d): Issue counters %+v, Exec %+v", trial, mask, n, *mc, *rc)
@@ -62,7 +62,7 @@ func TestBallotMaskMatchesBallot(t *testing.T) {
 		mf, mc := newTestWarp()
 		ref.SetActive(mask)
 		mf.SetActive(mask)
-		want := ref.Ballot(func(lane int) bool { return votes&LaneMask(lane) != 0 })
+		want := refBallot(ref, func(lane int) bool { return votes&LaneMask(lane) != 0 })
 		if got := mf.BallotMask(votes); got != want {
 			t.Fatalf("trial %d (mask %#x, votes %#x): BallotMask = %#x, Ballot = %#x", trial, mask, votes, got, want)
 		}
@@ -92,7 +92,7 @@ func TestLoadSharedUniformMatchesLoadShared(t *testing.T) {
 		ref.SetActive(mask)
 		mf.SetActive(mask)
 		var want uint64
-		ref.LoadShared(refMem, func(lane int) int { return addr }, func(lane int, v uint64) { want = v })
+		refLoadShared(ref, refMem, func(lane int) int { return addr }, func(lane int, v uint64) { want = v })
 		if got := mf.LoadSharedUniform(mfMem, addr); got != want {
 			t.Fatalf("trial %d (mask %#x, addr %d): LoadSharedUniform = %#x, LoadShared = %#x", trial, mask, addr, got, want)
 		}
@@ -120,7 +120,7 @@ func TestStoreSharedUniformMatchesStoreShared(t *testing.T) {
 		mf, mc := newTestWarp()
 		ref.SetActive(mask)
 		mf.SetActive(mask)
-		ref.StoreShared(refMem, func(lane int) int { return addr }, func(lane int) uint64 { return v })
+		refStoreShared(ref, refMem, func(lane int) int { return addr }, func(lane int) uint64 { return v })
 		mf.StoreSharedUniform(mfMem, addr, v)
 		if *rc != *mc {
 			t.Fatalf("trial %d (mask %#x): StoreSharedUniform counters %+v, StoreShared %+v", trial, mask, *mc, *rc)

@@ -1,6 +1,9 @@
 package simt
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Memory is a word-addressed (64-bit) memory, used for both simulated
 // global device memory and per-CTA shared memory. Addresses are word
@@ -70,21 +73,6 @@ func (m *Memory) CAS(addr int, old, new uint64) (prev uint64, swapped bool) {
 		return prev, true
 	}
 	return prev, false
-}
-
-// AtomicAdd adds delta to the word at addr and returns the previous
-// value.
-func (m *Memory) AtomicAdd(addr int, delta uint64) (prev uint64) {
-	prev = m.Load(addr)
-	m.Store(addr, prev+delta)
-	return prev
-}
-
-// AtomicExch stores v at addr and returns the previous value.
-func (m *Memory) AtomicExch(addr int, v uint64) (prev uint64) {
-	prev = m.Load(addr)
-	m.Store(addr, v)
-	return prev
 }
 
 // Fill sets words [addr, addr+n) to v.
@@ -168,4 +156,39 @@ func transactions(addrs []int) uint64 {
 		}
 	}
 	return n
+}
+
+// gatherSegments is transactions over the addresses of mask's lanes.
+func gatherSegments(mask uint32, addr *[LaneCount]int) uint64 {
+	var addrs [LaneCount]int
+	n := 0
+	for ; mask != 0; mask &= mask - 1 {
+		addrs[n] = addr[bits.TrailingZeros32(mask)]
+		n++
+	}
+	return transactions(addrs[:n])
+}
+
+// rangeSegments is transactions for the lane-contiguous access from
+// base by mask's lanes, in closed form: with off = base%segmentWords,
+// lanes [0, 16-off) share the run's first segment, lanes
+// [16-off, 32-off) its second, and the rest its third.
+func rangeSegments(base int, mask uint32) uint64 {
+	off := base % segmentWords
+	first, firstTwo := FirstLanes(segmentWords-off), FirstLanes(2*segmentWords-off)
+	n := uint64(0)
+	for _, seg := range [3]uint32{first, firstTwo &^ first, ^firstTwo} {
+		if mask&seg != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// runSegments is transactions for the n consecutive words from base.
+func runSegments(base, n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return uint64((base+n-1)/segmentWords - base/segmentWords + 1)
 }

@@ -51,7 +51,7 @@ func TestWorkersResolution(t *testing.T) {
 
 // countingKernel is a grid whose CTAs are independent: each CTA writes
 // a deterministic mix of per-lane values into its own disjoint global
-// region, exercising every counter class.
+// region, exercising every counter class a kernel bills.
 func countingKernel(seed int64) (func(c *CTA, g *Memory), int) {
 	const perCTA = 64
 	return func(c *CTA, g *Memory) {
@@ -59,28 +59,35 @@ func countingKernel(seed int64) (func(c *CTA, g *Memory), int) {
 		base := c.ID * perCTA
 		for _, w := range c.Warps() {
 			mix := rng.Uint64()
-			w.Exec(2, func(lane int) {})
-			vote := w.Ballot(func(lane int) bool { return mix>>uint(lane)&1 == 1 })
-			w.StoreShared(c.Shared, func(lane int) int { return lane % 8 }, func(lane int) uint64 { return mix })
-			w.LoadShared(c.Shared, func(lane int) int { return lane % 8 }, func(lane int, v uint64) {})
-			w.WithMask(vote, func() {
-				w.StoreGlobal(g, func(lane int) int { return base + w.ID*LaneCount + lane },
-					func(lane int) uint64 { return mix ^ uint64(lane) })
-			})
-			w.LoadGlobal(g, func(lane int) int { return base + (lane*7)%perCTA }, func(lane int, v uint64) {})
-			w.AtomicAdd(g, func(lane int) int { return base }, func(lane int) uint64 { return 1 }, func(int, uint64) {})
+			var vals, addr [LaneCount]uint64
+			var gather [LaneCount]int
+			for lane := range vals {
+				vals[lane] = mix ^ uint64(lane)
+				gather[lane] = base + (lane*7)%perCTA
+			}
+			w.Issue(2)
+			vote := w.BallotMask(uint32(mix))
+			w.StoreSharedRange(c.Shared, 0, &vals)
+			w.LoadSharedStrided(c.Shared, 0, 2, &addr)
+			w.WithMask(vote, func() { w.StoreGlobalPacked(g, base+w.ID*LaneCount, &vals) })
+			w.LoadGlobalGather(g, &gather, &addr)
+			var one [LaneCount]int
+			for lane := range one {
+				one[lane] = base
+			}
+			w.AtomicCAS(g, &one, &addr, &vals)
 		}
 		c.SyncThreads()
 	}, perCTA
 }
 
-// runGrid runs kernel on ctas fresh CTAs of 64 threads and 8 shared
+// runGrid runs kernel on ctas fresh CTAs of 64 threads and 64 shared
 // words, spread over workers goroutines, and returns each CTA's
 // counters indexed by CTA id.
 func runGrid(ctas, workers int, kernel func(c *CTA, g *Memory), g *Memory) []Counters {
 	per := make([]Counters, ctas)
 	ParallelFor(ctas, workers, func(i int) {
-		c := NewCTA(i, 64, 8)
+		c := NewCTA(i, 64, 64)
 		kernel(c, g)
 		per[i] = c.Counters()
 	})

@@ -19,7 +19,7 @@ func memOps(m *Memory, rng *rand.Rand, n int) []uint64 {
 	}
 	for i := 0; i < n; i++ {
 		a := rng.Intn(size)
-		switch rng.Intn(7) {
+		switch rng.Intn(5) {
 		case 0:
 			m.Store(a, val())
 		case 1:
@@ -38,13 +38,9 @@ func memOps(m *Memory, rng *rand.Rand, n int) []uint64 {
 				log = append(log, prev, 0)
 			}
 		case 3:
-			log = append(log, m.AtomicAdd(a, val()))
-		case 4:
-			log = append(log, m.AtomicExch(a, val()))
-		case 5:
 			k := rng.Intn(size - a + 1)
 			m.Fill(a, k, val())
-		case 6:
+		case 4:
 			k := rng.Intn(size - a + 1)
 			s := m.Slice(a, k)
 			log = append(log, s...)
@@ -131,8 +127,8 @@ func TestMemoryZeroWrapClears(t *testing.T) {
 }
 
 // ctaOps runs a seeded random kernel on c: shared-memory stores and
-// loads through warps, atomics and fills on the arena, narrowed masks
-// and barriers. It returns every value the kernel read.
+// loads through warps, CASes and fills on the arena, narrowed masks and
+// barriers. It returns every value the kernel read.
 func ctaOps(c *CTA, rng *rand.Rand) []uint64 {
 	var log []uint64
 	size := c.Shared.Len()
@@ -141,14 +137,19 @@ func ctaOps(c *CTA, rng *rand.Rand) []uint64 {
 		base := rng.Intn(size)
 		switch rng.Intn(5) {
 		case 0:
+			var src [LaneCount]uint64
 			v := rng.Uint64()
-			w.StoreShared(c.Shared, func(lane int) int { return (base + lane) % size },
-				func(lane int) uint64 { return v ^ uint64(lane) })
+			for lane := range src {
+				src[lane] = v ^ uint64(lane)
+			}
+			w.StoreSharedRange(c.Shared, base%(size-LaneCount+1), &src)
 		case 1:
-			w.LoadShared(c.Shared, func(lane int) int { return (base + 3*lane) % size },
-				func(lane int, v uint64) { log = append(log, v) })
+			var dst [LaneCount]uint64
+			w.LoadSharedStrided(c.Shared, base%(size-2*(LaneCount-1)), 2, &dst)
+			log = append(log, dst[:]...)
 		case 2:
-			log = append(log, c.Shared.AtomicAdd(base, 1), c.Shared.AtomicExch(base, rng.Uint64()))
+			prev, _ := c.Shared.CAS(base, c.Shared.Load(base), rng.Uint64())
+			log = append(log, prev)
 		case 3:
 			w.SetActive(rng.Uint32())
 		case 4:

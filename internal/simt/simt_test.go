@@ -84,22 +84,6 @@ func TestMemoryCAS(t *testing.T) {
 	}
 }
 
-func TestMemoryAtomics(t *testing.T) {
-	m := NewMemory(2)
-	if prev := m.AtomicAdd(0, 5); prev != 0 {
-		t.Errorf("AtomicAdd prev = %d, want 0", prev)
-	}
-	if got := m.Load(0); got != 5 {
-		t.Errorf("after AtomicAdd: %d, want 5", got)
-	}
-	if prev := m.AtomicExch(0, 100); prev != 5 {
-		t.Errorf("AtomicExch prev = %d, want 5", prev)
-	}
-	if got := m.Load(0); got != 100 {
-		t.Errorf("after AtomicExch: %d, want 100", got)
-	}
-}
-
 func TestMemoryFillSlice(t *testing.T) {
 	m := NewMemory(10)
 	m.Fill(2, 3, 9)
@@ -158,9 +142,9 @@ func newTestWarp() (*Warp, *Counters) {
 
 func TestBallot(t *testing.T) {
 	w, c := newTestWarp()
-	v := w.Ballot(func(lane int) bool { return lane%2 == 0 })
+	v := w.BallotMask(0x55555555)
 	if v != 0x55555555 {
-		t.Errorf("Ballot(even lanes) = %#x, want 0x55555555", v)
+		t.Errorf("BallotMask(even lanes) = %#x, want 0x55555555", v)
 	}
 	if c.Ballot != 1 {
 		t.Errorf("Ballot counter = %d, want 1", c.Ballot)
@@ -170,23 +154,26 @@ func TestBallot(t *testing.T) {
 func TestBallotRespectsMask(t *testing.T) {
 	w, _ := newTestWarp()
 	w.SetActive(0x0000000F)
-	v := w.Ballot(func(lane int) bool { return true })
+	v := w.BallotMask(FullMask)
 	if v != 0x0000000F {
-		t.Errorf("Ballot under mask = %#x, want 0xF", v)
+		t.Errorf("BallotMask under mask = %#x, want 0xF", v)
 	}
 }
 
+// TestAnyAll checks the any and all votes kernels take from one
+// ballot: any lane votes iff the ballot is non-zero, every lane iff it
+// equals the active mask, vacuously so on an empty mask.
 func TestAnyAll(t *testing.T) {
 	w, _ := newTestWarp()
-	if !w.Any(func(lane int) bool { return lane == 17 }) {
-		t.Error("Any(lane==17) = false, want true")
+	if v := w.BallotMask(LaneMask(17)); v == 0 {
+		t.Error("any(lane==17) = false, want true")
 	}
-	if w.All(func(lane int) bool { return lane == 17 }) {
-		t.Error("All(lane==17) = true, want false")
+	if v := w.BallotMask(LaneMask(17)); v == w.Active() {
+		t.Error("all(lane==17) = true, want false")
 	}
 	w.SetActive(0)
-	if !w.All(func(lane int) bool { return false }) {
-		t.Error("All on empty mask should be vacuously true")
+	if v := w.BallotMask(0); v != w.Active() {
+		t.Error("all on empty mask should be vacuously true")
 	}
 }
 
@@ -194,7 +181,7 @@ func TestExecVisitsActiveLanesInOrder(t *testing.T) {
 	w, c := newTestWarp()
 	w.SetActive(0b1010)
 	var visited []int
-	w.Exec(3, func(lane int) { visited = append(visited, lane) })
+	refExec(w, 3, func(lane int) { visited = append(visited, lane) })
 	if len(visited) != 2 || visited[0] != 1 || visited[1] != 3 {
 		t.Errorf("visited = %v, want [1 3]", visited)
 	}
@@ -210,7 +197,7 @@ func TestExecNegativePanics(t *testing.T) {
 			t.Error("Exec(-1) did not panic")
 		}
 	}()
-	w.Exec(-1, func(int) {})
+	refExec(w, -1, func(int) {})
 }
 
 func TestWithMask(t *testing.T) {
@@ -236,65 +223,60 @@ func TestWithMask(t *testing.T) {
 	}
 }
 
+// diverge is a divergent if-else as kernels write it: one ballot of the
+// lanes' votes, then each side under WithMask, serialized.
+func diverge(w *Warp, votes uint32, then, els func()) {
+	taken := w.BallotMask(votes)
+	w.WithMask(taken, then)
+	w.WithMask(^taken, els)
+}
+
 func TestDiverge(t *testing.T) {
-	w, _ := newTestWarp()
+	w, c := newTestWarp()
 	var thenLanes, elseLanes int
-	w.Diverge(func(lane int) bool { return lane < 8 },
+	diverge(w, FirstLanes(8),
 		func() { thenLanes = Popc(w.Active()) },
 		func() { elseLanes = Popc(w.Active()) })
 	if thenLanes != 8 || elseLanes != 24 {
 		t.Errorf("then=%d else=%d, want 8/24", thenLanes, elseLanes)
 	}
 	if w.Active() != FullMask {
-		t.Errorf("mask not restored after Diverge: %#x", w.Active())
+		t.Errorf("mask not restored after diverge: %#x", w.Active())
 	}
-}
-
-func TestShfl(t *testing.T) {
-	w, c := newTestWarp()
-	var out [LaneCount]uint64
-	// Rotate-by-one shuffle.
-	w.Shfl(
-		func(lane int) uint64 { return uint64(lane * 10) },
-		func(lane int) int { return (lane + 1) % LaneCount },
-		func(lane int, v uint64) { out[lane] = v },
-	)
-	if out[0] != 10 || out[31] != 0 {
-		t.Errorf("Shfl rotate: out[0]=%d out[31]=%d, want 10, 0", out[0], out[31])
+	if c.Ballot != 1 || c.Branch != 2 {
+		t.Errorf("diverge billed %d ballots, %d branches; want 1, 2", c.Ballot, c.Branch)
 	}
-	if c.Shfl != 1 {
-		t.Errorf("Shfl counter = %d, want 1", c.Shfl)
-	}
-}
-
-func TestShflOutOfRangePanics(t *testing.T) {
-	w, _ := newTestWarp()
-	defer func() {
-		if recover() == nil {
-			t.Error("Shfl with bad source lane did not panic")
-		}
-	}()
-	w.Shfl(func(int) uint64 { return 0 }, func(int) int { return 99 }, func(int, uint64) {})
 }
 
 func TestLoadStoreGlobalAndCoalescing(t *testing.T) {
 	w, c := newTestWarp()
 	m := NewMemory(1024)
-	w.StoreGlobal(m, func(lane int) int { return lane }, func(lane int) uint64 { return uint64(lane + 1) })
+	var src, dst [LaneCount]uint64
+	for lane := range src {
+		src[lane] = uint64(lane + 1)
+	}
+	w.StoreGlobalPacked(m, 0, &src)
 	if c.GMemStore != 1 {
 		t.Errorf("GMemStore = %d, want 1", c.GMemStore)
 	}
 	if c.GMemTrans != 2 { // 32 sequential words = 2 segments
 		t.Errorf("GMemTrans after sequential store = %d, want 2", c.GMemTrans)
 	}
+	w.LoadGlobalRange(m, 0, &dst)
 	var sum uint64
-	w.LoadGlobal(m, func(lane int) int { return lane }, func(lane int, v uint64) { sum += v })
+	for _, v := range dst {
+		sum += v
+	}
 	if sum != 32*33/2 {
 		t.Errorf("sum = %d, want %d", sum, 32*33/2)
 	}
 	// Fully strided gather: one transaction per lane.
+	var addr [LaneCount]int
+	for lane := range addr {
+		addr[lane] = lane * segmentWords
+	}
 	before := c.GMemTrans
-	w.LoadGlobal(m, func(lane int) int { return lane * segmentWords }, func(int, uint64) {})
+	w.LoadGlobalGather(m, &addr, &dst)
 	if got := c.GMemTrans - before; got != 32 {
 		t.Errorf("strided gather transactions = %d, want 32", got)
 	}
@@ -303,7 +285,7 @@ func TestLoadStoreGlobalAndCoalescing(t *testing.T) {
 func TestStoreGlobalSameAddressLaneOrder(t *testing.T) {
 	w, _ := newTestWarp()
 	m := NewMemory(4)
-	w.StoreGlobal(m, func(lane int) int { return 0 }, func(lane int) uint64 { return uint64(lane) })
+	refStoreGlobal(w, m, func(lane int) int { return 0 }, func(lane int) uint64 { return uint64(lane) })
 	if got := m.Load(0); got != 31 {
 		t.Errorf("last-lane-wins store = %d, want 31", got)
 	}
@@ -312,20 +294,16 @@ func TestStoreGlobalSameAddressLaneOrder(t *testing.T) {
 func TestAtomicCASContention(t *testing.T) {
 	w, c := newTestWarp()
 	m := NewMemory(1)
-	winners := 0
-	w.AtomicCAS(m,
-		func(lane int) int { return 0 },
-		func(lane int) uint64 { return 0 },
-		func(lane int) uint64 { return uint64(lane + 1) },
-		func(lane int, prev uint64, swapped bool) {
-			if swapped {
-				winners++
-			}
-		})
-	if winners != 1 {
-		t.Errorf("CAS winners = %d, want exactly 1", winners)
+	var addr [LaneCount]int
+	var old, new [LaneCount]uint64
+	for lane := range new {
+		new[lane] = uint64(lane + 1)
 	}
-	if got := m.Load(0); got != 1 { // lane 0 executes first
+	swapped := w.AtomicCAS(m, &addr, &old, &new)
+	if swapped != LaneMask(0) { // lane 0 executes first
+		t.Errorf("CAS winners = %#x, want lane 0 alone", swapped)
+	}
+	if got := m.Load(0); got != 1 {
 		t.Errorf("CAS result = %d, want 1", got)
 	}
 	if c.Atomic != 1 {
@@ -333,27 +311,43 @@ func TestAtomicCASContention(t *testing.T) {
 	}
 }
 
+// TestAtomicAddWarpSum builds an atomic add from CAS: every lane reads
+// the counter and tries to swap in the value plus one; the lowest
+// contender wins each round and the others retry, so 32 lanes take 32
+// rounds and leave 32.
 func TestAtomicAddWarpSum(t *testing.T) {
-	w, _ := newTestWarp()
+	w, c := newTestWarp()
 	m := NewMemory(1)
-	w.AtomicAdd(m, func(int) int { return 0 }, func(int) uint64 { return 1 }, func(int, uint64) {})
+	var addr [LaneCount]int
+	var cur, next [LaneCount]uint64
+	rounds := 0
+	for w.Active() != 0 {
+		w.LoadGlobalGather(m, &addr, &cur)
+		for lane := range next {
+			next[lane] = cur[lane] + 1
+		}
+		w.SetActive(w.Active() &^ w.AtomicCAS(m, &addr, &cur, &next))
+		rounds++
+	}
 	if got := m.Load(0); got != 32 {
 		t.Errorf("atomic sum = %d, want 32", got)
+	}
+	if rounds != 32 || c.Atomic != 32 {
+		t.Errorf("%d rounds, %d atomics; want 32 each", rounds, c.Atomic)
 	}
 }
 
 func TestSharedMemoryOps(t *testing.T) {
 	w, c := newTestWarp()
 	sm := NewMemory(64)
-	w.StoreShared(sm, func(lane int) int { return lane }, func(lane int) uint64 { return uint64(lane * lane) })
-	got := uint64(0)
-	w.LoadShared(sm, func(lane int) int { return lane }, func(lane int, v uint64) {
-		if lane == 5 {
-			got = v
-		}
-	})
-	if got != 25 {
-		t.Errorf("shared roundtrip = %d, want 25", got)
+	var src, dst [LaneCount]uint64
+	for lane := range src {
+		src[lane] = uint64(lane * lane)
+	}
+	w.StoreSharedRange(sm, 0, &src)
+	w.LoadSharedStrided(sm, 0, 1, &dst)
+	if dst[5] != 25 {
+		t.Errorf("shared roundtrip = %d, want 25", dst[5])
 	}
 	if c.SMemLoad != 1 || c.SMemStore != 1 {
 		t.Errorf("SMem counters = %d/%d, want 1/1", c.SMemLoad, c.SMemStore)
@@ -473,15 +467,16 @@ func TestDivergeNested(t *testing.T) {
 	// A 2-level divergent tree must partition the warp into exactly 4
 	// disjoint quadrants covering all 32 lanes.
 	w, _ := newTestWarp()
+	const even = 0x55555555
 	var seen [4]uint32
-	w.Diverge(func(lane int) bool { return lane < 16 },
+	diverge(w, FirstLanes(16),
 		func() {
-			w.Diverge(func(lane int) bool { return lane%2 == 0 },
+			diverge(w, even,
 				func() { seen[0] = w.Active() },
 				func() { seen[1] = w.Active() })
 		},
 		func() {
-			w.Diverge(func(lane int) bool { return lane%2 == 0 },
+			diverge(w, even,
 				func() { seen[2] = w.Active() },
 				func() { seen[3] = w.Active() })
 		})

@@ -35,24 +35,23 @@ func LaneMask(lane int) uint32 { return 1 << uint(lane) }
 // masked access, computed without evaluating it per lane.
 func FirstLanes(n int) uint32 { return FullMask >> uint(LaneCount-max(0, min(n, LaneCount))) }
 
-// Warp is a group of 32 lanes executing in lock step. All per-lane
-// computation is expressed as callbacks invoked for each active lane;
-// each primitive bills the warp's instruction counters exactly once
-// regardless of how many lanes are active (SIMT issue semantics).
+// Warp is a group of 32 lanes executing in lock step under an active
+// mask. Kernels keep per-lane values in lane arrays ([LaneCount]T,
+// indexed by lane), compute register work inline in Go, and call the
+// warp's primitives for what the hardware bills: each primitive bills
+// its instruction once for the whole warp, whichever lanes are active
+// (SIMT issue semantics), and a memory primitive touches only the words
+// of the active lanes.
 type Warp struct {
 	// ID is the warp index within its CTA.
 	ID     int
 	active uint32
 	ctrs   *Counters
-
-	// scratch address buffer reused across memory operations to avoid
-	// per-call allocation on the simulator hot path.
-	addrBuf []int
 }
 
 // NewWarp returns a warp with all lanes active, billing into ctrs.
 func NewWarp(id int, ctrs *Counters) *Warp {
-	return &Warp{ID: id, active: FullMask, ctrs: ctrs, addrBuf: make([]int, 0, LaneCount)}
+	return &Warp{ID: id, active: FullMask, ctrs: ctrs}
 }
 
 // Active returns the current active mask.
@@ -71,30 +70,9 @@ func (w *Warp) Counters() *Counters { return w.ctrs }
 // lane assuming this warp's CTA-relative numbering.
 func (w *Warp) GlobalLane(lane int) int { return w.ID*LaneCount + lane }
 
-// forEachActive invokes f for each active lane in ascending lane order.
-func (w *Warp) forEachActive(f func(lane int)) {
-	m := w.active
-	for m != 0 {
-		lane := bits.TrailingZeros32(m)
-		m &^= 1 << uint(lane)
-		f(lane)
-	}
-}
-
-// Exec issues n ALU instructions and applies f once per active lane.
-// Use it for register-to-register computation; n should approximate the
-// number of machine instructions the lane body compiles to.
-func (w *Warp) Exec(n int, f func(lane int)) {
-	if n < 0 {
-		panic(fmt.Sprintf("simt: negative instruction count %d", n))
-	}
-	w.ctrs.ALU += uint64(n)
-	w.forEachActive(f)
-}
-
-// Issue bills n ALU instructions without running a lane body: the
-// mask-form of Exec for kernels that account for register work they
-// compute inline. Billing is identical to Exec(n, f) for any f.
+// Issue bills n ALU instructions: the register work a kernel computes
+// inline over its lane arrays. n should approximate the number of
+// machine instructions the lane body compiles to.
 func (w *Warp) Issue(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("simt: negative instruction count %d", n))
@@ -102,71 +80,12 @@ func (w *Warp) Issue(n int) {
 	w.ctrs.ALU += uint64(n)
 }
 
-// BallotMask is the mask-form of Ballot: the caller computes the
-// per-lane votes itself (bit i = lane i's predicate) and BallotMask
-// bills one ballot and returns votes restricted to the active lanes —
-// the same value and billing as Ballot with the equivalent predicate.
+// BallotMask bills one vote instruction and returns votes restricted to
+// the active lanes (CUDA __ballot): bit i of votes is lane i's
+// predicate, which the kernel computes itself.
 func (w *Warp) BallotMask(votes uint32) uint32 {
 	w.ctrs.Ballot++
 	return votes & w.active
-}
-
-// Ballot evaluates pred on every active lane and returns the 32-bit
-// vote vector: bit i is set iff lane i is active and pred(i) is true
-// (CUDA __ballot).
-func (w *Warp) Ballot(pred func(lane int) bool) uint32 {
-	w.ctrs.Ballot++
-	var v uint32
-	w.forEachActive(func(lane int) {
-		if pred(lane) {
-			v |= 1 << uint(lane)
-		}
-	})
-	return v
-}
-
-// Any reports whether pred holds on any active lane (CUDA __any).
-func (w *Warp) Any(pred func(lane int) bool) bool {
-	w.ctrs.Ballot++
-	found := false
-	w.forEachActive(func(lane int) {
-		if pred(lane) {
-			found = true
-		}
-	})
-	return found
-}
-
-// All reports whether pred holds on every active lane (CUDA __all).
-// It is vacuously true when no lane is active.
-func (w *Warp) All(pred func(lane int) bool) bool {
-	w.ctrs.Ballot++
-	ok := true
-	w.forEachActive(func(lane int) {
-		if !pred(lane) {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// Shfl implements an indexed warp shuffle: every active lane receives
-// the value produced by the source lane src(lane). Values from inactive
-// source lanes are undefined on hardware; here they read as produced by
-// val for determinism. The result is delivered via sink.
-func (w *Warp) Shfl(val func(lane int) uint64, src func(lane int) int, sink func(lane int, v uint64)) {
-	w.ctrs.Shfl++
-	var vals [LaneCount]uint64
-	for lane := 0; lane < LaneCount; lane++ {
-		vals[lane] = val(lane)
-	}
-	w.forEachActive(func(lane int) {
-		s := src(lane)
-		if s < 0 || s >= LaneCount {
-			panic(fmt.Sprintf("simt: shfl source lane %d out of range", s))
-		}
-		sink(lane, vals[s])
-	})
 }
 
 // WithMask runs body with the active mask narrowed to mask∩active,
@@ -185,75 +104,63 @@ func (w *Warp) WithMask(mask uint32, body func()) {
 	w.active = prev
 }
 
-// Diverge evaluates pred on active lanes and executes then under the
-// true mask and els under the false mask, modeling both sides of a
-// divergent branch being serialized. Either body may be nil.
-func (w *Warp) Diverge(pred func(lane int) bool, then, els func()) {
-	taken := w.Ballot(pred)
-	if then != nil {
-		w.WithMask(taken, then)
-	}
-	if els != nil {
-		w.WithMask(^taken, els)
-	}
-}
-
-// LoadGlobal issues one global load: each active lane loads the word at
-// addr(lane) from m and receives it via sink. Coalescing is modeled by
-// billing one transaction per distinct 128-byte segment.
-func (w *Warp) LoadGlobal(m *Memory, addr func(lane int) int, sink func(lane int, v uint64)) {
+// LoadGlobalRange issues one lane-contiguous global load: active lane l
+// reads m[base+l] into dst[l], and the other entries of dst are left as
+// they are. Lane l's word lies in segment (base%16+l)/16 of the run, so
+// the warp touches at most three 128-byte segments, and the load bills
+// one transaction for each that holds an active lane.
+func (w *Warp) LoadGlobalRange(m *Memory, base int, dst *[LaneCount]uint64) {
 	w.ctrs.GMemLoad++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		sink(lane, m.Load(a))
-	})
-	w.ctrs.GMemTrans += transactions(w.addrBuf)
+	w.ctrs.GMemTrans += rangeSegments(base, w.active)
+	for a := w.active; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
+		dst[l] = m.Load(base + l)
+	}
 }
 
-// StoreGlobal issues one global store: each active lane writes
-// val(lane) to addr(lane). Lanes storing to the same address resolve in
-// ascending lane order (an arbitrary but fixed tie-break, as on
-// hardware where one lane wins).
-func (w *Warp) StoreGlobal(m *Memory, addr func(lane int) int, val func(lane int) uint64) {
+// LoadGlobalGather issues one global load with a per-lane address:
+// active lane l reads m[addr[l]] into dst[l]. It bills one transaction
+// per distinct segment the active lanes touch.
+func (w *Warp) LoadGlobalGather(m *Memory, addr *[LaneCount]int, dst *[LaneCount]uint64) {
+	w.ctrs.GMemLoad++
+	w.ctrs.GMemTrans += gatherSegments(w.active, addr)
+	for a := w.active; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
+		dst[l] = m.Load(addr[l])
+	}
+}
+
+// StoreGlobalPacked issues one global store that packs the active
+// lanes: the k-th active lane in lane order writes its src entry to
+// m[base+k] — the scatter of a ballot-prefix compaction, where a lane's
+// offset is the popcount of the active lanes below it. The words form
+// one contiguous run, so the store bills that run's segments.
+func (w *Warp) StoreGlobalPacked(m *Memory, base int, src *[LaneCount]uint64) {
 	w.ctrs.GMemStore++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		m.Store(a, val(lane))
-	})
-	w.ctrs.GMemTrans += transactions(w.addrBuf)
+	w.ctrs.GMemTrans += runSegments(base, Popc(w.active))
+	addr := base
+	for a := w.active; a != 0; a &= a - 1 {
+		m.Store(addr, src[bits.TrailingZeros32(a)])
+		addr++
+	}
 }
 
-// AtomicCAS issues one warp-wide compare-and-swap: each active lane
-// attempts CAS(addr(lane), old(lane), new(lane)); lanes execute in
-// ascending lane order, so intra-warp contention on one address behaves
-// like hardware serialization. Results arrive via sink.
-func (w *Warp) AtomicCAS(m *Memory, addr func(lane int) int, old, new func(lane int) uint64, sink func(lane int, prev uint64, swapped bool)) {
+// AtomicCAS issues one warp-wide compare-and-swap: each active lane l,
+// in ascending lane order, stores new[l] at m[addr[l]] if the word
+// holds old[l], so intra-warp contention on one address resolves to
+// the lowest contending lane, as hardware serialization does. It bills
+// one transaction per distinct segment and returns the mask of lanes
+// whose swap succeeded.
+func (w *Warp) AtomicCAS(m *Memory, addr *[LaneCount]int, old, new *[LaneCount]uint64) (swapped uint32) {
 	w.ctrs.Atomic++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		prev, ok := m.CAS(a, old(lane), new(lane))
-		sink(lane, prev, ok)
-	})
-	w.ctrs.GMemTrans += transactions(w.addrBuf)
-}
-
-// AtomicAdd issues one warp-wide atomic add; each active lane adds
-// delta(lane) at addr(lane) and receives the previous value via sink.
-func (w *Warp) AtomicAdd(m *Memory, addr func(lane int) int, delta func(lane int) uint64, sink func(lane int, prev uint64)) {
-	w.ctrs.Atomic++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		sink(lane, m.AtomicAdd(a, delta(lane)))
-	})
-	w.ctrs.GMemTrans += transactions(w.addrBuf)
+	w.ctrs.GMemTrans += gatherSegments(w.active, addr)
+	for a := w.active; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
+		if _, ok := m.CAS(addr[l], old[l], new[l]); ok {
+			swapped |= LaneMask(l)
+		}
+	}
+	return swapped
 }
 
 // bankCount is the number of shared-memory banks (NVIDIA: 32 banks,
@@ -288,41 +195,43 @@ next:
 	return uint64(worst - 1)
 }
 
-// LoadShared issues one shared-memory load per active lane. Lanes
-// hitting the same bank with different addresses serialize; the extra
-// passes are billed as SMemConflict cycles (same-address lanes
-// broadcast for free).
-func (w *Warp) LoadShared(m *Memory, addr func(lane int) int, sink func(lane int, v uint64)) {
+// LoadSharedStrided issues one shared-memory load: active lane l reads
+// m[base+l*stride] into dst[l], a column of a row-major matrix. An odd
+// stride is invertible modulo the 32 banks, so the lanes hit 32
+// different banks and the load bills no conflict cycle; an even stride
+// bills the extra passes its bank conflicts cost.
+func (w *Warp) LoadSharedStrided(m *Memory, base, stride int, dst *[LaneCount]uint64) {
 	w.ctrs.SMemLoad++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		sink(lane, m.Load(a))
-	})
-	w.ctrs.SMemConflict += bankConflicts(w.addrBuf)
+	var addrs [LaneCount]int
+	n := 0
+	for a := w.active; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
+		addrs[n] = base + l*stride
+		dst[l] = m.Load(addrs[n])
+		n++
+	}
+	if stride%2 == 0 {
+		w.ctrs.SMemConflict += bankConflicts(addrs[:n])
+	}
 }
 
-// StoreShared issues one shared-memory store per active lane. Lanes
-// writing the same address resolve in ascending lane order; bank
-// conflicts are billed as for LoadShared.
-func (w *Warp) StoreShared(m *Memory, addr func(lane int) int, val func(lane int) uint64) {
+// StoreSharedRange issues one lane-contiguous shared-memory store:
+// active lane l writes src[l] to m[base+l]. Thirty-two consecutive
+// words sit in 32 different banks, so the store bills no conflict
+// cycle.
+func (w *Warp) StoreSharedRange(m *Memory, base int, src *[LaneCount]uint64) {
 	w.ctrs.SMemStore++
-	w.addrBuf = w.addrBuf[:0]
-	w.forEachActive(func(lane int) {
-		a := addr(lane)
-		w.addrBuf = append(w.addrBuf, a)
-		m.Store(a, val(lane))
-	})
-	w.ctrs.SMemConflict += bankConflicts(w.addrBuf)
+	for a := w.active; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
+		m.Store(base+l, src[l])
+	}
 }
 
-// LoadSharedUniform is the broadcast form of LoadShared: every active
+// LoadSharedUniform is the broadcast shared-memory load: every active
 // lane reads the one address addr, so the warp issues one load, the
 // lanes share the word without a bank conflict, and the value is
-// returned once instead of delivered per lane. Billing is identical to
-// LoadShared with a constant address; with no lane active it bills the
-// issue slot, reads nothing and returns 0.
+// returned once. With no lane active it bills the issue slot, reads
+// nothing and returns 0.
 func (w *Warp) LoadSharedUniform(m *Memory, addr int) uint64 {
 	w.ctrs.SMemLoad++
 	if w.active == 0 {
@@ -331,10 +240,10 @@ func (w *Warp) LoadSharedUniform(m *Memory, addr int) uint64 {
 	return m.Load(addr)
 }
 
-// StoreSharedUniform is the broadcast form of StoreShared: every active
-// lane writes v to the one address addr, which leaves memory and the
-// counters exactly as StoreShared with a constant address and value
-// does. With no lane active it bills the issue slot and writes nothing.
+// StoreSharedUniform is the broadcast shared-memory store: every active
+// lane writes v to the one address addr, one issue slot and no bank
+// conflict. With no lane active it bills the issue slot and writes
+// nothing.
 func (w *Warp) StoreSharedUniform(m *Memory, addr int, v uint64) {
 	w.ctrs.SMemStore++
 	if w.active != 0 {
