@@ -310,3 +310,16 @@ func TestRunTraceDeterministic(t *testing.T) {
 		t.Error("same seed emitted different trace bytes")
 	}
 }
+
+// TestRunRegressAgainstCommittedBaseline runs the exact gate against
+// the repository's committed BENCH_*.json, so go test fails on any
+// change to a sim record, not only the CI gates job.
+func TestRunRegressAgainstCommittedBaseline(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-regress", "-regress.dir", "../.."}, &out, &errOut); code != 0 {
+		t.Fatalf("-regress exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "regress: ok") {
+		t.Errorf("-regress did not report ok:\n%s", out.String())
+	}
+}

@@ -97,11 +97,9 @@ type matrixScratch struct {
 	waveCycles []float64
 	ctas       simt.CTACache
 
-	// compactMem views compactWords, and compactQ is the message queue
-	// the compaction kernel runs over in it, re-initialized per call.
-	compactWords []uint64
-	compactMem   simt.Memory
-	compactQ     queue.Queue
+	// compactKeep holds the compaction kernel's keep masks, one per 32
+	// messages of the residue.
+	compactKeep []uint32
 }
 
 // NewMatrixMatcher returns a matcher with the given configuration.
@@ -218,7 +216,7 @@ func (m *MatrixMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []
 	totalCycles += m.model.P.LaunchOverhead
 
 	if m.cfg.Compact {
-		totalCycles += m.compactionCycles(packedMsgs, res.Assignment)
+		totalCycles += m.compactionCycles(len(msgs), res.Assignment)
 	}
 
 	res.SimSeconds = m.model.Seconds(totalCycles)
@@ -525,31 +523,30 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	return cycles, ctrs
 }
 
-// compactionCycles runs the stream-compaction kernel over a message
-// queue holding the unmatched residue and returns its cycle cost (the
-// step the paper measures at roughly 10% of the matching rate).
-func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float64 {
+// compactionCycles returns the cycle cost of the stream-compaction
+// kernel over an n-message queue holding the unmatched residue (the
+// step the paper measures at roughly 10% of the matching rate). The
+// kernel's counters come in closed form from one keep mask per 32
+// messages, so no queue or compaction CTA is simulated.
+func (m *MatrixMatcher) compactionCycles(n int, assign Assignment) float64 {
 	sc := &m.scratch
-	sc.compactWords = grow(sc.compactWords, len(msgs))
-	sc.compactMem.Rebind(sc.compactWords)
-	q := &sc.compactQ
-	q.Init(&sc.compactMem, 0, len(msgs))
-	for _, w := range msgs {
-		q.Push(w) //nolint:errcheck // capacity is exact
+	sc.compactKeep = grow(sc.compactKeep, (n+simt.LaneCount-1)/simt.LaneCount)
+	keep := sc.compactKeep
+	for i := range keep {
+		keep[i] = simt.FirstLanes(n - i*simt.LaneCount)
 	}
 	for _, mi := range assign {
 		if mi != NoMatch {
-			q.Clear(mi)
+			keep[mi/simt.LaneCount] &^= simt.LaneMask(mi % simt.LaneCount)
 		}
 	}
-	cta := sc.ctas.Get(0, 1024, simt.MaxWarpsPerCTA)
-	q.Compact(cta)
+	ctrs := queue.CompactCounters(n, simt.MaxWarpsPerCTA, keep)
 	// Both the message and the request queue are compacted; beyond the
 	// header prefix-scan, full descriptors move and head/tail pointers
 	// are maintained (CompactPerEntry), plus a separate kernel launch.
-	entries := float64(len(msgs) + len(assign))
+	entries := float64(n + len(assign))
 	return m.model.PhaseCycles(&timing.Phase{
-		Kind: timing.Throughput, Ctrs: cta.Counters(), ResidentWarps: simt.MaxWarpsPerCTA,
+		Kind: timing.Throughput, Ctrs: ctrs, ResidentWarps: simt.MaxWarpsPerCTA,
 	})*2 + entries*m.model.P.CompactPerEntry + m.model.P.LaunchOverhead
 }
 

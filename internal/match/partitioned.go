@@ -265,7 +265,7 @@ func (p *PartitionedMatcher) MatchInto(res *Result, msgs []envelope.Envelope, re
 	}
 
 	if p.cfg.Compact {
-		totalCycles += p.engine.compactionCycles(packedMsgs, res.Assignment)
+		totalCycles += p.engine.compactionCycles(len(msgs), res.Assignment)
 	}
 
 	res.SimSeconds = p.model.Seconds(totalCycles)

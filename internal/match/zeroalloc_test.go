@@ -197,25 +197,25 @@ func BenchmarkMatchInto(b *testing.B) {
 	}
 }
 
-// TestCompactionScratchGrowsGeometrically feeds the compaction kernel
-// a residue that deepens by one message per call, from 1 to 4096: its
-// queue memory must grow geometrically, so the calls allocate a
-// logarithmic number of times rather than once per call.
+// TestCompactionScratchGrowsGeometrically feeds the compaction bill a
+// residue that deepens by one message per call, from 1 to 4096, with
+// every fourth message matched: its keep-mask scratch must grow
+// geometrically, so the calls allocate a logarithmic number of times
+// rather than once per call.
 func TestCompactionScratchGrowsGeometrically(t *testing.T) {
 	const n = 4096
-	msgs := make([]uint64, n)
-	for i := range msgs {
-		msgs[i] = uint64(i) + 1
-	}
+	assign := make(Assignment, 0, n/4)
 	m := NewMatrixMatcher(MatrixConfig{Compact: true})
-	m.compactionCycles(msgs[:1], nil) // builds the compaction CTA
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for k := 2; k <= n; k++ {
-		m.compactionCycles(msgs[:k], nil)
+	for k := 1; k <= n; k++ {
+		if k%4 == 0 {
+			assign = append(assign, k-1)
+		}
+		m.compactionCycles(k, assign)
 	}
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs > 2*12 {
-		t.Errorf("%d calls with a residue growing to %d allocate %d times, want at most %d (2 per doubling)", n-1, n, allocs, 2*12)
+		t.Errorf("%d calls with a residue growing to %d allocate %d times, want at most %d (2 per doubling)", n, n, allocs, 2*12)
 	}
 }

@@ -5,6 +5,8 @@
 // entries are cleared in place (bubbles); Compact removes the bubbles
 // with a warp-parallel stream compaction (ballot + popcount prefix sum
 // followed by a scatter), the step whose ~10% cost the paper measures.
+// CompactCounters is that kernel's bill in closed form, which the
+// matching engines charge without running it.
 package queue
 
 import (
@@ -107,8 +109,8 @@ func (q *Queue) Live() int {
 
 // Invariants checks the queue's structural consistency: the entry
 // count within [0, capacity] and every slot past the count zeroed
-// (no header may live outside the logical queue). The conformance
-// harness asserts it around every mutation; it is cheap enough for
+// (no header may live outside the logical queue). The package's tests
+// assert it around queue reuse and mutation; it is cheap enough for
 // production assertions too.
 func (q *Queue) Invariants() error {
 	if q.count < 0 || q.count > q.cap {
@@ -241,4 +243,47 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 	q.mem.Fill(q.base+writeBase, q.count-writeBase, 0)
 	q.count = writeBase
 	return writeBase
+}
+
+// CompactCounters returns, in closed form, the counters Compact bills
+// on a CTA of warps whole warps for a queue of n entries at a
+// segment-aligned base whose live entries are given by keep: bit l of
+// keep[i] is set when entry 32i+l holds a header (⌈n/32⌉ masks; bits
+// past n are ignored). It touches no memory and builds no queue or CTA,
+// so an engine that needs only the compaction's cost pays host time per
+// warp of entries rather than per lane. Compact stays the executable
+// kernel and the reference this is tested against.
+//
+// Per tile every warp, idle or busy, bills two ballots and two branches
+// (an idle warp in one step; a busy warp for its bounds and keep votes,
+// its load branch and its scatter branch), and every warp waits at the
+// tile's three barriers; warp 0 adds the offset scan's branch, two ALU
+// instructions and one shared store. A busy warp loads its lanes (one
+// instruction, one segment per 16 valid lanes), and one with survivors
+// computes its offsets (two ALU) and scatters them as one packed run
+// from the running write position.
+func CompactCounters(n, warps int, keep []uint32) simt.Counters {
+	var c simt.Counters
+	w := uint64(warps)
+	writeBase := 0
+	for first := 0; first*simt.LaneCount < n; first += warps {
+		c.Ballot += 2 * w
+		c.Branch += 2*w + 1
+		c.Sync += 3 * w
+		c.ALU += 2
+		c.SMemStore++
+		for g := first; g < first+warps && g*simt.LaneCount < n; g++ {
+			start := g * simt.LaneCount
+			valid := min(n-start, simt.LaneCount)
+			c.GMemLoad++
+			c.GMemTrans += simt.RunSegments(start, valid)
+			if k := simt.Popc(keep[g] & simt.FirstLanes(valid)); k > 0 {
+				c.ALU += 2
+				c.GMemStore++
+				c.GMemTrans += simt.RunSegments(writeBase, k)
+				writeBase += k
+			}
+		}
+	}
+	return c
 }

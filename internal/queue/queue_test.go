@@ -375,3 +375,75 @@ func TestCompactZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactCountersMatchKernel checks the closed-form bill against
+// the counters Compact's CTA accumulates, over queue lengths that cross
+// warp and tile boundaries, CTA widths from one warp to 32, and
+// residues with no bubbles, only bubbles, sparse bubbles and dense
+// bubbles.
+func TestCompactCountersMatchKernel(t *testing.T) {
+	const maxN = 3000
+	var lengths []int
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for n := 71; n <= maxN; n += 13 {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1023, 1024, 1025, 2047, 2048, 2049, maxN)
+	residues := []struct {
+		name   string
+		bubble func(rng *rand.Rand) bool
+	}{
+		{"none", func(*rand.Rand) bool { return false }},
+		{"all", func(*rand.Rand) bool { return true }},
+		{"sparse", func(rng *rand.Rand) bool { return rng.Intn(10) == 0 }},
+		{"dense", func(rng *rand.Rand) bool { return rng.Intn(10) != 0 }},
+	}
+	rng := rand.New(rand.NewSource(25))
+	mem := simt.NewMemory(maxN)
+	var q Queue
+	keep := make([]uint32, (maxN+simt.LaneCount-1)/simt.LaneCount)
+	for _, warps := range []int{1, 4, 17, 32} {
+		cta := simt.NewCTA(0, warps*simt.LaneCount, simt.MaxWarpsPerCTA)
+		for _, r := range residues {
+			for _, n := range lengths {
+				q.Init(mem, 0, n)
+				clear(keep)
+				for i := 0; i < n; i++ {
+					q.Push(packedEnv(i, 1))
+					if r.bubble(rng) {
+						q.Clear(i)
+					} else {
+						keep[i/simt.LaneCount] |= simt.LaneMask(i % simt.LaneCount)
+					}
+				}
+				want := CompactCounters(n, warps, keep[:(n+simt.LaneCount-1)/simt.LaneCount])
+				cta.Reset()
+				q.Compact(cta)
+				if got := cta.Counters(); got != want {
+					t.Fatalf("%d warps, %s bubbles, n=%d: closed form %+v, kernel %+v", warps, r.name, n, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestCompactCountersZeroAlloc pins the closed form's allocation
+// contract: billing a compaction allocates nothing.
+func TestCompactCountersZeroAlloc(t *testing.T) {
+	keep := make([]uint32, 128)
+	for i := range keep {
+		keep[i] = 0x5555_5555
+	}
+	var sink simt.Counters
+	allocs := testing.AllocsPerRun(20, func() {
+		sink = CompactCounters(len(keep)*simt.LaneCount, simt.MaxWarpsPerCTA, keep)
+	})
+	if allocs != 0 {
+		t.Errorf("CompactCounters allocates %v per call, want 0", allocs)
+	}
+	if sink.GMemLoad != uint64(len(keep)) {
+		t.Errorf("CompactCounters billed %d loads for %d warps of entries", sink.GMemLoad, len(keep))
+	}
+}

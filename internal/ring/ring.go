@@ -5,8 +5,9 @@
 // remote writer never overruns the receiver (§II-C: "'Send' operations
 // write messages to queues in remote memory").
 //
-// The matching engines still consume dense batches (internal/queue);
-// the ring is the transport stage in front of them.
+// The matching engines consume the dense envelope batches the runtime
+// (internal/mpx) hands them; the ring is the transport stage in front
+// of them.
 package ring
 
 import (

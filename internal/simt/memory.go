@@ -185,8 +185,11 @@ func rangeSegments(base int, mask uint32) uint64 {
 	return n
 }
 
-// runSegments is transactions for the n consecutive words from base.
-func runSegments(base, n int) uint64 {
+// RunSegments returns the global-memory transactions of an access to
+// the n consecutive words from base: the 128-byte segments the run
+// touches. Kernels billed in closed form use it to price a coalesced
+// access without simulating the warp.
+func RunSegments(base, n int) uint64 {
 	if n == 0 {
 		return 0
 	}

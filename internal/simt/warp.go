@@ -137,7 +137,7 @@ func (w *Warp) LoadGlobalGather(m *Memory, addr *[LaneCount]int, dst *[LaneCount
 // one contiguous run, so the store bills that run's segments.
 func (w *Warp) StoreGlobalPacked(m *Memory, base int, src *[LaneCount]uint64) {
 	w.ctrs.GMemStore++
-	w.ctrs.GMemTrans += runSegments(base, Popc(w.active))
+	w.ctrs.GMemTrans += RunSegments(base, Popc(w.active))
 	addr := base
 	for a := w.active; a != 0; a &= a - 1 {
 		m.Store(addr, src[bits.TrailingZeros32(a)])
