@@ -84,7 +84,7 @@ func sections() []section {
 			table(bench.StreamScaling, bench.PrintStreamScaling)},
 		{"chaos", "chaos conformance: exactly-once delivery under fault injection",
 			table(func() []bench.ChaosRow { return bench.Chaos(1, 250) }, bench.PrintChaos)},
-		{"ablation", "ablation studies (compaction, fraction, order, hash, wildcards, window)", func(w io.Writer, csv bool) error {
+		{"ablation", "ablation studies (compaction, fraction, order, hash, wildcards)", func(w io.Writer, csv bool) error {
 			if !csv {
 				bench.PrintAblations(w)
 				return nil
@@ -95,7 +95,6 @@ func sections() []section {
 				bench.OrderSensitivity(),
 				bench.HashAblation(),
 				bench.AblationWildcardHash(),
-				bench.AblationWindow(),
 			} {
 				if err := bench.WriteCSV(w, rows); err != nil {
 					return err

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,6 +148,28 @@ func TestSectionFlagsUnique(t *testing.T) {
 		if s.help == "" {
 			t.Errorf("section %q has no help text", s.flagName)
 		}
+	}
+}
+
+// TestSectionsHaveVerdicts holds every report section to a claim:
+// EXPERIMENTS.md's section-verdict table must carry exactly one row per
+// section flag, and no row for a flag that no longer exists.
+func TestSectionsHaveVerdicts(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, flags []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `matchbench -([a-z0-9]+)` \\|").FindAllSubmatch(doc, -1) {
+		rows = append(rows, string(m[1]))
+	}
+	for _, s := range sections() {
+		flags = append(flags, s.flagName)
+	}
+	slices.Sort(rows)
+	slices.Sort(flags)
+	if !slices.Equal(rows, flags) {
+		t.Errorf("EXPERIMENTS.md verdict rows %v, want one per section flag %v", rows, flags)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Command tracestat regenerates the paper's application analysis
 // (§IV): Table I (communication characteristics), Figure 2 (queue
-// depth distributions) and Figure 6a (tuple uniqueness), all derived
-// from synthetic proxy-application traces through the same queue
-// reconstruction the paper applied to the DOE DUMPI traces. It can
-// also dump a generated trace to a file and analyze an existing one.
+// depth distributions), Figure 6a (tuple uniqueness) and the per-app
+// payload sizes, all derived from synthetic proxy-application traces
+// through the same queue reconstruction the paper applied to the DOE
+// DUMPI traces. It can also dump a generated trace to a file and
+// analyze an existing one.
 package main
 
 import (
@@ -17,6 +18,31 @@ import (
 	"simtmp/internal/trace"
 )
 
+// analysis is one trace analysis, run on the traces of one seed.
+type analysis struct {
+	flagName string
+	help     string
+	run      func(w io.Writer, seed int64)
+}
+
+// analyses lists every trace analysis in report order.
+func analyses() []analysis {
+	return []analysis{
+		{"table1", "Table I: application characteristics", func(w io.Writer, seed int64) {
+			bench.PrintTableI(w, bench.TableI(seed))
+		}},
+		{"fig2", "Figure 2: UMQ/PRQ depth distributions", func(w io.Writer, seed int64) {
+			bench.PrintFigure2(w, bench.Figure2(seed))
+		}},
+		{"fig6a", "Figure 6a: tuple uniqueness", func(w io.Writer, seed int64) {
+			bench.PrintFigure6a(w, bench.Figure6a(seed))
+		}},
+		{"sizes", "per-app payload sizes and protocol mix", func(w io.Writer, seed int64) {
+			bench.PrintAppSizes(w, bench.AppSizes(seed))
+		}},
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
@@ -29,10 +55,6 @@ func main() {
 func run(args []string, w io.Writer) error {
 	flag := flag.NewFlagSet("tracestat", flag.ContinueOnError)
 	var (
-		table1  = flag.Bool("table1", false, "Table I: application characteristics")
-		fig2    = flag.Bool("fig2", false, "Figure 2: UMQ/PRQ depth distributions")
-		fig6a   = flag.Bool("fig6a", false, "Figure 6a: tuple uniqueness")
-		sizes   = flag.Bool("sizes", false, "per-app payload sizes and protocol mix")
 		all     = flag.Bool("all", false, "run all analyses")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		dump    = flag.String("dump", "", "generate the trace of -app and write it to this file")
@@ -40,6 +62,11 @@ func run(args []string, w io.Writer) error {
 		ranks   = flag.Int("ranks", 0, "rank count for -dump (0 = app default)")
 		analyze = flag.String("analyze", "", "analyze a trace file instead of generating")
 	)
+	as := analyses()
+	enabled := make([]*bool, len(as))
+	for i, a := range as {
+		enabled[i] = flag.Bool(a.flagName, false, a.help)
+	}
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
@@ -78,25 +105,12 @@ func run(args []string, w io.Writer) error {
 	}
 
 	ran := false
-	if *table1 || *all {
-		bench.PrintTableI(w, bench.TableI(*seed))
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *fig2 || *all {
-		bench.PrintFigure2(w, bench.Figure2(*seed))
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *fig6a || *all {
-		bench.PrintFigure6a(w, bench.Figure6a(*seed))
-		fmt.Fprintln(w)
-		ran = true
-	}
-	if *sizes || *all {
-		bench.PrintAppSizes(w, bench.AppSizes(*seed))
-		fmt.Fprintln(w)
-		ran = true
+	for i, a := range as {
+		if *enabled[i] || *all {
+			a.run(w, *seed)
+			fmt.Fprintln(w)
+			ran = true
+		}
 	}
 	if !ran {
 		return fmt.Errorf("no analysis selected (try -all)")

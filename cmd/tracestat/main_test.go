@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,5 +59,27 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-analyze", "/nonexistent/file"}, &buf); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestAnalysesHaveVerdicts holds every analysis to a claim:
+// EXPERIMENTS.md's section-verdict table must carry exactly one row per
+// analysis flag, and no row for a flag that no longer exists.
+func TestAnalysesHaveVerdicts(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, flags []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `tracestat -([a-z0-9]+)` \\|").FindAllSubmatch(doc, -1) {
+		rows = append(rows, string(m[1]))
+	}
+	for _, a := range analyses() {
+		flags = append(flags, a.flagName)
+	}
+	slices.Sort(rows)
+	slices.Sort(flags)
+	if !slices.Equal(rows, flags) {
+		t.Errorf("EXPERIMENTS.md verdict rows %v, want one per analysis flag %v", rows, flags)
 	}
 }

@@ -213,45 +213,13 @@ func PrintAblationWildcardHash(w io.Writer, rows []WildcardHashRow) {
 	}
 }
 
-// WindowRow reports the scan-window ablation: the vote matrix width is
-// a shared-memory / iteration-count trade the paper fixes implicitly
-// (its matrix height is capped at 32 warps; the width is bounded by
-// shared memory).
-type WindowRow struct {
-	Window int
-	RateM  float64
-}
-
-// AblationWindow sweeps the matrix matcher's scan window at 1024
-// elements.
-func AblationWindow() []WindowRow {
-	msgs, reqs := workload.FullyMatching(1024, 9)
-	windows := []int{32, 64, 96, 128}
-	out := make([]WindowRow, len(windows))
-	simt.ParallelFor(len(out), 0, func(k int) {
-		res := mustMatch(match.NewMatrixMatcher(match.MatrixConfig{Window: windows[k]}), msgs, reqs)
-		out[k] = WindowRow{Window: windows[k], RateM: mrate(res.Assignment.Matched(), res.SimSeconds)}
-	})
-	return out
-}
-
-// PrintAblationWindow formats the window ablation.
-func PrintAblationWindow(w io.Writer, rows []WindowRow) {
-	header(w, "Ablation: scan-window width (vote-matrix shared-memory trade)")
-	fmt.Fprintln(w, "window  matches/s")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6d  %8.2fM\n", r.Window, r.RateM)
-	}
-}
-
-// PrintAblations runs and renders all six ablation studies.
+// PrintAblations runs and renders all five ablation studies.
 func PrintAblations(w io.Writer) {
 	PrintAblationCompaction(w, AblationCompaction())
 	PrintAblationMatchFraction(w, AblationMatchFraction())
 	PrintOrderSensitivity(w, OrderSensitivity())
 	PrintHashAblation(w, HashAblation())
 	PrintAblationWildcardHash(w, AblationWildcardHash())
-	PrintAblationWindow(w, AblationWindow())
 }
 
 // CommParRow reports the communicator-parallelism experiment (§VI's

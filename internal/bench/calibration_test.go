@@ -640,18 +640,6 @@ func TestCommParallelExperiment(t *testing.T) {
 	}
 }
 
-func TestAblationWindowRuns(t *testing.T) {
-	rows := sweepsCached().window
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.RateM < 3 || r.RateM > 10 {
-			t.Errorf("window %d: rate %.2fM outside the Pascal matrix band", r.Window, r.RateM)
-		}
-	}
-}
-
 func TestAppSizesProtocolMix(t *testing.T) {
 	rows := AppSizes(1)
 	if len(rows) != 10 {

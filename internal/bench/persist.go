@@ -1,9 +1,8 @@
 // Persistent-channel benchmarks: how much does the sealed match-handle
 // cache (DESIGN.md §15) buy over running the matching engine every
-// iteration? Three tracked profiles: persist/halo (the LULESH-style
-// 3D halo proxy on the hash engine — the paper's fixed-pattern sweet
-// spot), persist/collective (a persistent recursive-doubling
-// allreduce), and persist/churn (halo traffic with periodic wildcard
+// iteration? Two tracked profiles: persist/halo (the LULESH-style 3D
+// halo proxy on the hash engine — the paper's fixed-pattern sweet
+// spot) and persist/churn (halo traffic with periodic wildcard
 // injections forcing seal invalidation and recovery). All headline
 // metrics are simulated (cycle-model) and deterministic; the
 // zero-allocation contract of the steady-state re-fire is measured on
@@ -15,7 +14,6 @@ import (
 	"io"
 	"testing"
 
-	"simtmp/internal/coll"
 	"simtmp/internal/envelope"
 	"simtmp/internal/mpx"
 )
@@ -195,69 +193,6 @@ func PersistHalo(payload, iters int, nocache bool) (PersistResult, error) {
 	return res, nil
 }
 
-// PersistCollective runs the persistent recursive-doubling allreduce
-// profile against the plain BSP allreduce on identical runtimes.
-func PersistCollective(iters int, nocache bool) (PersistResult, error) {
-	const gpus = 8
-	res := PersistResult{Profile: "collective", AllocsPerOp: -1}
-
-	rt := mpx.New(mpx.Config{Level: mpx.Unordered, GPUs: gpus, DisablePersistentCache: nocache})
-	c, err := coll.New(rt, 0, 100)
-	if err != nil {
-		return res, err
-	}
-	plan, err := c.NewPersistentAllReduce(coll.Sum)
-	if err != nil {
-		return res, err
-	}
-	defer plan.Free()
-	vals := make([]float64, gpus)
-	out := make([]float64, gpus)
-	for r := range vals {
-		vals[r] = float64(r + 1)
-	}
-	if err := plan.RunInto(out, vals); err != nil {
-		return res, err
-	}
-	res.FirstIterUs = rt.Stats().SimSeconds * 1e6
-	rt.ResetStats()
-	for k := 1; k < iters; k++ {
-		if err := plan.RunInto(out, vals); err != nil {
-			return res, err
-		}
-	}
-	st := rt.Stats()
-	steady := float64(iters - 1)
-	res.RefireUs = st.SimSeconds / steady * 1e6
-	if st.SimSeconds > 0 {
-		res.RefireRateM = float64(st.Matches) / st.SimSeconds / 1e6
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		res.HitRate = float64(st.CacheHits) / float64(total)
-	}
-	res.Invalidations = st.CacheInvalidations
-
-	prt := mpx.New(mpx.Config{Level: mpx.Unordered, GPUs: gpus})
-	pc, err := coll.New(prt, 0, 100)
-	if err != nil {
-		return res, err
-	}
-	if _, err := pc.AllReduce(vals, coll.Sum); err != nil {
-		return res, err
-	}
-	prt.ResetStats()
-	for k := 1; k < iters; k++ {
-		if _, err := pc.AllReduce(vals, coll.Sum); err != nil {
-			return res, err
-		}
-	}
-	plainUs := prt.Stats().SimSeconds / steady * 1e6
-	if res.RefireUs > 0 {
-		res.Speedup = plainUs / res.RefireUs
-	}
-	return res, nil
-}
-
 // PersistChurn runs halo traffic with a plain wildcard receive plus
 // matching send injected every churnPeriod iterations — each injection
 // unseals the targeted channel's (comm, tag) shadow, so the profile
@@ -314,7 +249,7 @@ func PersistChurn(iters int, nocache bool) (PersistResult, error) {
 	return res, nil
 }
 
-// RunPersistProfiles executes the three tracked persistent profiles.
+// RunPersistProfiles executes the two tracked persistent profiles.
 // nocache is the gate-validation hook mirroring -soak.uncap: it
 // disables the seal cache, which must make a blessed baseline fail.
 func RunPersistProfiles(nocache bool) ([]PersistResult, error) {
@@ -322,15 +257,11 @@ func RunPersistProfiles(nocache bool) ([]PersistResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: persist/halo: %w", err)
 	}
-	collective, err := PersistCollective(persistIters, nocache)
-	if err != nil {
-		return nil, fmt.Errorf("bench: persist/collective: %w", err)
-	}
 	churn, err := PersistChurn(persistIters, nocache)
 	if err != nil {
 		return nil, fmt.Errorf("bench: persist/churn: %w", err)
 	}
-	return []PersistResult{halo, collective, churn}, nil
+	return []PersistResult{halo, churn}, nil
 }
 
 // PersistRecords converts profile outcomes into tracked regression

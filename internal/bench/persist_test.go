@@ -29,19 +29,6 @@ func TestPersistHaloAcceptance(t *testing.T) {
 	}
 }
 
-func TestPersistCollective(t *testing.T) {
-	r, err := PersistCollective(persistIters, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HitRate < 0.9 {
-		t.Errorf("collective hit rate %.4f below 0.9", r.HitRate)
-	}
-	if r.Speedup <= 1 {
-		t.Errorf("persistent allreduce not faster than BSP allreduce: %.2fx", r.Speedup)
-	}
-}
-
 func TestPersistChurn(t *testing.T) {
 	r, err := PersistChurn(persistIters, false)
 	if err != nil {

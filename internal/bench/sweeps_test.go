@@ -13,7 +13,6 @@ type sweepRows struct {
 	stream  []StreamRow
 	sms     []SMRow
 	order   []OrderRow
-	window  []WindowRow
 	commpar []CommParRow
 }
 
@@ -27,7 +26,7 @@ func atProcs(procs int, f func()) {
 // GOMAXPROCS.
 func computeSweeps(procs int) (rows sweepRows) {
 	atProcs(procs, func() {
-		rows = sweepRows{Streaming(), SMSweep(), OrderSensitivity(), AblationWindow(), CommParallel()}
+		rows = sweepRows{Streaming(), SMSweep(), OrderSensitivity(), CommParallel()}
 	})
 	return rows
 }
@@ -59,7 +58,6 @@ func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
 		{"stream", one.stream, four.stream},
 		{"smsweep", one.sms, four.sms},
 		{"order", one.order, four.order},
-		{"window", one.window, four.window},
 		{"commparallel", one.commpar, four.commpar},
 	} {
 		if !reflect.DeepEqual(s.one, s.four) {

@@ -82,11 +82,12 @@ func TestMatchingEngineAddsNoAllocsPerBatch(t *testing.T) {
 // the Recv slab its 64 posts draw from. Send frames come from the
 // runtime's free list, which the acks refill, in-order arrivals never
 // touch a reorder ring, and the engines add nothing. It counts with
-// runtime.MemStats rather than testing.AllocsPerRun, which pins
-// GOMAXPROCS to 1 and so would never reach the engines' multi-worker
-// path. Every batch has the same shape: with random shapes, the
-// runtime's and the engines' reused buffers keep growing to new
-// high-water marks, an amortized cost rather than a per-batch one.
+// runtime.MemStats over whole windows of batches rather than
+// testing.AllocsPerRun's per-run average, so that it can keep the
+// quietest of three windows (see below). Every batch has the same
+// shape: with random shapes, the runtime's and the engines' reused
+// buffers keep growing to new high-water marks, an amortized cost
+// rather than a per-batch one.
 func TestRuntimeBatchAllocsAtMostOneSlab(t *testing.T) {
 	for _, level := range []Level{Unordered, FullMPI, StreamOrdered} {
 		t.Run(level.String(), func(t *testing.T) {
@@ -96,8 +97,8 @@ func TestRuntimeBatchAllocsAtMostOneSlab(t *testing.T) {
 			}
 			// The quietest of three windows: an allocation per batch shows
 			// in every window, while a one-off growth of a reused buffer
-			// lands in one (the tags change every batch, and with them the
-			// hash engine's CAS staging depth).
+			// lands in one (the tags change every batch, so a reused
+			// buffer can still reach a new high-water mark late).
 			const batches = 50
 			got := ^uint64(0)
 			for w := 0; w < 3; w++ {
