@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 
 	"simtmp/internal/bench"
 	"simtmp/internal/conformance"
@@ -174,10 +175,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 // exactly against the latest committed baseline in dir, and optionally
 // writes the run as the new baseline. Exit codes: 0 clean, 1 on any
 // changed, missing or new record (or a missing baseline without
-// -regress.write), 2 when asked to bless a gate-validation run.
+// -regress.write), 2 when asked to bless a gate-validation run or to
+// write a baseline from a binary without a VCS stamp.
 func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistNoCache bool) int {
 	if write && (soakUncap || persistNoCache) {
 		fmt.Fprintln(stderr, "matchbench: refusing to bless a gate-validation run as a baseline; drop -soak.uncap and -persist.nocache")
+		return 2
+	}
+	if write && !vcsStamped() {
+		fmt.Fprintln(stderr, "matchbench: refusing to write a baseline from a binary without a vcs.revision stamp "+
+			"(go run and go test do not stamp one); build it first: go build -o /tmp/matchbench ./cmd/matchbench && /tmp/matchbench -regress -regress.write")
 		return 2
 	}
 	rep := bench.RunRegress(soakUncap, persistNoCache)
@@ -213,6 +220,21 @@ func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistN
 		return 1
 	}
 	return 0
+}
+
+// vcsStamped reports whether the binary's build info carries the
+// vcs.revision that a written baseline records as its fingerprint.
+func vcsStamped() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "vcs.revision" {
+			return true
+		}
+	}
+	return false
 }
 
 // runPersistent executes the persistent-channel iteration sweep — the

@@ -311,6 +311,27 @@ func TestRunRegressWriteRefusesHooks(t *testing.T) {
 	}
 }
 
+// TestRunRegressWriteRefusesUnstampedBinary: a baseline records the
+// revision that measured it, so -regress.write from a binary without a
+// vcs.revision stamp — go run's or, as here, go test's — is a usage
+// error, refused before the suite runs or anything is written.
+func TestRunRegressWriteRefusesUnstampedBinary(t *testing.T) {
+	dir := t.TempDir()
+	var out, errOut strings.Builder
+	if code := run([]string{"-regress", "-regress.write", "-regress.dir", dir}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "vcs.revision") || !strings.Contains(errOut.String(), "go build -o") {
+		t.Errorf("guard message missing:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run printed output:\n%s", out.String())
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused run left %v in the baseline dir (err %v)", entries, err)
+	}
+}
+
 // TestRunTraceDeterministic: the same -trace.seed must emit
 // byte-identical files across invocations.
 func TestRunTraceDeterministic(t *testing.T) {

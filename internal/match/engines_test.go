@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"simtmp/internal/arch"
@@ -320,15 +321,28 @@ func TestListMatcherReusableAcrossCalls(t *testing.T) {
 }
 
 func TestTableSizes(t *testing.T) {
-	p, s := tableSizes(1000)
+	p, s, _ := tableSizes(1000)
 	if p != 5*s {
 		t.Errorf("primary %d != 5× secondary %d", p, s)
 	}
 	if p+s < 1000 {
 		t.Errorf("tables too small: %d+%d < 1000", p, s)
 	}
-	if _, s := tableSizes(1); s != 64 {
+	if _, s, _ := tableSizes(1); s != 64 {
 		t.Errorf("minimum secondary = %d, want 64", s)
+	}
+}
+
+// TestTableSizesBound: the largest batch tableSizes accepts keeps both
+// tables together below 2^32 slots, the bound of the division-free
+// slot hashing; one element more is an error.
+func TestTableSizesBound(t *testing.T) {
+	p, s, err := tableSizes(1 << 29)
+	if err != nil || uint64(p+s) >= 1<<32 {
+		t.Errorf("tableSizes(2^29) = %d, %d, %v; want below 2^32 slots in all", p, s, err)
+	}
+	if _, _, err := tableSizes(1<<29 + 1); err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Errorf("tableSizes(2^29+1) err = %v, want the table-size bound", err)
 	}
 }
 

@@ -73,6 +73,9 @@ type HashMatcher struct {
 	// workingSet is the table footprint of the current Match call, in
 	// words, used for L2-residency pricing.
 	workingSet int
+	// occ caches occupancy(w) by CTA width w in warps (0 = not yet
+	// computed).
+	occ [simt.MaxWarpsPerCTA + 1]int
 
 	// Reusable scratch, grown monotonically so the steady-state Match
 	// path allocates nothing (the adversarial-collision overflow list
@@ -84,29 +87,19 @@ type HashMatcher struct {
 // hashScratch holds the per-call state of the hash kernels.
 type hashScratch struct {
 	mem     *simt.Memory // two-level (or linear) table storage
-	reqMem  *simt.Memory // rebindable views over the key arrays
-	msgMem  *simt.Memory
-	primIdx []int
-	secIdx  []int
+	primIdx []int        // request index held in each primary (or linear) slot
+	secIdx  []int        // request index held in each secondary slot
 	pendReq []int
 	pendMsg []int
 	reqKeys []uint64
 	msgKeys []uint64
-	still   []bool
 	perCTA  []simt.Counters
-	warp    *simt.Warp // every warp of a phase, one after another
-	lanes   hashLanes
 	byKey   map[uint64][]int
-}
 
-// hashLanes holds the per-lane registers of the warp an element phase
-// is running.
-type hashLanes struct {
-	ids   [simt.LaneCount]int    // request or message index
-	keys  [simt.LaneCount]uint64 // packed tuple key
-	home  [simt.LaneCount]int    // primary-table slot of the key
-	slots [simt.LaneCount]int    // table slot of the lane's current CAS
-	zero  [simt.LaneCount]uint64 // the empty-slot word, for every lane
+	// The call's table sizes and their reciprocals (see reciprocal);
+	// secSize is 0 under LinearProbe.
+	primSize, secSize   int
+	primRecip, secRecip uint64
 }
 
 // NewHashMatcher returns a matcher with the given configuration. It
@@ -156,13 +149,19 @@ func (h *HashMatcher) Contract() Contract {
 
 // tableSizes returns (primary, secondary) slot counts for a batch of n
 // elements: the secondary is the next power of two holding n/2, the
-// primary five times that (the paper's ratio).
-func tableSizes(n int) (int, int) {
+// primary five times that (the paper's ratio). It refuses a batch of
+// more than 2^29 elements, whose tables (LinearProbe's joined too)
+// would reach the 2^32 slots below which slot hashing is exact (see
+// reciprocal).
+func tableSizes(n int) (int, int, error) {
+	if n > 1<<29 {
+		return 0, 0, fmt.Errorf("hash matcher: %d elements exceed 2^29, the most whose tables stay below 2^32 slots", n)
+	}
 	s := 64
 	for s < n {
 		s *= 2
 	}
-	return 5 * s, s
+	return 5 * s, s, nil
 }
 
 // Match implements Matcher under the no-wildcards/no-ordering
@@ -177,6 +176,10 @@ func (h *HashMatcher) Match(msgs []envelope.Envelope, reqs []envelope.Request) (
 
 // MatchInto implements ReusableMatcher (see MatrixMatcher.MatchInto).
 func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []envelope.Request) error {
+	primSize, secSize, err := tableSizes(max(len(msgs), len(reqs)))
+	if err != nil {
+		return err
+	}
 	// A wildcard-free request's key is its packed word (Request.Key).
 	s := &h.scratch
 	msgKeys, reqKeys, err := packInputs(msgs, reqs, s.msgKeys, s.reqKeys)
@@ -194,13 +197,13 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 		return nil
 	}
 
-	n := len(reqs)
-	if len(msgs) > n {
-		n = len(msgs)
-	}
-	primSize, secSize := tableSizes(n)
 	if h.cfg.Policy == LinearProbe {
 		primSize, secSize = primSize+secSize, 0
+	}
+	s.primSize, s.secSize = primSize, secSize
+	s.primRecip = reciprocal(primSize)
+	if secSize > 0 {
+		s.secRecip = reciprocal(secSize)
 	}
 
 	// Tables live in device global memory: slot words hold the packed
@@ -224,11 +227,6 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 	for i := range s.pendMsg {
 		s.pendMsg[i] = i
 	}
-	if s.reqMem == nil {
-		s.reqMem, s.msgMem = simt.Wrap(nil), simt.Wrap(nil)
-	}
-	s.reqMem.Rebind(s.reqKeys)
-	s.msgMem.Rebind(s.msgKeys)
 
 	rec := h.cfg.Recorder
 	base := rec.Clock()
@@ -238,8 +236,8 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 	var totalCtrs simt.Counters
 	for {
 		res.Iterations++
-		inserted, insCycles, insCtrs := h.elementPhase(true, s.reqMem, &s.pendReq, nil, primSize, secSize)
-		matched, probeCycles, probeCtrs := h.elementPhase(false, s.msgMem, &s.pendMsg, res.Assignment, primSize, secSize)
+		inserted, insCycles, insCtrs := h.elementPhase(true, s.reqKeys, &s.pendReq, nil)
+		matched, probeCycles, probeCtrs := h.elementPhase(false, s.msgKeys, &s.pendMsg, res.Assignment)
 		rec.Span(h.cfg.Track, evMatchPass,
 			base+h.model.Seconds(totalCycles), h.model.Seconds(insCycles+probeCycles),
 			argInserted, int64(inserted), argMatched, int64(matched))
@@ -287,26 +285,38 @@ func (h *HashMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []en
 	res.SimSeconds = h.model.Seconds(totalCycles)
 	res.Counters = totalCtrs
 	if rec.Enabled() {
-		occ := h.cfg.Arch.Occupancy(arch.KernelFootprint{
-			ThreadsPerCTA: simt.MaxWarpsPerCTA * simt.LaneCount, RegsPerThread: 32,
-		})
-		if occ < 1 {
-			occ = 1
-		}
-		emitKernelStats(rec, h.cfg.Track, base, base+res.SimSeconds, occ, totalCtrs)
+		emitKernelStats(rec, h.cfg.Track, base, base+res.SimSeconds, h.occupancy(simt.MaxWarpsPerCTA), totalCtrs)
 	}
 	return nil
 }
 
-// slots returns the probe sequence for a key: (primary slot, secondary
-// slot) under TwoLevel, or a probe window under LinearProbe encoded as
-// successive primary slots.
-func (h *HashMatcher) primarySlot(key uint64, primSize int) int {
-	return int(h.fn(key)) % primSize
+// primarySlot returns a key's slot in the primary table, which under
+// LinearProbe is its home slot in the one table.
+func (h *HashMatcher) primarySlot(key uint64) int {
+	return fastMod(h.fn(key), h.scratch.primRecip, h.scratch.primSize)
 }
 
-func (h *HashMatcher) secondarySlot(key uint64, secSize int) int {
-	return int(h.fn(key^0x9e3779b97f4a7c15)) % secSize
+// secondarySlot returns a key's slot in the TwoLevel secondary table.
+func (h *HashMatcher) secondarySlot(key uint64) int {
+	return fastMod(h.fn(key^0x9e3779b97f4a7c15), h.scratch.secRecip, h.scratch.secSize)
+}
+
+// reciprocal returns ceil(2^64/d), with which fastMod takes a 32-bit
+// hash modulo d without a division (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019). The remainder is exact for
+// every 32-bit dividend when 0 < d < 2^32; tableSizes refuses batches
+// whose tables would not fit, so another d is a bug and panics.
+func reciprocal(d int) uint64 {
+	if d <= 0 || uint64(d) >= 1<<32 {
+		panic(fmt.Sprintf("match: hash table size %d outside (0, 2^32)", d))
+	}
+	return ^uint64(0)/uint64(d) + 1
+}
+
+// fastMod returns x mod d, given recip = reciprocal(d).
+func fastMod(x uint32, recip uint64, d int) int {
+	hi, _ := bits.Mul64(recip*uint64(x), uint64(d))
+	return int(hi)
 }
 
 // warpPlan distributes the pending elements over warps and CTAs.
@@ -321,143 +331,168 @@ func (h *HashMatcher) warpPlan(pending int) (warpsTotal, warpsPerCTA int) {
 
 // elementPhase runs one element-parallel phase — request insert
 // (insert=true) or message probe (insert=false) — with one thread per
-// pending element, warp by warp in warp order. Each warp loads its
-// elements' keys and hashes them, the policy's warp body issues the
-// table CASes and returns the lanes it placed or matched, and the
-// other lanes stay pending. The pending list is compacted in place
-// afterwards; the phase returns the entries retired, its cycles and
-// its counters.
-func (h *HashMatcher) elementPhase(insert bool, keysMem *simt.Memory, pend *[]int, assign Assignment, primSize, secSize int) (int, float64, simt.Counters) {
+// pending element, warp by warp in warp order. Each warp gathers its
+// elements' keys (keys[id] for pending element id) and hashes them,
+// then issues the policy's table CASes: TwoLevel tries every lane's
+// primary slot and then the secondary slot of the lanes that missed;
+// LinearProbe steps from each lane's home slot, at most maxProbe
+// times. Lanes placed or matched retire; the rest stay pending, packed
+// in order to the front of the pending list as each warp finishes (the
+// real kernel's ballot prefix-sum compaction, whose cost is folded into
+// the counters billed). The phase returns the entries retired, its
+// cycles and its counters.
+//
+// A warp runs as one host pass over its lanes, and bills into its
+// CTA's sum what the warp-synchronous kernel issues: the bounds ballot,
+// one ALU op plus the hash's cost, the key gather's load and distinct
+// segments and a closing ALU op; per CAS round one atomic and the
+// round's distinct slot segments; per fallback or probe step one
+// ballot, plus a branch when some lane takes it. That kernel, written
+// on simt.Warp's gather and CAS primitives, is kept in the tests as
+// the reference this pass must equal bit for bit. The secondary table
+// follows the primary in one memory, so running both of a warp's CAS
+// rounds before the next warp's gives every slot the same operation
+// sequence as running each table's rounds for all warps in turn.
+func (h *HashMatcher) elementPhase(insert bool, keys []uint64, pend *[]int, assign Assignment) (int, float64, simt.Counters) {
 	s := &h.scratch
-	pending := len(*pend)
+	list := *pend
+	pending, kept := len(list), 0
 	if pending == 0 {
 		return 0, 0, simt.Counters{}
 	}
-	s.still = grow(s.still, pending)
-	still := s.still
-	if s.warp == nil {
-		s.warp = simt.NewWarp(0, new(simt.Counters))
-	}
-	w, l := s.warp, &s.lanes
-
 	warpsTotal, warpsPerCTA := h.warpPlan(pending)
 	perCTA := s.perCTA[:0]
-	var ctaCtrs simt.Counters
+	var cta simt.Counters
+	// Per lane: the element, its home slot and the table address of its
+	// current CAS.
+	var ids, home, addr [simt.LaneCount]int
 	for wi := 0; wi < warpsTotal; wi++ {
-		*w.Counters() = simt.Counters{}
-		w.SetActive(simt.FullMask)
 		base := wi * simt.LaneCount
-		n := min(simt.LaneCount, pending-base) // lanes [0, n) hold an element
-		w.SetActive(w.BallotMask(simt.FirstLanes(n)))
-		w.Issue(1)
-		copy(l.ids[:n], (*pend)[base:])
-		w.LoadGlobalGather(keysMem, &l.ids, &l.keys)
-		w.Issue(h.cost) // hash evaluation
-		for lane := range n {
-			l.home[lane] = h.primarySlot(l.keys[lane], primSize)
+		n := copy(ids[:], list[base:])
+		active := simt.FirstLanes(n)
+		cta.Ballot++                  // the bounds vote
+		cta.ALU += uint64(2 + h.cost) // set-up, hash and closing ops
+		var keySegs uint64
+		for lane, id := range ids[:n] {
+			keySegs |= 1 << (uint(id) / simt.SegmentWords)
+			home[lane] = h.primarySlot(keys[id])
 		}
+		cta.GMemLoad++
+		cta.GMemTrans += segments(len(keys) <= window, keySegs, active, &ids)
 		var won uint32
 		if h.cfg.Policy == TwoLevel {
-			won = h.twoLevelWarp(w, insert, assign, primSize, secSize)
+			won = h.casRound(&cta, insert, active, 0, &home, &ids, keys, s.primIdx, assign)
+			cta.Ballot++
+			if miss := active &^ won; miss != 0 {
+				cta.Branch++
+				for a := miss; a != 0; a &= a - 1 {
+					lane := bits.TrailingZeros32(a)
+					addr[lane] = s.primSize + h.secondarySlot(keys[ids[lane]])
+				}
+				won |= h.casRound(&cta, insert, miss, s.primSize, &addr, &ids, keys, s.secIdx, assign)
+			}
 		} else {
-			won = h.linearWarp(w, insert, assign, primSize)
+			// An insert tries every home slot first; each further step
+			// votes the lanes still unplaced.
+			step := 0
+			if insert {
+				won = h.casRound(&cta, insert, active, 0, &home, &ids, keys, s.primIdx, assign)
+				step++
+			}
+			for ; step < maxProbe; step++ {
+				cta.Ballot++
+				try := active &^ won
+				if try == 0 {
+					break
+				}
+				cta.Branch++
+				for a := try; a != 0; a &= a - 1 {
+					lane := bits.TrailingZeros32(a)
+					if addr[lane] = home[lane] + step; addr[lane] >= s.primSize {
+						addr[lane] -= s.primSize
+					}
+				}
+				won |= h.casRound(&cta, insert, try, 0, &addr, &ids, keys, s.primIdx, assign)
+			}
 		}
-		w.Issue(1)
-		for lane := range n {
-			still[base+lane] = won&simt.LaneMask(lane) == 0
+		for a := active &^ won; a != 0; a &= a - 1 {
+			// kept <= base+lane: the slot written belongs to this warp or
+			// an earlier one, whose ids are already read into ids.
+			list[kept] = ids[bits.TrailingZeros32(a)]
+			kept++
 		}
-		ctaCtrs.Add(w.Counters())
 		if (wi+1)%warpsPerCTA == 0 || wi == warpsTotal-1 {
-			perCTA = append(perCTA, ctaCtrs)
-			ctaCtrs = simt.Counters{}
+			perCTA = append(perCTA, cta)
+			cta = simt.Counters{}
 		}
 	}
 	s.perCTA = perCTA
 
+	*pend = list[:kept]
 	cycles, ctrs := h.phaseTiming(perCTA, warpsPerCTA)
-	return compactPending(pend, still), cycles, ctrs
+	return pending - kept, cycles, ctrs
 }
 
-// twoLevelWarp is one warp of a TwoLevel phase: the primary-table CAS,
-// then the secondary-table fallback for the lanes it missed; a lane
-// missing both defers to the next iteration. The primary table is
-// [0, primSize) and the secondary [primSize, primSize+secSize), so
-// running both CASes warp by warp gives every slot the same operation
-// sequence as running each table's CASes for all warps in turn. It
-// returns the lanes placed or matched.
-func (h *HashMatcher) twoLevelWarp(w *simt.Warp, insert bool, assign Assignment, primSize, secSize int) uint32 {
-	s := &h.scratch
-	l := &s.lanes
-	won := h.claim(w, insert, 0, &l.home, s.primIdx, assign)
-	if miss := w.BallotMask(^won); miss != 0 {
-		w.WithMask(miss, func() {
-			for a := w.Active(); a != 0; a &= a - 1 {
-				lane := bits.TrailingZeros32(a)
-				l.slots[lane] = h.secondarySlot(l.keys[lane], secSize)
-			}
-			won |= h.claim(w, insert, primSize, &l.slots, s.secIdx, assign)
-		})
-	}
-	return won
-}
-
-// linearWarp is one warp of a LinearProbe phase: bounded probing from
-// each lane's home slot in the one table. An insert tries the home
-// slot on every lane first; each further step votes the lanes still
-// unplaced. It returns the lanes placed or matched.
-func (h *HashMatcher) linearWarp(w *simt.Warp, insert bool, assign Assignment, primSize int) uint32 {
-	s := &h.scratch
-	l := &s.lanes
-	var won uint32
-	step := 0
-	if insert {
-		won = h.claim(w, insert, 0, &l.home, s.primIdx, assign)
-		step++
-	}
-	for ; step < maxProbe; step++ {
-		try := w.BallotMask(^won)
-		if try == 0 {
-			break
-		}
-		w.WithMask(try, func() {
-			for a := w.Active(); a != 0; a &= a - 1 {
-				lane := bits.TrailingZeros32(a)
-				l.slots[lane] = (l.home[lane] + step) % primSize
-			}
-			won |= h.claim(w, insert, 0, &l.slots, s.primIdx, assign)
-		})
-	}
-	return won
-}
-
-// claim issues one warp-wide CAS on table slot off+slots[lane] for each
-// active lane. An insert swaps an empty slot (0) for the lane's key and
+// casRound is one warp-wide CAS round on table word addr[lane] for
+// each lane of mask, in ascending lane order, so intra-warp contention
+// resolves to the lowest contending lane (as simt.Warp.AtomicCAS
+// does). The table starts at word off and idx holds its slots' request
+// indices. An insert swaps an empty slot (0) for the lane's key and
 // records the lane's request in idx; a probe swaps the lane's key back
 // to 0, which frees the slot, and assigns the slot's request the
-// lane's message. It returns the lanes whose CAS succeeded. At most one
-// lane wins a slot, so recording the winners after the CAS is the same
-// as recording each as it swaps.
-func (h *HashMatcher) claim(w *simt.Warp, insert bool, off int, slots *[simt.LaneCount]int, idx []int, assign Assignment) uint32 {
-	l := &h.scratch.lanes
-	var addr [simt.LaneCount]int
-	for a := w.Active(); a != 0; a &= a - 1 {
+// lane's message. It bills one atomic and the round's distinct
+// segments into c and returns the lanes whose CAS succeeded.
+func (h *HashMatcher) casRound(c *simt.Counters, insert bool, mask uint32, off int, addr, ids *[simt.LaneCount]int, keys []uint64, idx []int, assign Assignment) uint32 {
+	mem := h.scratch.mem
+	var won uint32
+	var segs uint64
+	for a := mask; a != 0; a &= a - 1 {
 		lane := bits.TrailingZeros32(a)
-		addr[lane] = off + slots[lane]
-	}
-	old, new := &l.zero, &l.keys
-	if !insert {
-		old, new = new, old
-	}
-	won := w.AtomicCAS(h.scratch.mem, &addr, old, new)
-	for a := won; a != 0; a &= a - 1 {
-		lane := bits.TrailingZeros32(a)
+		segs |= 1 << (uint(addr[lane]-off) / simt.SegmentWords)
+		old, new := uint64(0), keys[ids[lane]]
+		if !insert {
+			old, new = new, old
+		}
+		if _, ok := mem.CAS(addr[lane], old, new); !ok {
+			continue
+		}
+		won |= simt.LaneMask(lane)
 		if insert {
-			idx[slots[lane]] = l.ids[lane]
+			idx[addr[lane]-off] = ids[lane]
 		} else {
-			assign[idx[slots[lane]]] = l.ids[lane]
+			assign[idx[addr[lane]-off]] = ids[lane]
 		}
 	}
+	c.Atomic++
+	c.GMemTrans += segments(len(idx) <= window, segs, mask, addr)
 	return won
+}
+
+// window is the span, in words, of the 64 segments a uint64 holds one
+// bit each of.
+const window = 64 * simt.SegmentWords
+
+// segments returns the distinct segments of a warp access by mask's
+// lanes to words addr[lane]. When narrow says every address lies in one
+// window from a segment-aligned base (the key array starts at word 0,
+// and each table at a multiple of 64 words), that is the popcount of
+// set, in which each lane set the bit of its segment above the base as
+// it computed its address; otherwise simt.GatherSegments counts them.
+func segments(narrow bool, set uint64, mask uint32, addr *[simt.LaneCount]int) uint64 {
+	if narrow {
+		return uint64(bits.OnesCount64(set))
+	}
+	return simt.GatherSegments(mask, addr)
+}
+
+// occupancy returns the CTAs of warpsPerCTA warps resident on one SM
+// (at least 1), computed once per width.
+func (h *HashMatcher) occupancy(warpsPerCTA int) int {
+	if h.occ[warpsPerCTA] == 0 {
+		fp := arch.KernelFootprint{ThreadsPerCTA: warpsPerCTA * simt.LaneCount, RegsPerThread: 32}
+		h.occ[warpsPerCTA] = max(1, h.cfg.Arch.Occupancy(fp))
+	}
+	return h.occ[warpsPerCTA]
 }
 
 // phaseTiming converts one phase's per-CTA counters into cycles: waves
@@ -467,11 +502,7 @@ func (h *HashMatcher) claim(w *simt.Warp, insert bool, off int, slots *[simt.Lan
 // counters.
 func (h *HashMatcher) phaseTiming(perCTA []simt.Counters, warpsPerCTA int) (float64, simt.Counters) {
 	cycles := h.model.P.LaunchOverhead * 0.15
-	fp := arch.KernelFootprint{ThreadsPerCTA: warpsPerCTA * simt.LaneCount, RegsPerThread: 32, SharedMemPerCTA: 0}
-	occ := h.cfg.Arch.Occupancy(fp)
-	if occ < 1 {
-		occ = 1
-	}
+	occ := h.occupancy(warpsPerCTA)
 	var total simt.Counters
 	wave := timing.Phase{Kind: timing.Throughput, WorkingSetWords: h.workingSet}
 	for start := 0; start < len(perCTA); start += occ {
@@ -489,20 +520,4 @@ func (h *HashMatcher) phaseTiming(perCTA []simt.Counters, warpsPerCTA int) (floa
 		cycles += float64(warpsPerCTA) * h.model.P.SyncCost * 0.6
 	}
 	return cycles, total
-}
-
-// compactPending keeps the pending entries whose still flag is set,
-// compacting in place (in the real kernel this is a ballot prefix-sum
-// compaction; its cost is folded into the counters already billed). It
-// returns the number of entries retired.
-func compactPending(pend *[]int, still []bool) int {
-	src := *pend
-	next := src[:0]
-	for i, id := range src {
-		if still[i] {
-			next = append(next, id)
-		}
-	}
-	*pend = next
-	return len(src) - len(next)
 }

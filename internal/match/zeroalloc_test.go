@@ -27,9 +27,10 @@ func runtimeStreamWorkload(n int) ([]envelope.Envelope, []envelope.Request) {
 }
 
 // reusableCases builds steady-state MatchInto cases per GPU engine on
-// representative workloads: the default configurations (matrix, partitioned, hash and stream), the
-// stream engine on the runtime's small per-call shape, plus the
-// compacting matrix and partitioned engines the runtime builds (on
+// representative workloads: the default configurations (matrix,
+// partitioned, hash and stream), the LinearProbe hash policy, the
+// stream and hash engines on the runtime's small per-call shapes, plus
+// the compacting matrix and partitioned engines the runtime builds (on
 // workloads where half the messages find no receive, so compaction
 // keeps a residue) and multi-SM variants. Each runs both
 // telemetry-disabled (nil recorder) and telemetry-enabled with a small
@@ -44,6 +45,9 @@ func reusableCases() []matchCase {
 	uniqMsgs, uniqReqs := workload.UniqueTuples(1024, 1)
 	streamMsgs, streamReqs := streamWorkload(512, 8, 9)
 	rtMsgs, rtReqs := runtimeStreamWorkload(48)
+	// The hash_exact per-call shape: 12 messages with distinct tuples
+	// and 8 receives, so a third of the messages stay unexpected.
+	smallMsgs, smallReqs := workload.Generate(workload.Config{N: 12, Requests: 8, Unique: true, Peers: 4, Seed: 5})
 	residueReqs, partResidueReqs := fullReqs[:len(fullReqs)/2], partReqs[:len(partReqs)/2]
 
 	var cases []matchCase
@@ -72,6 +76,14 @@ func reusableCases() []matchCase {
 			m := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Recorder: rec})
 			cases = append(cases, matchCase{"hash" + suffix, func(res *Result) error {
 				return m.MatchInto(res, uniqMsgs, uniqReqs)
+			}})
+			lm := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Policy: LinearProbe, Recorder: rec})
+			cases = append(cases, matchCase{"hash-linear" + suffix, func(res *Result) error {
+				return lm.MatchInto(res, uniqMsgs, uniqReqs)
+			}})
+			sm := MustHashMatcher(HashConfig{Arch: a, Recorder: rec})
+			cases = append(cases, matchCase{"hash-small" + suffix, func(res *Result) error {
+				return sm.MatchInto(res, smallMsgs, smallReqs)
 			}})
 		}
 		{

@@ -5,9 +5,9 @@ import "math/bits"
 // The closure forms of the warp primitives, as kernels first called
 // them: a callback supplies each active lane's address and value or
 // receives its result, and the bill counts the collected addresses with
-// the generic transactions and bankConflicts models. Kernels use the
-// lane-array forms; these are the reference the property tests compare
-// them against.
+// the map-based refTransactions and the generic bankConflicts models.
+// Kernels use the lane-array forms; these are the reference the
+// property tests compare them against.
 
 // forEachActive invokes f for each active lane in ascending lane order.
 func forEachActive(w *Warp, f func(lane int)) {
@@ -48,19 +48,19 @@ func activeAddrs(w *Warp, addr func(lane int) int, f func(lane, a int)) []int {
 
 func refLoadGlobal(w *Warp, m *Memory, addr func(lane int) int, sink func(lane int, v uint64)) {
 	w.ctrs.GMemLoad++
-	w.ctrs.GMemTrans += transactions(activeAddrs(w, addr, func(lane, a int) { sink(lane, m.Load(a)) }))
+	w.ctrs.GMemTrans += refTransactions(activeAddrs(w, addr, func(lane, a int) { sink(lane, m.Load(a)) }))
 }
 
 // refStoreGlobal resolves lanes storing to one address in ascending
 // lane order: the highest lane's value is left.
 func refStoreGlobal(w *Warp, m *Memory, addr func(lane int) int, val func(lane int) uint64) {
 	w.ctrs.GMemStore++
-	w.ctrs.GMemTrans += transactions(activeAddrs(w, addr, func(lane, a int) { m.Store(a, val(lane)) }))
+	w.ctrs.GMemTrans += refTransactions(activeAddrs(w, addr, func(lane, a int) { m.Store(a, val(lane)) }))
 }
 
 func refAtomicCAS(w *Warp, m *Memory, addr func(lane int) int, old, new func(lane int) uint64, sink func(lane int, prev uint64, swapped bool)) {
 	w.ctrs.Atomic++
-	w.ctrs.GMemTrans += transactions(activeAddrs(w, addr, func(lane, a int) {
+	w.ctrs.GMemTrans += refTransactions(activeAddrs(w, addr, func(lane, a int) {
 		prev, ok := m.CAS(a, old(lane), new(lane))
 		sink(lane, prev, ok)
 	}))

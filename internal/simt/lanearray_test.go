@@ -70,7 +70,7 @@ func (p *pair) check(t *testing.T, trial int, what string) {
 // rangeBase returns a base at offset trial%16 within a random segment,
 // so every alignment against the 128-byte segments occurs.
 func rangeBase(rng *rand.Rand, trial int) int {
-	return trial%segmentWords + segmentWords*rng.Intn(4)
+	return trial%SegmentWords + SegmentWords*rng.Intn(4)
 }
 
 func TestLoadGlobalRangeMatchesReference(t *testing.T) {
@@ -138,7 +138,7 @@ func gatherAddrs(rng *rand.Rand, trial, size int) (addr [LaneCount]int) {
 		case 1:
 			addr[l] = rng.Intn(3) * 7
 		case 2:
-			addr[l] = segmentWords*(1+rng.Intn(size/segmentWords-1)) - rng.Intn(2)
+			addr[l] = SegmentWords*(1+rng.Intn(size/SegmentWords-1)) - rng.Intn(2)
 		default:
 			addr[l] = l
 		}
@@ -149,7 +149,7 @@ func gatherAddrs(rng *rand.Rand, trial, size int) (addr [LaneCount]int) {
 func TestLoadGlobalGatherMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < propTrials; trial++ {
-		const size = 8 * segmentWords
+		const size = 8 * SegmentWords
 		p := newPair(rng, trial, size)
 		addr := gatherAddrs(rng, trial, size)
 		refLoadGlobal(p.ref, p.refM, func(lane int) int { return addr[lane] }, func(lane int, v uint64) { p.refD[lane] = v })
@@ -161,7 +161,7 @@ func TestLoadGlobalGatherMatchesReference(t *testing.T) {
 func TestAtomicCASMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < propTrials; trial++ {
-		const size = 8 * segmentWords
+		const size = 8 * SegmentWords
 		p := newPair(rng, trial, size)
 		addr := gatherAddrs(rng, trial, size)
 		// Half the lanes compare against the word they target, so some

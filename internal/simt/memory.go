@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -128,28 +129,48 @@ func (m *Memory) Slice(addr, n int) []uint64 {
 	return words
 }
 
-// segmentWords is the size of one memory transaction in words: 128
+// SegmentWords is the size of one memory transaction in words: 128
 // bytes, i.e. 16 64-bit words, matching NVIDIA's L1/L2 line granularity
 // that the coalescer works at.
-const segmentWords = 16
+const SegmentWords = 16
 
-// transactions returns the number of distinct 128-byte segments touched
-// by the given word addresses — the coalescing model: a fully
-// sequential warp access costs 1-2 transactions, a random gather costs
-// up to one per lane. addrs holds at most one entry per lane (32), so
-// the quadratic distinct-count is cheap and, unlike a map, allocates
-// nothing — this runs once per simulated memory instruction and used to
-// dominate the simulator's allocation profile.
-func transactions(addrs []int) uint64 {
-	n := uint64(0)
-	for i, a := range addrs {
-		seg := a / segmentWords
-		dup := false
-		for _, b := range addrs[:i] {
-			if b/segmentWords == seg {
-				dup = true
-				break
-			}
+// GatherSegments returns the global-memory transactions of an access
+// in which mask's lanes each touch word addr[lane]: the distinct
+// 128-byte segments of those words — the coalescing model, under which
+// a fully sequential warp access costs 1-2 transactions and a random
+// gather up to one per lane. It takes each lane's segment once, in one
+// pass, and sets bit seg mod 256 of a 256-bit set; when the segments
+// span fewer than 256, distinct segments are distinct bits, so the
+// count is the set's popcount. A wider spread compares only the lanes
+// whose bit was already set with the lanes before them. Kernels billed
+// in one host pass over their lanes call it directly, as the gather and
+// CAS primitives do.
+func GatherSegments(mask uint32, addr *[LaneCount]int) uint64 {
+	if mask == 0 {
+		return 0
+	}
+	var set [4]uint64
+	var hits uint32 // lanes whose bit an earlier lane had set
+	lo, hi := math.MaxInt, math.MinInt
+	for a := mask; a != 0; a &= a - 1 {
+		lane := bits.TrailingZeros32(a)
+		seg := addr[lane] / SegmentWords
+		lo, hi = min(lo, seg), max(hi, seg)
+		word, bit := seg>>6&3, uint64(1)<<(seg&63)
+		if set[word]&bit != 0 {
+			hits |= LaneMask(lane)
+		}
+		set[word] |= bit
+	}
+	n := uint64(bits.OnesCount64(set[0]) + bits.OnesCount64(set[1]) + bits.OnesCount64(set[2]) + bits.OnesCount64(set[3]))
+	if hi-lo < 256 {
+		return n
+	}
+	for ; hits != 0; hits &= hits - 1 {
+		lane := bits.TrailingZeros32(hits)
+		seg, dup := addr[lane]/SegmentWords, false
+		for below := mask & (LaneMask(lane) - 1); below != 0 && !dup; below &= below - 1 {
+			dup = addr[bits.TrailingZeros32(below)]/SegmentWords == seg
 		}
 		if !dup {
 			n++
@@ -158,24 +179,13 @@ func transactions(addrs []int) uint64 {
 	return n
 }
 
-// gatherSegments is transactions over the addresses of mask's lanes.
-func gatherSegments(mask uint32, addr *[LaneCount]int) uint64 {
-	var addrs [LaneCount]int
-	n := 0
-	for ; mask != 0; mask &= mask - 1 {
-		addrs[n] = addr[bits.TrailingZeros32(mask)]
-		n++
-	}
-	return transactions(addrs[:n])
-}
-
-// rangeSegments is transactions for the lane-contiguous access from
-// base by mask's lanes, in closed form: with off = base%segmentWords,
+// rangeSegments is GatherSegments for the lane-contiguous access from
+// base by mask's lanes, in closed form: with off = base%SegmentWords,
 // lanes [0, 16-off) share the run's first segment, lanes
 // [16-off, 32-off) its second, and the rest its third.
 func rangeSegments(base int, mask uint32) uint64 {
-	off := base % segmentWords
-	first, firstTwo := FirstLanes(segmentWords-off), FirstLanes(2*segmentWords-off)
+	off := base % SegmentWords
+	first, firstTwo := FirstLanes(SegmentWords-off), FirstLanes(2*SegmentWords-off)
 	n := uint64(0)
 	for _, seg := range [3]uint32{first, firstTwo &^ first, ^firstTwo} {
 		if mask&seg != 0 {
@@ -193,5 +203,5 @@ func RunSegments(base, n int) uint64 {
 	if n == 0 {
 		return 0
 	}
-	return uint64((base+n-1)/segmentWords - base/segmentWords + 1)
+	return uint64((base+n-1)/SegmentWords - base/SegmentWords + 1)
 }

@@ -133,7 +133,7 @@ func refTransactions(addrs []int) uint64 {
 	}
 	seen := make(map[int]struct{}, len(addrs))
 	for _, a := range addrs {
-		seen[a/segmentWords] = struct{}{}
+		seen[a/SegmentWords] = struct{}{}
 	}
 	return uint64(len(seen))
 }
@@ -154,31 +154,67 @@ func refBankConflicts(addrs []int) uint64 {
 	return uint64(worst - 1)
 }
 
+// segments is GatherSegments over addrs, one lane each from lane 0.
+func segments(addrs []int) uint64 {
+	var addr [LaneCount]int
+	copy(addr[:], addrs)
+	return GatherSegments(FirstLanes(len(addrs)), &addr)
+}
+
+// TestMemoryModelCountersMatchReferenceAndDoNotAllocate checks
+// GatherSegments and bankConflicts against their map references. The
+// cases cover both ways GatherSegments counts: segment spans below 256
+// (the set's popcount) and of 256 or more (the comparison of colliding
+// lanes), including spans of exactly 63-65 and 255-257 and addresses
+// 256 segments apart, over random lane masks.
 func TestMemoryModelCountersMatchReferenceAndDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	const w = SegmentWords
 	cases := [][]int{
 		{}, {0}, {0, 0, 0}, {0, 16, 32, 48}, {5, 5, 37, 69, 5},
+		{0, 63*w + w - 1}, {0, 64 * w}, {w - 1, 64 * w}, {0, 65 * w, 64 * w, 1},
+		{63 * w, 0, 63*w + 3, 5}, {100 * w, 36 * w, 37 * w, 100*w + 1, 36 * w},
+		{0, 255 * w}, {0, 256 * w}, {0, 256 * w, 256 * w, 0}, {3, 256*w + 3, 512 * w, 1, 257 * w},
+		{256 * w, 0, 1, 256*w + 1, 512*w + 15, 5 * w, 261 * w},
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 600; i++ {
 		n := rng.Intn(LaneCount + 1)
 		addrs := make([]int, n)
+		span := []int{300, 64 * w, 255 * w, 256 * w, 257 * w, 4096 * w}[i%6]
 		for j := range addrs {
-			addrs[j] = rng.Intn(300)
+			addrs[j] = rng.Intn(span)
+			if i%7 == 0 { // segments 256 apart share a bit of the set
+				addrs[j] = rng.Intn(4)*256*w + rng.Intn(3*w)
+			}
 		}
 		cases = append(cases, addrs)
 	}
 	for _, addrs := range cases {
-		if got, want := transactions(addrs), refTransactions(addrs); got != want {
-			t.Fatalf("transactions(%v) = %d, want %d", addrs, got, want)
+		if got, want := segments(addrs), refTransactions(addrs); got != want {
+			t.Fatalf("segments(%v) = %d, want %d", addrs, got, want)
 		}
 		if got, want := bankConflicts(addrs), refBankConflicts(addrs); got != want {
 			t.Fatalf("bankConflicts(%v) = %d, want %d", addrs, got, want)
 		}
+		var addr [LaneCount]int
+		copy(addr[:], addrs)
+		mask := rng.Uint32() & FirstLanes(len(addrs))
+		var masked []int
+		for lane := range addrs {
+			if mask&LaneMask(lane) != 0 {
+				masked = append(masked, addrs[lane])
+			}
+		}
+		if got, want := GatherSegments(mask, &addr), refTransactions(masked); got != want {
+			t.Fatalf("GatherSegments(%#x, %v) = %d, want %d", mask, addrs, got, want)
+		}
 	}
-	big := cases[len(cases)-1]
+	wide := cases[len(cases)-1]
+	narrow := cases[len(cases)-6]
 	if allocs := testing.AllocsPerRun(100, func() {
-		transactions(big)
-		bankConflicts(big)
+		segments(narrow)
+		segments(wide)
+		bankConflicts(wide)
 	}); allocs != 0 {
 		t.Fatalf("memory-model counters allocate %.1f times per access, want 0", allocs)
 	}

@@ -115,22 +115,22 @@ func TestTransactionsCoalescing(t *testing.T) {
 	for i := range seq {
 		seq[i] = i
 	}
-	if got := transactions(seq); got != 2 {
+	if got := segments(seq); got != 2 {
 		t.Errorf("sequential access: %d transactions, want 2", got)
 	}
 	// Strided by a full segment: one transaction per lane.
 	strided := make([]int, 32)
 	for i := range strided {
-		strided[i] = i * segmentWords
+		strided[i] = i * SegmentWords
 	}
-	if got := transactions(strided); got != 32 {
+	if got := segments(strided); got != 32 {
 		t.Errorf("strided access: %d transactions, want 32", got)
 	}
 	// Broadcast: a single transaction.
-	if got := transactions([]int{5, 5, 5, 5}); got != 1 {
+	if got := segments([]int{5, 5, 5, 5}); got != 1 {
 		t.Errorf("broadcast access: %d transactions, want 1", got)
 	}
-	if got := transactions(nil); got != 0 {
+	if got := segments(nil); got != 0 {
 		t.Errorf("empty access: %d transactions, want 0", got)
 	}
 }
@@ -273,7 +273,7 @@ func TestLoadStoreGlobalAndCoalescing(t *testing.T) {
 	// Fully strided gather: one transaction per lane.
 	var addr [LaneCount]int
 	for lane := range addr {
-		addr[lane] = lane * segmentWords
+		addr[lane] = lane * SegmentWords
 	}
 	before := c.GMemTrans
 	w.LoadGlobalGather(m, &addr, &dst)

@@ -123,7 +123,7 @@ func (w *Warp) LoadGlobalRange(m *Memory, base int, dst *[LaneCount]uint64) {
 // per distinct segment the active lanes touch.
 func (w *Warp) LoadGlobalGather(m *Memory, addr *[LaneCount]int, dst *[LaneCount]uint64) {
 	w.ctrs.GMemLoad++
-	w.ctrs.GMemTrans += gatherSegments(w.active, addr)
+	w.ctrs.GMemTrans += GatherSegments(w.active, addr)
 	for a := w.active; a != 0; a &= a - 1 {
 		l := bits.TrailingZeros32(a)
 		dst[l] = m.Load(addr[l])
@@ -153,7 +153,7 @@ func (w *Warp) StoreGlobalPacked(m *Memory, base int, src *[LaneCount]uint64) {
 // whose swap succeeded.
 func (w *Warp) AtomicCAS(m *Memory, addr *[LaneCount]int, old, new *[LaneCount]uint64) (swapped uint32) {
 	w.ctrs.Atomic++
-	w.ctrs.GMemTrans += gatherSegments(w.active, addr)
+	w.ctrs.GMemTrans += GatherSegments(w.active, addr)
 	for a := w.active; a != 0; a &= a - 1 {
 		l := bits.TrailingZeros32(a)
 		if _, ok := m.CAS(addr[l], old[l], new[l]); ok {
