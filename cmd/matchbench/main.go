@@ -15,96 +15,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 
 	"simtmp/internal/bench"
 	"simtmp/internal/conformance"
 	"simtmp/internal/mpx"
 	"simtmp/internal/telemetry"
 )
-
-// section is one runnable experiment.
-type section struct {
-	flagName string
-	help     string
-	run      func(w io.Writer, csv bool) error
-}
-
-// table builds a section body that computes rows once and writes them
-// as CSV or through print.
-func table[T any](rows func() []T, print func(io.Writer, []T)) func(io.Writer, bool) error {
-	return func(w io.Writer, csv bool) error {
-		r := rows()
-		if csv {
-			return bench.WriteCSV(w, r)
-		}
-		print(w, r)
-		return nil
-	}
-}
-
-// withChart follows a section's table with its bar chart.
-func withChart[T any](print, chart func(io.Writer, []T)) func(io.Writer, []T) {
-	return func(w io.Writer, rows []T) {
-		print(w, rows)
-		fmt.Fprintln(w)
-		chart(w, rows)
-	}
-}
-
-// sections lists every runnable experiment in report order.
-func sections() []section {
-	return []section{
-		{"fig4", "Figure 4: single-CTA matrix matching rate",
-			table(bench.Figure4, withChart(bench.PrintFigure4, bench.ChartFigure4))},
-		{"fig5", "Figure 5: rank-partitioned matching rate",
-			table(bench.Figure5, func(w io.Writer, rows []bench.Fig5Point) {
-				withChart(bench.PrintFigure5, bench.ChartFigure5)(w, rows)
-				overK, overM := bench.Figure5Speedups()
-				fmt.Fprintf(w, "average Pascal speedup: %.2fx over K80 (paper: 2.12x), %.2fx over M40 (paper: 1.56x)\n", overK, overM)
-			})},
-		{"fig6b", "Figure 6b: hash-table matching rate",
-			table(bench.Figure6b, withChart(bench.PrintFigure6b, bench.ChartFigure6b))},
-		{"table2", "Table II: relaxation summary",
-			table(bench.TableII, withChart(bench.PrintTableII, bench.ChartTableII))},
-		{"cpu", "CPU matchers: list baseline vs hash bins (host wall-clock)",
-			table(bench.CPUReference, bench.PrintCPUReference)},
-		{"applicability", "per-application engine applicability matrix",
-			table(func() []bench.ApplicabilityRow { return bench.Applicability(1) }, bench.PrintApplicability)},
-		{"stream", "sustained-load dynamics (offered vs delivered)",
-			table(bench.Streaming, bench.PrintStreaming)},
-		{"msgsize", "message-size sweep (protocol + bandwidth)",
-			table(bench.MessageSizes, bench.PrintMessageSizes)},
-		{"smsweep", "multi-SM scaling of the communication kernel",
-			table(bench.SMSweep, bench.PrintSMSweep)},
-		{"endpoints", "CTA-endpoint scaling (the paper's motivation)",
-			table(bench.Endpoints, bench.PrintEndpoints)},
-		{"commparallel", "communicator-level parallelism (§VI top level)",
-			table(bench.CommParallel, bench.PrintCommParallel)},
-		{"streams", "MPIX stream scaling: stream-concurrent engine vs full-MPI matrix",
-			table(bench.StreamScaling, bench.PrintStreamScaling)},
-		{"chaos", "chaos conformance: exactly-once delivery under fault injection",
-			table(func() []bench.ChaosRow { return bench.Chaos(1, 250) }, bench.PrintChaos)},
-		{"ablation", "ablation studies (compaction, fraction, order, hash, wildcards)", func(w io.Writer, csv bool) error {
-			if !csv {
-				bench.PrintAblations(w)
-				return nil
-			}
-			for _, rows := range []any{
-				bench.AblationCompaction(),
-				bench.AblationMatchFraction(),
-				bench.OrderSensitivity(),
-				bench.HashAblation(),
-				bench.AblationWildcardHash(),
-			} {
-				if err := bench.WriteCSV(w, rows); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	}
-}
 
 // run is the testable entry point: it parses args (without the program
 // name), writes results to stdout and diagnostics to stderr, and
@@ -126,11 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var trace telemetry.CLIFlags
 	trace.Register(fs)
 
-	secs := sections()
-	enabled := make(map[string]*bool, len(secs))
-	for _, s := range secs {
-		enabled[s.flagName] = fs.Bool(s.flagName, false, s.help)
-	}
+	sections := bench.SectionFlags(fs, "matchbench")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -150,23 +62,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	ran := false
-	for _, s := range secs {
-		if !*enabled[s.flagName] && !*all {
-			continue
-		}
-		if err := s.run(stdout, *csvOut); err != nil {
-			fmt.Fprintln(stderr, "matchbench:", err)
-			return 1
-		}
-		if !*csvOut {
-			fmt.Fprintln(stdout)
-		}
-		ran = true
-	}
-	if !ran {
+	selected := sections(*all)
+	if len(selected) == 0 {
 		fs.Usage()
 		return 2
+	}
+	if err := bench.WriteSections(stdout, selected, bench.ReportSeed, *csvOut); err != nil {
+		fmt.Fprintln(stderr, "matchbench:", err)
+		return 1
 	}
 	return 0
 }
@@ -182,7 +85,7 @@ func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistN
 		fmt.Fprintln(stderr, "matchbench: refusing to bless a gate-validation run as a baseline; drop -soak.uncap and -persist.nocache")
 		return 2
 	}
-	if write && !vcsStamped() {
+	if write && bench.BuildSetting("vcs.revision") == "" {
 		fmt.Fprintln(stderr, "matchbench: refusing to write a baseline from a binary without a vcs.revision stamp "+
 			"(go run and go test do not stamp one); build it first: go build -o /tmp/matchbench ./cmd/matchbench && /tmp/matchbench -regress -regress.write")
 		return 2
@@ -220,21 +123,6 @@ func runRegress(stdout, stderr io.Writer, dir string, write, soakUncap, persistN
 		return 1
 	}
 	return 0
-}
-
-// vcsStamped reports whether the binary's build info carries the
-// vcs.revision that a written baseline records as its fingerprint.
-func vcsStamped() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "vcs.revision" {
-			return true
-		}
-	}
-	return false
 }
 
 // runPersistent executes the persistent-channel iteration sweep — the

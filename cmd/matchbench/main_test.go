@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"simtmp/internal/bench"
 )
 
 // TestRunTable2CSV is the golden-output smoke test: the Table II
@@ -136,35 +138,45 @@ func TestRunUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestSectionFlagsUnique guards the section registry against duplicate
-// flag names, which would panic at flag registration in production.
+// TestSectionFlagsUnique guards the section list against duplicate
+// flag names within a command, which would panic at flag registration
+// in production.
 func TestSectionFlagsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, s := range sections() {
-		if seen[s.flagName] {
-			t.Errorf("duplicate section flag %q", s.flagName)
+	for _, s := range bench.Sections() {
+		id := s.Command + " -" + s.Name
+		if seen[id] {
+			t.Errorf("duplicate section flag %q", id)
 		}
-		seen[s.flagName] = true
-		if s.help == "" {
-			t.Errorf("section %q has no help text", s.flagName)
+		seen[id] = true
+		if s.Help == "" {
+			t.Errorf("section %q has no help text", id)
 		}
 	}
 }
 
-// TestSectionsHaveVerdicts holds every report section to a claim:
-// EXPERIMENTS.md's section-verdict table must carry exactly one row per
-// section flag, and no row for a flag that no longer exists.
+// TestSectionsHaveVerdicts holds every report section of both commands
+// to a claim: EXPERIMENTS.md's section-verdict table must carry exactly
+// one row per section flag, and no row for a flag that no longer
+// exists. A row says "host-timed" exactly when its section is, and a
+// host-timed section has no records.
 func TestSectionsHaveVerdicts(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows, flags []string
-	for _, m := range regexp.MustCompile("(?m)^\\| `matchbench -([a-z0-9]+)` \\|").FindAllSubmatch(doc, -1) {
+	hostTimed := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `((?:matchbench|tracestat) -[a-z0-9]+)` \\|.*$").FindAllSubmatch(doc, -1) {
 		rows = append(rows, string(m[1]))
+		hostTimed[string(m[1])] = strings.Contains(string(m[0]), "host-timed")
 	}
-	for _, s := range sections() {
-		flags = append(flags, s.flagName)
+	for _, s := range bench.Sections() {
+		id := s.Command + " -" + s.Name
+		flags = append(flags, id)
+		if hostTimed[id] != s.HostTimed || s.HostTimed && s.Records != nil {
+			t.Errorf("%s: HostTimed %v, records %v, but its verdict row says host-timed = %v", id, s.HostTimed, s.Records != nil, hostTimed[id])
+		}
 	}
 	slices.Sort(rows)
 	slices.Sort(flags)

@@ -18,31 +18,6 @@ import (
 	"simtmp/internal/trace"
 )
 
-// analysis is one trace analysis, run on the traces of one seed.
-type analysis struct {
-	flagName string
-	help     string
-	run      func(w io.Writer, seed int64)
-}
-
-// analyses lists every trace analysis in report order.
-func analyses() []analysis {
-	return []analysis{
-		{"table1", "Table I: application characteristics", func(w io.Writer, seed int64) {
-			bench.PrintTableI(w, bench.TableI(seed))
-		}},
-		{"fig2", "Figure 2: UMQ/PRQ depth distributions", func(w io.Writer, seed int64) {
-			bench.PrintFigure2(w, bench.Figure2(seed))
-		}},
-		{"fig6a", "Figure 6a: tuple uniqueness", func(w io.Writer, seed int64) {
-			bench.PrintFigure6a(w, bench.Figure6a(seed))
-		}},
-		{"sizes", "per-app payload sizes and protocol mix", func(w io.Writer, seed int64) {
-			bench.PrintAppSizes(w, bench.AppSizes(seed))
-		}},
-	}
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
@@ -56,17 +31,13 @@ func run(args []string, w io.Writer) error {
 	flag := flag.NewFlagSet("tracestat", flag.ContinueOnError)
 	var (
 		all     = flag.Bool("all", false, "run all analyses")
-		seed    = flag.Int64("seed", 1, "generation seed")
+		seed    = flag.Int64("seed", bench.ReportSeed, "generation seed")
 		dump    = flag.String("dump", "", "generate the trace of -app and write it to this file")
 		app     = flag.String("app", "LULESH", "application for -dump (one of: "+fmt.Sprint(apps.Names())+")")
 		ranks   = flag.Int("ranks", 0, "rank count for -dump (0 = app default)")
 		analyze = flag.String("analyze", "", "analyze a trace file instead of generating")
 	)
-	as := analyses()
-	enabled := make([]*bool, len(as))
-	for i, a := range as {
-		enabled[i] = flag.Bool(a.flagName, false, a.help)
-	}
+	sections := bench.SectionFlags(flag, "tracestat")
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
@@ -104,18 +75,11 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	ran := false
-	for i, a := range as {
-		if *enabled[i] || *all {
-			a.run(w, *seed)
-			fmt.Fprintln(w)
-			ran = true
-		}
-	}
-	if !ran {
+	selected := sections(*all)
+	if len(selected) == 0 {
 		return fmt.Errorf("no analysis selected (try -all)")
 	}
-	return nil
+	return bench.WriteSections(w, selected, *seed, false)
 }
 
 func printStats(w io.Writer, tr *trace.Trace) {

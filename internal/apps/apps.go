@@ -221,7 +221,7 @@ func (m *Model) Generate(ranks int, seed int64) *trace.Trace {
 		// Log-uniform draw between lo and hi.
 		r := rng.Float64()
 		span := float64(hi) / float64(lo)
-		return int(float64(lo) * pow(span, r))
+		return int(float64(lo) * math.Exp(r*math.Log(span)))
 	}
 	tagOf := func(iter, seq int) int {
 		switch s.Tags {
@@ -232,6 +232,16 @@ func (m *Model) Generate(ranks int, seed int64) *trace.Trace {
 		default: // ThousandsOfTags
 			return (iter*4096 + seq) % 60000
 		}
+	}
+	// prePosted is the receives a rank with UMQ depth du pre-posts:
+	// the app's pre-posting ratio, capped at 1.5× the UMQ depth so
+	// heavy pre-posters (LULESH) keep the PRQ in its published band
+	// ("PRQ shows similar lengths").
+	prePosted := func(du int) int {
+		if s.PrePost <= 0 || s.PrePost >= 1 {
+			return 0
+		}
+		return min(int(s.PrePost/(1-s.PrePost)*float64(du)), du*3/2)
 	}
 	commOf := func(seq int) int {
 		if s.Comms <= 1 {
@@ -256,18 +266,8 @@ func (m *Model) Generate(ranks int, seed int64) *trace.Trace {
 				continue
 			}
 			// du arrivals go unexpected (the UMQ target); dp receives
-			// are pre-posted (the PRQ target). dp follows the app's
-			// pre-posting ratio but is capped at 1.5× the UMQ depth so
-			// heavy pre-posters (LULESH) keep the PRQ in its published
-			// band ("PRQ shows similar lengths").
-			du := depth[r]
-			dp := 0
-			if s.PrePost > 0 && s.PrePost < 1 {
-				dp = int(s.PrePost / (1 - s.PrePost) * float64(du))
-				if max := du * 3 / 2; dp > max {
-					dp = max
-				}
-			}
+			// are pre-posted (the PRQ target).
+			du, dp := depth[r], prePosted(depth[r])
 			total := du + dp
 			perPeer := total / len(nb)
 			if perPeer == 0 {
@@ -312,16 +312,8 @@ func (m *Model) Generate(ranks int, seed int64) *trace.Trace {
 		}
 		pre := make([]int, ranks)
 		for r := 0; r < ranks; r++ {
-			du := depth[r]
-			dp := 0
-			if s.PrePost > 0 && s.PrePost < 1 {
-				dp = int(s.PrePost / (1 - s.PrePost) * float64(du))
-				if max := du * 3 / 2; dp > max {
-					dp = max
-				}
-			}
-			total := du + dp
-			pre[r] = len(recvOf[r]) * dp / total
+			dp := prePosted(depth[r])
+			pre[r] = len(recvOf[r]) * dp / (depth[r] + dp)
 			for _, p := range recvOf[r][:pre[r]] {
 				post(r, p)
 			}
@@ -449,12 +441,6 @@ func randomK(ranks, k int, rng *rand.Rand) [][]int {
 		sort.Ints(out[r])
 	}
 	return out
-}
-
-// pow is a small float power helper (math.Pow without importing math
-// twice — kept local for the log-uniform size draw).
-func pow(base, exp float64) float64 {
-	return math.Exp(exp * math.Log(base))
 }
 
 func abs(x int) int {

@@ -12,8 +12,8 @@ import (
 // pipeline, must show the published per-application characteristics.
 func TestTableICharacteristics(t *testing.T) {
 	for _, m := range All() {
-		m := m
 		t.Run(m.Spec.Name, func(t *testing.T) {
+			t.Parallel()
 			tr := m.Generate(0, 1)
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("invalid trace: %v", err)
@@ -55,59 +55,6 @@ func TestTableICharacteristics(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFigure2QueueDepths pins the headline queue-depth findings: most
-// apps below 512; Nekbone mean ≈4000 / median ≈1800; MultiGrid mean
-// ≈2000 / median ≈1500; UMQ and PRQ similar.
-func TestFigure2QueueDepths(t *testing.T) {
-	within := func(got, want, tol float64) bool {
-		return got >= want*(1-tol) && got <= want*(1+tol)
-	}
-	for _, m := range All() {
-		tr := m.Generate(0, 1)
-		s := trace.Analyze(tr)
-		name := m.Spec.Name
-		switch name {
-		case "Nekbone":
-			if !within(s.UMQMax.Mean, 4000, 0.3) {
-				t.Errorf("%s UMQ mean = %.0f, want ≈4000", name, s.UMQMax.Mean)
-			}
-			if !within(s.UMQMax.Median, 1800, 0.3) {
-				t.Errorf("%s UMQ median = %.0f, want ≈1800", name, s.UMQMax.Median)
-			}
-		case "MultiGrid":
-			if !within(s.UMQMax.Mean, 2000, 0.3) {
-				t.Errorf("%s UMQ mean = %.0f, want ≈2000", name, s.UMQMax.Mean)
-			}
-			if !within(s.UMQMax.Median, 1500, 0.3) {
-				t.Errorf("%s UMQ median = %.0f, want ≈1500", name, s.UMQMax.Median)
-			}
-		default:
-			if s.UMQMax.Max >= 512 {
-				t.Errorf("%s UMQ max = %.0f, want <512", name, s.UMQMax.Max)
-			}
-		}
-		if s.PRQMax.Max > 2.2*s.UMQMax.Max+64 {
-			t.Errorf("%s PRQ max %.0f far exceeds UMQ max %.0f", name, s.PRQMax.Max, s.UMQMax.Max)
-		}
-	}
-}
-
-// TestFigure6aTupleUniqueness: hash-friendliness — apps with rich tag
-// spaces must show single-digit-percent tuple shares.
-func TestFigure6aTupleUniqueness(t *testing.T) {
-	for _, m := range All() {
-		if m.Spec.Tags == FewTags {
-			continue // few-tag apps legitimately share tuples more
-		}
-		tr := m.Generate(0, 1)
-		s := trace.Analyze(tr)
-		if s.TupleUniqueness.Mean > 0.10 {
-			t.Errorf("%s tuple uniqueness mean = %.1f%%, want single digits",
-				m.Spec.Name, 100*s.TupleUniqueness.Mean)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"simtmp/internal/apps"
 	"simtmp/internal/envelope"
 	"simtmp/internal/match"
 	"simtmp/internal/trace"
@@ -98,10 +97,9 @@ func hashFeasible(msgs []envelope.Envelope, reqs []envelope.Request) bool {
 // through every engine its semantics admit.
 func Applicability(seed int64) []ApplicabilityRow {
 	var out []ApplicabilityRow
-	for _, m := range apps.All() {
-		tr := m.Generate(0, seed)
-		msgs, reqs := rankWorkload(tr)
-		row := ApplicabilityRow{App: m.Spec.Name, Messages: len(msgs), Requests: len(reqs)}
+	for _, a := range appPass(seed) {
+		msgs, reqs := a.msgs, a.reqs
+		row := ApplicabilityRow{App: a.spec.Name, Messages: len(msgs), Requests: len(reqs)}
 
 		mx := mustMatch(match.NewMatrixMatcher(match.MatrixConfig{Compact: true}), msgs, reqs)
 		row.MatrixRateM = mrate(mx.Assignment.Matched(), mx.SimSeconds)
@@ -121,7 +119,7 @@ func Applicability(seed int64) []ApplicabilityRow {
 		case errors.Is(err, match.ErrSourceWildcard):
 			// Infeasible for this application (MiniDFT, MiniFE).
 		default:
-			panic(fmt.Sprintf("bench: applicability %s partitioned: %v", m.Spec.Name, err))
+			panic(fmt.Sprintf("bench: applicability %s partitioned: %v", a.spec.Name, err))
 		}
 
 		if hashFeasible(msgs, reqs) {

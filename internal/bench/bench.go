@@ -18,14 +18,10 @@ import (
 	"strings"
 	"time"
 
-	"simtmp/internal/arch"
 	"simtmp/internal/envelope"
 	"simtmp/internal/match"
 	"simtmp/internal/workload"
 )
-
-// archNames are the generations reported in the figures, in order.
-func archNames() []*arch.Arch { return arch.All() }
 
 // mrate converts matches and simulated seconds into M matches/s.
 func mrate(matches int, seconds float64) float64 {

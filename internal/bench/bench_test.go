@@ -10,6 +10,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"sync"
 	"testing"
 
 	"simtmp/internal/arch"
@@ -127,10 +128,15 @@ func BenchmarkFigure6b(b *testing.B) {
 	}
 }
 
+// forgetAppPasses drops the memoized §IV passes, so that the next
+// projection generates and analyzes every trace again.
+func forgetAppPasses() { appPasses = sync.Map{} }
+
 // BenchmarkTableI regenerates the Table I application analysis
 // (generation + queue reconstruction of all ten proxy apps).
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		forgetAppPasses()
 		rows := TableI(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
@@ -141,6 +147,7 @@ func BenchmarkTableI(b *testing.B) {
 // BenchmarkFigure2 regenerates the Figure 2 queue-depth analysis.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		forgetAppPasses()
 		rows := Figure2(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
@@ -152,6 +159,7 @@ func BenchmarkFigure2(b *testing.B) {
 // analysis.
 func BenchmarkFigure6a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		forgetAppPasses()
 		rows := Figure6a(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))
@@ -238,6 +246,7 @@ func BenchmarkSIMTEngine(b *testing.B) {
 // applicability matrix (the quantified §VI feasibility discussion).
 func BenchmarkApplicability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		forgetAppPasses()
 		rows := Applicability(1)
 		if len(rows) != 10 {
 			b.Fatalf("got %d rows", len(rows))

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"simtmp/internal/apps"
 	"simtmp/internal/arch"
 )
 
@@ -396,6 +397,42 @@ func TestFigure2Headlines(t *testing.T) {
 	}
 }
 
+// TestFigure2QueueDepths pins the headline queue-depth findings: most
+// apps below 512; Nekbone mean ≈4000 / median ≈1800; MultiGrid mean
+// ≈2000 / median ≈1500; UMQ and PRQ similar.
+func TestFigure2QueueDepths(t *testing.T) {
+	within := func(got, want, tol float64) bool {
+		return got >= want*(1-tol) && got <= want*(1+tol)
+	}
+	for _, a := range appPass(1) {
+		s := a.stats
+		name := a.spec.Name
+		switch name {
+		case "Nekbone":
+			if !within(s.UMQMax.Mean, 4000, 0.3) {
+				t.Errorf("%s UMQ mean = %.0f, want ≈4000", name, s.UMQMax.Mean)
+			}
+			if !within(s.UMQMax.Median, 1800, 0.3) {
+				t.Errorf("%s UMQ median = %.0f, want ≈1800", name, s.UMQMax.Median)
+			}
+		case "MultiGrid":
+			if !within(s.UMQMax.Mean, 2000, 0.3) {
+				t.Errorf("%s UMQ mean = %.0f, want ≈2000", name, s.UMQMax.Mean)
+			}
+			if !within(s.UMQMax.Median, 1500, 0.3) {
+				t.Errorf("%s UMQ median = %.0f, want ≈1500", name, s.UMQMax.Median)
+			}
+		default:
+			if s.UMQMax.Max >= 512 {
+				t.Errorf("%s UMQ max = %.0f, want <512", name, s.UMQMax.Max)
+			}
+		}
+		if s.PRQMax.Max > 2.2*s.UMQMax.Max+64 {
+			t.Errorf("%s PRQ max %.0f far exceeds UMQ max %.0f", name, s.PRQMax.Max, s.UMQMax.Max)
+		}
+	}
+}
+
 func TestFigure6aHeadline(t *testing.T) {
 	rows := Figure6a(1)
 	single := 0
@@ -407,6 +444,20 @@ func TestFigure6aHeadline(t *testing.T) {
 	// "most applications range in single digit percentages".
 	if single < 6 {
 		t.Errorf("only %d/10 apps have single-digit tuple shares", single)
+	}
+}
+
+// TestFigure6aTupleUniqueness: hash-friendliness — apps with rich tag
+// spaces must show single-digit-percent tuple shares.
+func TestFigure6aTupleUniqueness(t *testing.T) {
+	for _, a := range appPass(1) {
+		if a.spec.Tags == apps.FewTags {
+			continue // few-tag apps legitimately share tuples more
+		}
+		if s := a.stats; s.TupleUniqueness.Mean > 0.10 {
+			t.Errorf("%s tuple uniqueness mean = %.1f%%, want single digits",
+				a.spec.Name, 100*s.TupleUniqueness.Mean)
+		}
 	}
 }
 
@@ -449,6 +500,7 @@ func TestApplicabilityMatrix(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("got %d rows, want 10", len(rows))
 	}
+	forgetAppPasses()
 	if again := Applicability(1); !reflect.DeepEqual(rows, again) {
 		t.Errorf("two Applicability(1) runs differ:\n%v\n%v", rows, again)
 	}

@@ -57,17 +57,9 @@ func renderChart(w io.Writer, title string, rows []series) {
 
 // ChartFigure4 renders the Figure 4 plateau-and-knee per architecture.
 func ChartFigure4(w io.Writer, pts []Fig4Point) {
-	arches := []string{"Kepler", "Maxwell", "Pascal"}
 	var rows []series
-	for _, a := range arches {
-		for _, p := range pts {
-			if p.Arch == a {
-				rows = append(rows, series{
-					label: fmt.Sprintf("%s @%d", a, p.QueueLen),
-					value: p.RateM,
-				})
-			}
-		}
+	for _, p := range pts {
+		rows = append(rows, series{label: fmt.Sprintf("%s @%d", p.Arch, p.QueueLen), value: p.RateM})
 	}
 	renderChart(w, "Figure 4 shape (M matches/s)", rows)
 }
@@ -97,11 +89,9 @@ func ChartFigure5(w io.Writer, pts []Fig5Point) {
 // 1024 elements / 32 CTAs.
 func ChartFigure6b(w io.Writer, pts []Fig6bPoint) {
 	var rows []series
-	for _, a := range []string{"Kepler", "Maxwell", "Pascal"} {
-		for _, p := range pts {
-			if p.Arch == a && p.Elements == 1024 && p.CTAs == 32 {
-				rows = append(rows, series{label: a, value: p.RateM})
-			}
+	for _, p := range pts {
+		if p.Elements == 1024 && p.CTAs == 32 {
+			rows = append(rows, series{label: p.Arch, value: p.RateM})
 		}
 	}
 	renderChart(w, "Figure 6b @1024/32CTAs (M matches/s)", rows)

@@ -10,10 +10,9 @@ import (
 )
 
 // WriteCSV renders any experiment's row slice as CSV: the header comes
-// from the struct field names, cells from the field values. Nested
-// stats.Summary fields expand into min/median/mean/max columns so the
-// Figure 2 distributions stay plottable. rows must be a slice of
-// structs (or pointers to structs).
+// from the struct field names, cells from the field values, with each
+// stats.Summary expanded as walkFields does. rows must be a slice of
+// structs.
 func WriteCSV(w io.Writer, rows any) error {
 	v := reflect.ValueOf(rows)
 	if v.Kind() != reflect.Slice {
@@ -25,26 +24,20 @@ func WriteCSV(w io.Writer, rows any) error {
 	if v.Len() == 0 {
 		return nil
 	}
-	first := v.Index(0)
-	if first.Kind() == reflect.Pointer {
-		first = first.Elem()
-	}
-	if first.Kind() != reflect.Struct {
-		return fmt.Errorf("bench: WriteCSV wants structs, got %s", first.Kind())
+	if k := v.Type().Elem().Kind(); k != reflect.Struct {
+		return fmt.Errorf("bench: WriteCSV wants structs, got %s", k)
 	}
 
 	var header []string
-	collectHeader(first.Type(), "", &header)
+	walkFields(v.Index(0), func(name string, _ reflect.Value) { header = append(header, name) })
 	if err := cw.Write(header); err != nil {
 		return err
 	}
 	for i := 0; i < v.Len(); i++ {
-		row := v.Index(i)
-		if row.Kind() == reflect.Pointer {
-			row = row.Elem()
-		}
 		var cells []string
-		collectCells(row, &cells)
+		walkFields(v.Index(i), func(_ string, f reflect.Value) {
+			cells = append(cells, fmt.Sprint(f.Interface()))
+		})
 		if err := cw.Write(cells); err != nil {
 			return err
 		}
@@ -58,49 +51,24 @@ var summaryType = reflect.TypeOf(stats.Summary{})
 // summaryCols are the Summary sub-columns exported to CSV.
 var summaryCols = []string{"min", "p25", "median", "mean", "p75", "p95", "p99", "max"}
 
-func collectHeader(t reflect.Type, prefix string, out *[]string) {
+// walkFields calls fn with the name and value of each column of a
+// struct row: its exported fields in order, each stats.Summary expanded
+// into one <field>_<col> column per summaryCols entry. It names the
+// CSV columns and the §IV records alike.
+func walkFields(row reflect.Value, fn func(name string, v reflect.Value)) {
+	t := row.Type()
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {
 			continue
 		}
-		name := prefix + f.Name
-		if f.Type == summaryType {
-			for _, c := range summaryCols {
-				*out = append(*out, name+"_"+c)
-			}
+		if f.Type != summaryType {
+			fn(f.Name, row.Field(i))
 			continue
 		}
-		*out = append(*out, name)
-	}
-}
-
-func collectCells(v reflect.Value, out *[]string) {
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		fv := v.Field(i)
-		if f.Type == summaryType {
-			s := fv.Interface().(stats.Summary)
-			for _, x := range []float64{s.Min, s.P25, s.Median, s.Mean, s.P75, s.P95, s.P99, s.Max} {
-				*out = append(*out, trimFloat(x))
-			}
-			continue
-		}
-		switch fv.Kind() {
-		case reflect.Float64, reflect.Float32:
-			*out = append(*out, trimFloat(fv.Float()))
-		default:
-			*out = append(*out, fmt.Sprint(fv.Interface()))
+		s := row.Field(i).Interface().(stats.Summary)
+		for j, x := range []float64{s.Min, s.P25, s.Median, s.Mean, s.P75, s.P95, s.P99, s.Max} {
+			fn(f.Name+"_"+summaryCols[j], reflect.ValueOf(x))
 		}
 	}
-}
-
-// trimFloat renders floats compactly without scientific notation for
-// typical experiment magnitudes.
-func trimFloat(x float64) string {
-	return fmt.Sprintf("%g", x)
 }

@@ -30,60 +30,65 @@ type EndpointRow struct {
 	SustainableHz   float64
 }
 
-// Endpoints sweeps the CTA-endpoint count for each engine. Every
+// gpuEngines are the three GPU engines, as the endpoint and
+// sustained-load sections configure them.
+var gpuEngines = []struct {
+	name string
+	mk   func() match.Matcher
+}{
+	{"matrix", func() match.Matcher {
+		return match.NewMatrixMatcher(match.MatrixConfig{MaxCTAs: 8, Compact: true})
+	}},
+	{"partitioned", func() match.Matcher {
+		return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, Compact: true})
+	}},
+	{"hash", func() match.Matcher {
+		return match.MustHashMatcher(match.HashConfig{CTAs: 32})
+	}},
+}
+
+// endpointCounts are the swept CTA-endpoint counts; every endpoint
+// sends endpointMsgs messages per superstep.
+var endpointCounts = []int{32, 256, 1024, 4096}
+
+const endpointMsgs = 2
+
+// Endpoints sweeps the CTA-endpoint count for each GPU engine. Every
 // endpoint sends two messages per superstep to other endpoints on the
 // peer GPU (tags encode the endpoint pair, hash-friendly).
 func Endpoints() []EndpointRow {
-	const msgsPer = 2
-	counts := []int{32, 256, 1024, 4096}
-	engines := []struct {
-		name string
-		mk   func() match.Matcher
-	}{
-		{"cpu-list", func() match.Matcher { return match.NewListMatcher() }},
-		{"matrix", func() match.Matcher {
-			return match.NewMatrixMatcher(match.MatrixConfig{MaxCTAs: 8, Compact: true})
-		}},
-		{"partitioned", func() match.Matcher {
-			return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, Compact: true})
-		}},
-		{"hash", func() match.Matcher {
-			return match.MustHashMatcher(match.HashConfig{CTAs: 32})
-		}},
-	}
-
 	var out []EndpointRow
-	for _, eng := range engines {
-		for _, eps := range counts {
-			msgs, reqs := endpointWorkload(eps, msgsPer)
-			m := eng.mk()
-			res, err := m.Match(msgs, reqs)
-			if err != nil {
-				panic(fmt.Sprintf("bench: endpoints %s: %v", eng.name, err))
-			}
-			row := EndpointRow{
-				Engine: eng.name, Endpoints: eps, MsgsPerEndpoint: msgsPer,
-			}
-			if eng.name == "cpu-list" {
-				// Host matcher: its time IS host wall-clock. (The paper
-				// avoids CPU-vs-GPU rate comparisons; this row is our
-				// extension and depends on the build host.)
-				iters := 1 + (1 << 21 / (len(msgs) + 1))
-				start := time.Now()
-				for i := 0; i < iters; i++ {
-					mustMatch(m, msgs, reqs)
-				}
-				sec := time.Since(start).Seconds() / float64(iters)
-				row.SuperstepUS = sec * 1e6
-				row.SustainableHz = 1 / sec
-			} else {
-				row.SuperstepUS = res.SimSeconds * 1e6
-				if res.SimSeconds > 0 {
-					row.SustainableHz = 1 / res.SimSeconds
-				}
+	for _, eng := range gpuEngines {
+		for _, eps := range endpointCounts {
+			msgs, reqs := endpointWorkload(eps, endpointMsgs)
+			res := mustMatch(eng.mk(), msgs, reqs)
+			row := EndpointRow{Engine: eng.name, Endpoints: eps, MsgsPerEndpoint: endpointMsgs, SuperstepUS: res.SimSeconds * 1e6}
+			if res.SimSeconds > 0 {
+				row.SustainableHz = 1 / res.SimSeconds
 			}
 			out = append(out, row)
 		}
+	}
+	return out
+}
+
+// EndpointsCPU runs the same supersteps through the host list matcher,
+// whose time is host wall-clock. (The paper avoids CPU-vs-GPU rate
+// comparisons; these rows are our extension and depend on the host.)
+func EndpointsCPU() []EndpointRow {
+	var out []EndpointRow
+	for _, eps := range endpointCounts {
+		msgs, reqs := endpointWorkload(eps, endpointMsgs)
+		m := match.NewListMatcher()
+		mustMatch(m, msgs, reqs) // warm up
+		iters := 1 + (1 << 21 / (len(msgs) + 1))
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			mustMatch(m, msgs, reqs)
+		}
+		sec := time.Since(start).Seconds() / float64(iters)
+		out = append(out, EndpointRow{Engine: "cpu-list", Endpoints: eps, MsgsPerEndpoint: endpointMsgs,
+			SuperstepUS: sec * 1e6, SustainableHz: 1 / sec})
 	}
 	return out
 }

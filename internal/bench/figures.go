@@ -24,7 +24,7 @@ type Fig4Point struct {
 // cores.
 func Figure4() []Fig4Point {
 	lengths := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	archs := archNames()
+	archs := arch.All()
 	out := make([]Fig4Point, len(archs)*len(lengths))
 	simt.ParallelFor(len(out), 0, func(k int) {
 		a, n := archs[k/len(lengths)], lengths[k%len(lengths)]
@@ -123,7 +123,7 @@ type Fig6bPoint struct {
 func Figure6b() []Fig6bPoint {
 	elements := []int{64, 256, 1024, 4096, 8192}
 	ctas := []int{1, 4, 32}
-	archs := archNames()
+	archs := arch.All()
 	out := make([]Fig6bPoint, len(archs)*len(ctas)*len(elements))
 	simt.ParallelFor(len(out), 0, func(k int) {
 		a := archs[k/(len(ctas)*len(elements))]

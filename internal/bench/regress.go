@@ -1,6 +1,7 @@
-// Benchmark regression tracking: one runner that executes the paper's
-// headline benchmarks (Figures 4, 5, 6b and Table II) plus the stream,
-// soak and persistent-channel profiles, emits a dated JSON baseline of
+// Benchmark regression tracking: one runner that collects the records
+// of every report section that has them (the §IV tables, Figures 4, 5,
+// 6b, Table II and the stream scaling) plus the soak and
+// persistent-channel profiles, emits a dated JSON baseline of
 // deterministic simulated records, and compares a fresh run against the
 // last committed baseline exactly. cmd/matchbench exposes it as
 // -regress; CI runs it on every push so any drift of the simulated
@@ -48,18 +49,21 @@ type BenchReport struct {
 // Go version only.
 func (r *BenchReport) fingerprint() {
 	r.GoVersion = runtime.Version()
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return
-	}
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			r.Revision = s.Value
-		case "vcs.modified":
-			r.Dirty = s.Value == "true"
+	r.Revision = BuildSetting("vcs.revision")
+	r.Dirty = BuildSetting("vcs.modified") == "true"
+}
+
+// BuildSetting returns the binary's build setting key, or "" when the
+// binary does not carry it.
+func BuildSetting(key string) string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == key {
+				return s.Value
+			}
 		}
 	}
+	return ""
 }
 
 // RunRegress executes the tracked benchmark suite and returns the
@@ -72,24 +76,13 @@ func RunRegress(soakUncap, persistNoCache bool) BenchReport {
 	rep.fingerprint()
 	add := func(recs ...BenchRecord) { rep.Records = append(rep.Records, recs...) }
 
-	// Simulated rates: every figure point and Table II row.
-	for _, p := range Figure4() {
-		add(simRecord(fmt.Sprintf("fig4/%s/len%d", p.Arch, p.QueueLen), p.RateM))
+	// Every report section with records: the §IV tables, each figure
+	// point and Table II row, and the MPIX stream scaling.
+	for _, s := range Sections() {
+		if s.Records != nil {
+			add(s.Records()...)
+		}
 	}
-	for _, p := range Figure5() {
-		add(simRecord(fmt.Sprintf("fig5/q%d/len%d", p.Queues, p.TotalLen), p.RateM))
-	}
-	for _, p := range Figure6b() {
-		add(simRecord(fmt.Sprintf("fig6b/%s/cta%d/n%d", p.Arch, p.CTAs, p.Elements), p.RateM))
-	}
-	for _, r := range TableII() {
-		add(simRecord(fmt.Sprintf("table2/%s/wild%v/ord%v/unexp%v",
-			r.DataStructure, r.Wildcards, r.Ordering, r.Unexpected), r.RateM))
-	}
-
-	// MPIX Stream relaxation: per-stream-count rates plus the gated
-	// 8-stream speedup over the full-MPI matrix on identical input.
-	add(StreamScalingRecords(StreamScaling())...)
 
 	// Open-loop soak SLOs: deterministic latency quantiles under load.
 	// An error here is a driver or model bug, not a measurement failure.

@@ -174,13 +174,6 @@ func SoakRecords(results []SoakResult) []BenchRecord {
 	peak := func(name string, v int) BenchRecord {
 		return BenchRecord{Name: name, Value: float64(v), Unit: "msgs", HigherIsBetter: false}
 	}
-	boolRec := func(name string, v bool) BenchRecord {
-		val := 0.0
-		if v {
-			val = 1
-		}
-		return BenchRecord{Name: name, Value: val, Unit: "bool", HigherIsBetter: true}
-	}
 	var recs []BenchRecord
 	for _, r := range results {
 		pfx := "soak/" + r.Profile + "/"
@@ -195,6 +188,15 @@ func SoakRecords(results []SoakResult) []BenchRecord {
 		recs = append(recs, overloadRecords(pfx, r.Suite.Runs)...)
 	}
 	return recs
+}
+
+// boolRec records a pass/fail gate: 1 when v holds.
+func boolRec(name string, v bool) BenchRecord {
+	val := 0.0
+	if v {
+		val = 1
+	}
+	return BenchRecord{Name: name, Value: val, Unit: "bool", HigherIsBetter: true}
 }
 
 // overloadRecords derives the overload-phase gates from a suite's
@@ -225,13 +227,6 @@ func overloadRecords(pfx string, runs []*soak.Report) []BenchRecord {
 			recovered = recovered && r.Recovered
 			recSecs += r.RecoverySimSeconds
 		}
-	}
-	boolRec := func(name string, v bool) BenchRecord {
-		val := 0.0
-		if v {
-			val = 1
-		}
-		return BenchRecord{Name: name, Value: val, Unit: "bool", HigherIsBetter: true}
 	}
 	recs := []BenchRecord{
 		boolRec(pfx+"caps_ok", capsOK),

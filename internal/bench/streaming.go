@@ -118,25 +118,12 @@ func runStream(name string, m match.Matcher, offeredM float64, rounds int) Strea
 // Streaming sweeps offered load over the three GPU engines.
 func Streaming() []StreamRow {
 	const rounds, points = 25, 3
-	engines := []struct {
-		name    string
-		offered [points]float64
-		build   func() match.Matcher
-	}{
-		{"matrix", [points]float64{2, 5, 10}, func() match.Matcher {
-			return match.NewMatrixMatcher(match.MatrixConfig{Compact: true, MaxCTAs: 8})
-		}},
-		{"partitioned", [points]float64{10, 40, 100}, func() match.Matcher {
-			return match.NewPartitionedMatcher(match.PartitionedConfig{Queues: 32, MaxCTAs: 8, Compact: true})
-		}},
-		{"hash", [points]float64{100, 400, 900}, func() match.Matcher {
-			return match.MustHashMatcher(match.HashConfig{CTAs: 32})
-		}},
-	}
-	out := make([]StreamRow, len(engines)*points)
+	// Offered loads per engine of gpuEngines, M msgs/s.
+	offered := [][points]float64{{2, 5, 10}, {10, 40, 100}, {100, 400, 900}}
+	out := make([]StreamRow, len(gpuEngines)*points)
 	simt.ParallelFor(len(out), 0, func(k int) {
-		e := engines[k/points]
-		out[k] = runStream(e.name, e.build(), e.offered[k%points], rounds)
+		e := gpuEngines[k/points]
+		out[k] = runStream(e.name, e.mk(), offered[k/points][k%points], rounds)
 	})
 	return out
 }

@@ -3,11 +3,51 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"simtmp/internal/apps"
+	"simtmp/internal/envelope"
+	"simtmp/internal/simt"
 	"simtmp/internal/stats"
 	"simtmp/internal/trace"
 )
+
+// appTrace is what the report reads of one proxy application's trace:
+// its spec, its §IV statistics and its busiest rank's matching
+// workload. The trace's events are dropped once analyzed.
+type appTrace struct {
+	spec  apps.Spec
+	ranks int
+	stats *trace.Stats
+	msgs  []envelope.Envelope
+	reqs  []envelope.Request
+}
+
+// analyzeApps generates and analyzes every application's trace at
+// seed, one application per worker, in Table I order.
+func analyzeApps(seed int64) []appTrace {
+	models := apps.All()
+	out := make([]appTrace, len(models))
+	simt.ParallelFor(len(models), 0, func(i int) {
+		tr := models[i].Generate(0, seed)
+		msgs, reqs := rankWorkload(tr)
+		out[i] = appTrace{spec: models[i].Spec, ranks: tr.Ranks, stats: trace.Analyze(tr), msgs: msgs, reqs: reqs}
+	})
+	return out
+}
+
+// appPasses memoizes analyzeApps per seed, as a func() []appTrace
+// that computes it once: every §IV section and the applicability matrix
+// project the one pass, so a process generates and analyzes each trace
+// once. A pass at seed 1 holds about 1 MB: ten Stats, and busiest-rank
+// workloads of 28,376 messages and as many receives at 16 bytes each.
+var appPasses sync.Map
+
+// appPass returns the memoized pass of seed. Callers must not modify it.
+func appPass(seed int64) []appTrace {
+	pass, _ := appPasses.LoadOrStore(seed, sync.OnceValue(func() []appTrace { return analyzeApps(seed) }))
+	return pass.(func() []appTrace)()
+}
 
 // TableIRow characterizes one proxy application (paper Table I + the
 // §IV prose findings).
@@ -24,16 +64,15 @@ type TableIRow struct {
 	TagBits    int
 }
 
-// TableI generates each application's trace and re-derives the
-// characteristics through the analysis pipeline.
+// TableI re-derives each application's characteristics from its
+// analyzed trace.
 func TableI(seed int64) []TableIRow {
 	var out []TableIRow
-	for _, m := range apps.All() {
-		tr := m.Generate(0, seed)
-		s := trace.Analyze(tr)
+	for _, a := range appPass(seed) {
+		s := a.stats
 		out = append(out, TableIRow{
-			App: m.Spec.Name, Suite: m.Spec.Suite,
-			PaperRanks: m.Spec.PaperRanks, Ranks: tr.Ranks,
+			App: a.spec.Name, Suite: a.spec.Suite,
+			PaperRanks: a.spec.PaperRanks, Ranks: a.ranks,
 			SrcWild: s.SrcWildcardRecvs > 0, TagWild: s.TagWildcardRecvs > 0,
 			Comms: s.Communicators, PeersMean: s.PeersPerRank.Mean,
 			Tags: s.DistinctTags, TagBits: s.MaxTagBits,
@@ -61,13 +100,11 @@ type Fig2Row struct {
 	PRQ stats.Summary
 }
 
-// Figure2 reconstructs the queues of every application trace.
+// Figure2 reports the reconstructed queue depths of every application.
 func Figure2(seed int64) []Fig2Row {
 	var out []Fig2Row
-	for _, m := range apps.All() {
-		tr := m.Generate(0, seed)
-		s := trace.Analyze(tr)
-		out = append(out, Fig2Row{App: m.Spec.Name, UMQ: s.UMQMax, PRQ: s.PRQMax})
+	for _, a := range appPass(seed) {
+		out = append(out, Fig2Row{App: a.spec.Name, UMQ: a.stats.UMQMax, PRQ: a.stats.PRQMax})
 	}
 	return out
 }
@@ -96,13 +133,11 @@ type Fig6aRow struct {
 // Figure6a measures tuple uniqueness for every application.
 func Figure6a(seed int64) []Fig6aRow {
 	var out []Fig6aRow
-	for _, m := range apps.All() {
-		tr := m.Generate(0, seed)
-		s := trace.Analyze(tr)
+	for _, a := range appPass(seed) {
 		out = append(out, Fig6aRow{
-			App:          m.Spec.Name,
-			MeanSharePct: 100 * s.TupleUniqueness.Mean,
-			MaxSharePct:  100 * s.TupleUniqueness.Max,
+			App:          a.spec.Name,
+			MeanSharePct: 100 * a.stats.TupleUniqueness.Mean,
+			MaxSharePct:  100 * a.stats.TupleUniqueness.Max,
 		})
 	}
 	return out
@@ -114,5 +149,38 @@ func PrintFigure6a(w io.Writer, rows []Fig6aRow) {
 	fmt.Fprintln(w, "app        mean-share  max-share")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %9.2f%%  %8.2f%%\n", r.App, r.MeanSharePct, r.MaxSharePct)
+	}
+}
+
+// AppSizeRow reports each application's payload-size profile and the
+// eager/rendezvous protocol mix it would induce (§II-B) — trace data
+// the paper's matching-only evaluation leaves unused.
+type AppSizeRow struct {
+	App         string
+	MedianBytes float64
+	MaxBytes    float64
+	EagerPct    float64
+}
+
+// AppSizes derives the per-application protocol mix.
+func AppSizes(seed int64) []AppSizeRow {
+	var out []AppSizeRow
+	for _, a := range appPass(seed) {
+		out = append(out, AppSizeRow{
+			App:         a.spec.Name,
+			MedianBytes: a.stats.MsgBytes.Median,
+			MaxBytes:    a.stats.MsgBytes.Max,
+			EagerPct:    100 * a.stats.EagerFraction,
+		})
+	}
+	return out
+}
+
+// PrintAppSizes formats the protocol-mix table.
+func PrintAppSizes(w io.Writer, rows []AppSizeRow) {
+	header(w, "Application payload sizes and eager/rendezvous mix (8 KiB threshold)")
+	fmt.Fprintln(w, "app        median-bytes  max-bytes   eager")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-10s %12.0f  %9.0f  %5.1f%%\n", r.App, r.MedianBytes, r.MaxBytes, r.EagerPct)
 	}
 }

@@ -478,6 +478,10 @@ const window = 64 * simt.SegmentWords
 // and each table at a multiple of 64 words), that is the popcount of
 // set, in which each lane set the bit of its segment above the base as
 // it computed its address; otherwise simt.GatherSegments counts them.
+// Both give the same count; the narrow path is kept because it is
+// cheaper on the host. With it deleted, hash_exact's cpu_ns_msg lost
+// all ten alternating 3 s pairs on a 2-vCPU host, median 566 → 608
+// ns/msg (+7%).
 func segments(narrow bool, set uint64, mask uint32, addr *[simt.LaneCount]int) uint64 {
 	if narrow {
 		return uint64(bits.OnesCount64(set))

@@ -55,32 +55,38 @@ type Stats struct {
 // eagerThresholdBytes mirrors proto.DefaultPolicy's eager limit.
 const eagerThresholdBytes = 8 * 1024
 
-// key identifies a matching class.
-type key struct{ src, tag, comm int }
+// key packs a matching class {src, tag, comm} into one word, src and
+// tag shifted up by one so that their wildcards (-1) pack as 0. A valid
+// trace (Validate) keeps tags within 16 bits and communicators within
+// 12, so the fields never overlap.
+type key uint64
+
+const (
+	srcBits key = 0xFFFF_FFFF << 32
+	tagBits key = (1<<20 - 1) << 12
+)
+
+func packKey(src, tag, comm int) key {
+	return key(uint64(src+1)<<32 | uint64(tag+1)<<12 | uint64(comm))
+}
 
 // queueRec reconstructs one rank's UMQ or PRQ with exact FIFO-match
 // semantics. Entries are kept in posted order; concrete lookups go
 // through per-key FIFO index lists, wildcard lookups scan in order.
-// Removal is lazy (tombstones) with periodic compaction.
+// Removal is lazy: a removed entry stays in entries as a tombstone, and
+// a key list drops its dead prefix when it is next read.
 type queueRec struct {
-	entries []entryRec
+	entries []key
 	removed []bool
 	byKey   map[key][]int
 	live    int
 	max     int
 }
 
-type entryRec struct {
-	k        key
-	wildcard bool // request-side: src or tag wildcard present
-}
-
-func newQueueRec() *queueRec { return &queueRec{byKey: make(map[key][]int)} }
-
 // push appends an entry.
-func (q *queueRec) push(k key, wildcard bool) {
+func (q *queueRec) push(k key) {
 	idx := len(q.entries)
-	q.entries = append(q.entries, entryRec{k: k, wildcard: wildcard})
+	q.entries = append(q.entries, k)
 	q.removed = append(q.removed, false)
 	q.byKey[k] = append(q.byKey[k], idx)
 	q.live++
@@ -89,28 +95,11 @@ func (q *queueRec) push(k key, wildcard bool) {
 	}
 }
 
-// popKeyFirst removes and returns the position of the earliest live
-// entry with exactly key k, or -1.
-func (q *queueRec) popKeyFirst(k key) int {
-	lst := q.byKey[k]
-	for len(lst) > 0 {
-		idx := lst[0]
-		lst = lst[1:]
-		if !q.removed[idx] {
-			q.byKey[k] = lst
-			q.remove(idx)
-			return idx
-		}
-	}
-	q.byKey[k] = lst
-	return -1
-}
-
-// earliestOf returns the earliest live index among the candidate keys,
-// or -1. Used for message arrivals probing a PRQ that may hold
-// wildcard requests: the candidates are the four request forms that
-// could match.
-func (q *queueRec) earliestOf(keys []key) int {
+// earliestOf removes and returns the earliest live index among the
+// entries with one of keys, or -1. A concrete receive looks up its one
+// key; a message arrival probing a PRQ that may hold wildcard requests
+// looks up the four request forms that could match it.
+func (q *queueRec) earliestOf(keys ...key) int {
 	best := -1
 	for _, k := range keys {
 		lst := q.byKey[k]
@@ -126,7 +115,7 @@ func (q *queueRec) earliestOf(keys []key) int {
 	if best >= 0 {
 		q.remove(best)
 		// Also drop it from its key list head.
-		k := q.entries[best].k
+		k := q.entries[best]
 		if lst := q.byKey[k]; len(lst) > 0 && lst[0] == best {
 			q.byKey[k] = lst[1:]
 		}
@@ -137,23 +126,20 @@ func (q *queueRec) earliestOf(keys []key) int {
 // scanMatch removes and returns the position of the earliest live
 // message entry matching a request with possible wildcards, or -1.
 func (q *queueRec) scanMatch(src, tag, comm int) int {
-	for idx := range q.entries {
-		if q.removed[idx] {
-			continue
+	care := ^key(0)
+	if src == AnySourcePeer {
+		care &^= srcBits
+	}
+	if tag == AnyTagValue {
+		care &^= tagBits
+	}
+	want := packKey(src, tag, comm) & care
+	for idx, k := range q.entries {
+		if !q.removed[idx] && k&care == want {
+			q.remove(idx)
+			// Lazy key-list cleanup happens on future pops.
+			return idx
 		}
-		e := q.entries[idx].k
-		if e.comm != comm {
-			continue
-		}
-		if src != AnySourcePeer && e.src != src {
-			continue
-		}
-		if tag != AnyTagValue && e.tag != tag {
-			continue
-		}
-		q.remove(idx)
-		// Lazy key-list cleanup happens on future pops.
-		return idx
 	}
 	return -1
 }
@@ -171,8 +157,8 @@ func Analyze(t *Trace) *Stats {
 	prq := make([]*queueRec, t.Ranks)
 	peers := make([]map[int]struct{}, t.Ranks)
 	for r := 0; r < t.Ranks; r++ {
-		umq[r] = newQueueRec()
-		prq[r] = newQueueRec()
+		umq[r] = &queueRec{byKey: make(map[key][]int)}
+		prq[r] = &queueRec{byKey: make(map[key][]int)}
 		peers[r] = make(map[int]struct{})
 	}
 	comms := make(map[int]struct{})
@@ -206,15 +192,14 @@ func Analyze(t *Trace) *Stats {
 			// Arrival at dst: probe the PRQ for the earliest matching
 			// posted request (concrete, src-wildcard, tag-wildcard, or
 			// both-wildcard form).
-			candidates := []key{
-				{src, e.Tag, e.Comm},
-				{AnySourcePeer, e.Tag, e.Comm},
-				{src, AnyTagValue, e.Comm},
-				{AnySourcePeer, AnyTagValue, e.Comm},
-			}
-			if prq[dst].earliestOf(candidates) < 0 {
+			k := packKey(src, e.Tag, e.Comm)
+			if prq[dst].earliestOf(k,
+				packKey(AnySourcePeer, e.Tag, e.Comm),
+				packKey(src, AnyTagValue, e.Comm),
+				packKey(AnySourcePeer, AnyTagValue, e.Comm),
+			) < 0 {
 				unexpected++
-				umq[dst].push(key{src, e.Tag, e.Comm}, false)
+				umq[dst].push(k)
 			}
 		case Recv:
 			r := e.Rank
@@ -231,10 +216,10 @@ func Analyze(t *Trace) *Stats {
 			if e.Peer == AnySourcePeer || e.Tag == AnyTagValue {
 				matched = umq[r].scanMatch(e.Peer, e.Tag, e.Comm)
 			} else {
-				matched = umq[r].popKeyFirst(key{e.Peer, e.Tag, e.Comm})
+				matched = umq[r].earliestOf(packKey(e.Peer, e.Tag, e.Comm))
 			}
 			if matched < 0 {
-				prq[r].push(key{e.Peer, e.Tag, e.Comm}, e.Peer == AnySourcePeer || e.Tag == AnyTagValue)
+				prq[r].push(packKey(e.Peer, e.Tag, e.Comm))
 			}
 		}
 	}
