@@ -97,7 +97,7 @@ func main() {
 		for r := 0; r < gpus; r++ {
 			payload := []byte(fmt.Sprintf("%g", field[r]))
 			for d := 0; d < faces; d++ {
-				if err := sends[r][d].Bind(0, payload); err != nil {
+				if err := sends[r][d].Bind(payload); err != nil {
 					log.Fatal(err)
 				}
 				if err := sends[r][d].Start(); err != nil {

@@ -67,7 +67,7 @@ type Spec struct {
 	FewTagN int // distinct tags when Tags == FewTags
 
 	Pattern   Pattern
-	K         int  // target peers per rank
+	K         int  // target peers per rank (RandomK; the halo patterns take the stencil's)
 	Irregular bool // uneven per-peer traffic (Nekbone, Boxlib)
 
 	// PrePost is the fraction of receives posted ahead of the sends in
@@ -124,7 +124,7 @@ func All() []*Model {
 		},
 		{
 			Name: "LULESH", Suite: "EXMATEX", PaperRanks: 512, DefaultRanks: 64,
-			Comms: 1, Tags: FewTags, FewTagN: 3, Pattern: Halo3D, K: 26,
+			Comms: 1, Tags: FewTags, FewTagN: 3, Pattern: Halo3D,
 			PrePost: 0.9, DepthBase: 200, DepthTail: 300, Iterations: 3,
 			MsgBytesMin: 8 * 1024, MsgBytesMax: 64 * 1024,
 		},
@@ -154,7 +154,7 @@ func All() []*Model {
 		},
 		{
 			Name: "PARTISN", Suite: "DesignForward", PaperRanks: 1024, DefaultRanks: 64,
-			Comms: 1, Tags: ThousandsOfTags, Pattern: Halo3D6, K: 6,
+			Comms: 1, Tags: ThousandsOfTags, Pattern: Halo3D6,
 			PrePost: 0.2, DepthBase: 120, DepthTail: 200, Iterations: 4,
 			MsgBytesMin: 2 * 1024, MsgBytesMax: 24 * 1024,
 		},

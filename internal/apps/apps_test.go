@@ -35,8 +35,14 @@ func TestTableICharacteristics(t *testing.T) {
 				t.Errorf("communicators = %d, want %d", s.Communicators, m.Spec.Comms)
 			}
 
-			// Peers per rank within ±40% of the spec target.
-			if mean := s.PeersPerRank.Mean; mean < 0.6*float64(m.Spec.K) || mean > 1.5*float64(m.Spec.K) {
+			// Peers per rank: the halo patterns' exact stencil degree,
+			// RandomK within ±40% of the spec target.
+			mean := s.PeersPerRank.Mean
+			if deg, halo := map[Pattern]float64{Halo3D: 26, Halo3D6: 6}[m.Spec.Pattern]; halo {
+				if mean != deg {
+					t.Errorf("mean peers = %v, want the stencil's %v", mean, deg)
+				}
+			} else if mean < 0.6*float64(m.Spec.K) || mean > 1.5*float64(m.Spec.K) {
 				t.Errorf("mean peers = %.1f, want ≈%d", mean, m.Spec.K)
 			}
 

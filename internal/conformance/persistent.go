@@ -5,20 +5,19 @@
 // suite enforces the contract literally: every seeded workload runs
 // twice, once with the cache enabled and once with
 // Config.DisablePersistentCache, and every delivered byte (per
-// channel, per iteration, per partition, including mid-run injected
-// plain traffic) must be equal between the two arms.
+// channel and iteration, including mid-run injected plain traffic)
+// must be equal between the two arms.
 //
 // Workloads are iterative fixed-pattern programs — the traffic
 // persistent requests exist for — with adversarial interleavings
-// mixed in: plain and partitioned channels, same-tuple channel pairs
-// at the ordered levels, and mid-run injections of non-persistent
-// receives (wildcard ones where the level admits them) plus matching
-// sends on a persistent channel's own (comm, tag) shadow, which force
-// the invalidation path: the handle unseals mid-iteration, reposts
-// through the engine, and must still deliver exactly what the
-// engine-only run delivers. Workloads are deterministic per
-// (seed, index, level): a failure replays exactly via the reported
-// handle.
+// mixed in: same-tuple channel pairs at the ordered levels, and
+// mid-run injections of non-persistent receives (wildcard ones where
+// the level admits them) plus matching sends on a persistent
+// channel's own (comm, tag) shadow, which force the invalidation path:
+// the handle unseals mid-iteration, reposts through the engine, and
+// must still deliver exactly what the engine-only run delivers.
+// Workloads are deterministic per (seed, index, level): a failure
+// replays exactly via the reported handle.
 package conformance
 
 import (
@@ -27,7 +26,6 @@ import (
 	"math/rand"
 
 	"simtmp/internal/envelope"
-	"simtmp/internal/gas"
 	"simtmp/internal/mpx"
 	"simtmp/internal/simt"
 )
@@ -36,7 +34,6 @@ import (
 type pchan struct {
 	src, dst int
 	tag      envelope.Tag
-	parts    int // 1 = plain channel
 }
 
 // pinject is one mid-run plain-traffic injection: a non-persistent
@@ -54,7 +51,6 @@ type pworkload struct {
 	chans  []pchan
 	iters  int
 	inject [][]pinject // per iteration
-	fire   [][]int     // per partitioned channel: Pready order
 }
 
 // buildPersistentWorkload derives workload i of a seeded run at one
@@ -68,16 +64,11 @@ func buildPersistentWorkload(level mpx.Level, seed int64, i int) pworkload {
 	for c := 0; c < nc; c++ {
 		src := rng.Intn(w.gpus)
 		dst := (src + 1 + rng.Intn(w.gpus-1)) % w.gpus
-		ch := pchan{src: src, dst: dst, tag: envelope.Tag(c), parts: 1}
-		if rng.Float64() < 0.3 {
-			ch.parts = 2 + rng.Intn(3)
-		} else if level != mpx.Unordered && c > 0 && rng.Float64() < 0.3 {
+		ch := pchan{src: src, dst: dst, tag: envelope.Tag(c)}
+		if level != mpx.Unordered && c > 0 && rng.Float64() < 0.3 {
 			// Same-tuple channel pair (ordered levels only: at Unordered
-			// the runtime's channels must own unique tuples). Only plain
-			// channels may share — a partitioned tuple is owned.
-			if prev := w.chans[rng.Intn(c)]; prev.parts == 1 {
-				ch = prev
-			}
+			// the runtime's channels must own unique tuples).
+			ch = w.chans[rng.Intn(c)]
 		}
 		w.chans = append(w.chans, ch)
 	}
@@ -89,34 +80,19 @@ func buildPersistentWorkload(level mpx.Level, seed int64, i int) pworkload {
 		if k < 2 || rng.Float64() > 0.35 {
 			continue
 		}
-		inj := pinject{ch: rng.Intn(nc)}
-		if w.chans[inj.ch].parts > 1 {
-			// A plain send on a partitioned tuple is a usage error by
-			// contract; injections target plain channels.
-			inj.ch = 0
-			if w.chans[0].parts > 1 {
-				continue
-			}
-		}
-		inj.anySrc = level == mpx.FullMPI && rng.Float64() < 0.5
+		inj := pinject{ch: rng.Intn(nc), anySrc: level == mpx.FullMPI && rng.Float64() < 0.5}
 		w.inject[k] = append(w.inject[k], inj)
-	}
-	w.fire = make([][]int, nc)
-	for c, ch := range w.chans {
-		if ch.parts > 1 {
-			w.fire[c] = rng.Perm(ch.parts)
-		}
 	}
 	return w
 }
 
-// chanPayload derives the deterministic payload of (channel, iteration,
-// partition).
-func chanPayload(c, k, p int) []byte {
-	n := 3 + (c+3*k+5*p)%13
+// chanPayload derives the deterministic payload of (channel,
+// iteration).
+func chanPayload(c, k int) []byte {
+	n := 3 + (c+3*k)%13
 	b := make([]byte, n)
 	for j := range b {
-		b[j] = byte(31*c + 7*k + 13*p + j)
+		b[j] = byte(31*c + 7*k + j)
 	}
 	return b
 }
@@ -139,20 +115,9 @@ func runPersistentArm(level mpx.Level, w pworkload, disableCache bool) ([]byte, 
 	recvs := make([]*mpx.PersistentRecv, len(w.chans))
 	for c, ch := range w.chans {
 		var err error
-		if ch.parts > 1 {
-			parts := make([][]byte, ch.parts)
-			for p := range parts {
-				parts[p] = chanPayload(c, 0, p)
-			}
-			sends[c], err = rt.SendInitPartitioned(ch.src, ch.dst, ch.tag, 0, parts)
-			if err == nil {
-				recvs[c], err = rt.RecvInitPartitioned(ch.dst, envelope.Rank(ch.src), ch.tag, 0, ch.parts)
-			}
-		} else {
-			sends[c], err = rt.SendInit(ch.src, ch.dst, ch.tag, 0, chanPayload(c, 0, 0))
-			if err == nil {
-				recvs[c], err = rt.RecvInit(ch.dst, envelope.Rank(ch.src), ch.tag, 0)
-			}
+		sends[c], err = rt.SendInit(ch.src, ch.dst, ch.tag, 0, chanPayload(c, 0))
+		if err == nil {
+			recvs[c], err = rt.RecvInit(ch.dst, envelope.Rank(ch.src), ch.tag, 0)
 		}
 		if err != nil {
 			return nil, rt.Stats(), fmt.Errorf("init channel %d: %w", c, err)
@@ -164,11 +129,9 @@ func runPersistentArm(level mpx.Level, w pworkload, disableCache bool) ([]byte, 
 		// before anything fires (NoUnexpected needs the full wall up
 		// front; the other levels get the same schedule so the arms
 		// stay comparable).
-		for c, ch := range w.chans {
-			for p := 0; p < ch.parts; p++ {
-				if err := sends[c].Bind(p, chanPayload(c, k, p)); err != nil {
-					return nil, rt.Stats(), fmt.Errorf("iter %d bind %d.%d: %w", k, c, p, err)
-				}
+		for c := range w.chans {
+			if err := sends[c].Bind(chanPayload(c, k)); err != nil {
+				return nil, rt.Stats(), fmt.Errorf("iter %d bind %d: %w", k, c, err)
 			}
 			if err := recvs[c].Start(); err != nil {
 				return nil, rt.Stats(), fmt.Errorf("iter %d recv start %d: %w", k, c, err)
@@ -197,11 +160,6 @@ func runPersistentArm(level mpx.Level, w pworkload, disableCache bool) ([]byte, 
 			if err := sends[c].Start(); err != nil {
 				return nil, rt.Stats(), fmt.Errorf("iter %d send start %d: %w", k, c, err)
 			}
-			for _, p := range w.fire[c] {
-				if err := sends[c].Pready(p); err != nil {
-					return nil, rt.Stats(), fmt.Errorf("iter %d pready %d.%d: %w", k, c, p, err)
-				}
-			}
 		}
 		done, err := rt.Drain(5000)
 		if err != nil {
@@ -212,24 +170,12 @@ func runPersistentArm(level mpx.Level, w pworkload, disableCache bool) ([]byte, 
 		}
 		// Observation log: every channel's delivered bytes, then the
 		// injected receives', each tagged with its envelope.
-		for c, ch := range w.chans {
-			if err := recvs[c].Err(); err != nil {
-				return nil, rt.Stats(), fmt.Errorf("iter %d channel %d: %w", k, c, err)
+		for c := range w.chans {
+			m, err := recvs[c].Message()
+			if err != nil {
+				return nil, rt.Stats(), fmt.Errorf("iter %d read %d: %w", k, c, err)
 			}
-			for p := 0; p < ch.parts; p++ {
-				var payload []byte
-				if ch.parts > 1 {
-					payload, err = recvs[c].Partition(p)
-				} else {
-					var m gas.Message
-					m, err = recvs[c].Message()
-					payload = m.Payload
-				}
-				if err != nil {
-					return nil, rt.Stats(), fmt.Errorf("iter %d read %d.%d: %w", k, c, p, err)
-				}
-				fmt.Fprintf(&log, "c%d.%d.%d:%x;", k, c, p, payload)
-			}
+			fmt.Fprintf(&log, "c%d.%d:%x;", k, c, m.Payload)
 		}
 		for j, r := range injected {
 			m, err := r.Message()

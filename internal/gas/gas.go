@@ -86,29 +86,22 @@ func (g *GPU) LinkStats() LinkStats { return g.stats }
 // delivered.
 //
 // The returned slice is a reused buffer owned by the GPU: it is valid
-// only until the next Drain/DrainKeepingCredits call. Callers that
+// only until the next Drain/DrainUpToKeepingCredits call. Callers that
 // keep messages across drains (all in-tree callers consume or copy
 // immediately) must copy them out.
 func (g *GPU) Drain() []Message {
-	out := g.DrainKeepingCredits()
+	out := g.DrainUpToKeepingCredits(-1)
 	g.incoming.ReturnCredits()
 	return out
 }
 
-// DrainKeepingCredits is Drain without the credit return: freed slots
+// DrainUpToKeepingCredits is Drain without the credit return, bounded
+// to at most max ring pops (max < 0 drains everything): freed slots
 // stay pending until the caller flushes them via Ring().ReturnCredits.
-// The fault plane uses it to model a receiver starving its sender of
-// credits. The returned slice follows Drain's reuse contract.
-func (g *GPU) DrainKeepingCredits() []Message {
-	return g.DrainUpToKeepingCredits(-1)
-}
-
-// DrainUpToKeepingCredits is DrainKeepingCredits bounded to at most
-// max ring pops (max < 0 drains everything). The fault plane's
-// slow-receiver class uses it to model a consumer whose drain rate,
-// not its liveness, is the bottleneck: the ring keeps filling while
-// the receiver trickles. The returned slice follows Drain's reuse
-// contract.
+// The fault plane's slow-receiver class uses it to model a consumer
+// whose drain rate, not its liveness, is the bottleneck: the ring
+// keeps filling while the receiver trickles. The returned slice
+// follows Drain's reuse contract.
 func (g *GPU) DrainUpToKeepingCredits(max int) []Message {
 	out := g.drainBuf[:0]
 	for popped := 0; max < 0 || popped < max; popped++ {
@@ -195,24 +188,19 @@ func (c *Cluster) Idle() bool {
 	return true
 }
 
-// Put performs the GAS send with zero timestamps; see PutSeq.
+// Put performs the GAS send with zero timestamps; see PutStream.
 func (c *Cluster) Put(dst int, env envelope.Envelope, payload []byte) error {
-	return c.PutSeq(dst, env, payload, 0, 0)
+	return c.PutStream(dst, env, payload, 0, 0, 0)
 }
 
-// PutSeq performs the GAS send: a direct remote enqueue of the packed
-// header (and payload) into dst's message ring, no CPU involved. It
-// returns an error wrapping ring.ErrNoCredits when the sender is out
-// of credits — the back-pressure a real flow-control protocol
-// surfaces. seq is the sender's logical timestamp and flow the
-// per-peer wire sequence number, both delivered with the message.
-func (c *Cluster) PutSeq(dst int, env envelope.Envelope, payload []byte, seq, flow uint64) error {
-	return c.PutStream(dst, env, payload, seq, flow, 0)
-}
-
-// PutStream is PutSeq carrying a per-(flow,stream) sequence number —
-// the wire form of a stream-qualified send. sseq 0 marks non-stream
-// traffic (PutSeq delegates here).
+// PutStream performs the GAS send: a direct remote enqueue of the
+// packed header (and payload) into dst's message ring, no CPU
+// involved. It returns an error wrapping ring.ErrNoCredits when the
+// sender is out of credits — the back-pressure a real flow-control
+// protocol surfaces. seq is the sender's logical timestamp, flow the
+// per-peer wire sequence number and sseq the per-(flow,stream)
+// sequence number (0 marks non-stream traffic), all delivered with the
+// message.
 func (c *Cluster) PutStream(dst int, env envelope.Envelope, payload []byte, seq, flow, sseq uint64) error {
 	if err := env.Validate(); err != nil {
 		return fmt.Errorf("gas: %w", err)
@@ -220,16 +208,10 @@ func (c *Cluster) PutStream(dst int, env envelope.Envelope, payload []byte, seq,
 	return c.PutWordStream(dst, env.Pack(), payload, seq, flow, sseq)
 }
 
-// PutWord is the raw wire path under PutSeq: it enqueues an arbitrary
-// 64-bit word with its side entry, without validation. The fault plane
-// uses it to inject corrupted headers; tests use it for malformed
-// words. Every word still consumes a ring slot and credit.
-func (c *Cluster) PutWord(dst int, w uint64, payload []byte, seq, flow uint64) error {
-	return c.PutWordStream(dst, w, payload, seq, flow, 0)
-}
-
-// PutWordStream is PutWord with the per-(flow,stream) sequence number
-// in the side entry.
+// PutWordStream is the raw wire path under PutStream: it enqueues an
+// arbitrary 64-bit word with its side entry, without validation. The
+// fault plane uses it to inject corrupted headers; tests use it for
+// malformed words. Every word still consumes a ring slot and credit.
 func (c *Cluster) PutWordStream(dst int, w uint64, payload []byte, seq, flow, sseq uint64) error {
 	if dst < 0 || dst >= len(c.gpus) {
 		return fmt.Errorf("gas: destination GPU %d outside [0,%d)", dst, len(c.gpus))

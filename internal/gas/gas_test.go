@@ -101,7 +101,7 @@ func TestDrainDiscardsInvalidWordAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A word without the valid bit, carrying its own side entry.
-	if err := c.PutWord(0, 0, []byte("junk"), 7, 7); err != nil {
+	if err := c.PutWordStream(0, 0, []byte("junk"), 7, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put(0, envelope.Envelope{Src: 2, Tag: 2}, []byte("b")); err != nil {
@@ -130,7 +130,7 @@ func TestDrainDetectsCorruptHeader(t *testing.T) {
 	for bit := 0; bit < 62; bit++ { // bit 62 clears the valid flag → Invalid path
 		c := NewCluster(1, arch.PascalGTX1080(), 4)
 		w := envelope.Envelope{Src: 3, Tag: 9, Comm: 1}.Pack() ^ 1<<bit
-		if err := c.PutWord(0, w, []byte("x"), 1, 1); err != nil {
+		if err := c.PutWordStream(0, w, []byte("x"), 1, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 		msgs := c.Drain(0)
@@ -152,7 +152,7 @@ func TestDrainKeepingCredits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(c.GPU(0).DrainKeepingCredits()); got != 2 {
+	if got := len(c.GPU(0).DrainUpToKeepingCredits(-1)); got != 2 {
 		t.Fatalf("drained %d, want 2", got)
 	}
 	if err := c.Put(0, envelope.Envelope{Src: 0, Tag: 5}, nil); err == nil {
@@ -167,7 +167,7 @@ func TestDrainKeepingCredits(t *testing.T) {
 // TestFlowAndSeqDelivered: both sequence numbers ride with the message.
 func TestFlowAndSeqDelivered(t *testing.T) {
 	c := NewCluster(2, arch.PascalGTX1080(), 4)
-	if err := c.PutSeq(1, envelope.Envelope{Src: 0, Tag: 1}, nil, 42, 7); err != nil {
+	if err := c.PutStream(1, envelope.Envelope{Src: 0, Tag: 1}, nil, 42, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	msgs := c.Drain(1)
@@ -186,7 +186,7 @@ func TestDrainReusesBuffer(t *testing.T) {
 	payloads := [][]byte{{0}, {1}, {2}, {3}}
 	fill := func() {
 		for i := 0; i < 4; i++ {
-			if err := c.PutSeq(1, env, payloads[i], uint64(i), uint64(i)); err != nil {
+			if err := c.PutStream(1, env, payloads[i], uint64(i), uint64(i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Persistent matching: the sealed match-handle cache behind the
 // runtime's SendInit/RecvInit plane (DESIGN.md §15). The idea follows
-// the persistent/partitioned communication of MPI-4 as co-designed for
-// CPU-free GPU runtimes: iterative applications re-fire a fixed
+// the persistent communication of MPI-4 as co-designed for CPU-free
+// GPU runtimes: iterative applications re-fire a fixed
 // communication pattern every timestep, so the (src, tag, comm)
 // pairing the full engine produces on the first iteration can be
 // recorded — *sealed* — into an arena-allocated handle table and every
@@ -44,7 +44,6 @@ type persistentEntry struct {
 	env    envelope.Envelope
 	key    uint64 // env.Key(): exact-tuple lookup and invalidation
 	shadow uint64 // (comm, tag) shadow key
-	parts  int
 	user   any
 	live   bool
 	sealed bool
@@ -82,14 +81,11 @@ func shadowKey(comm envelope.Comm, tag envelope.Tag) uint64 {
 }
 
 // Alloc reserves an unsealed arena slot for a persistent channel with
-// the given concrete tuple and partition count, storing user for the
-// caller (retrieved via User). parts must be ≥ 1.
-func (c *PersistentCache) Alloc(env envelope.Envelope, parts int, user any) (HandleID, error) {
+// the given concrete tuple, storing user for the caller (retrieved via
+// User).
+func (c *PersistentCache) Alloc(env envelope.Envelope, user any) (HandleID, error) {
 	if err := env.Validate(); err != nil {
 		return 0, fmt.Errorf("match: persistent alloc: %w", err)
-	}
-	if parts < 1 {
-		return 0, fmt.Errorf("match: persistent alloc: %d partitions", parts)
 	}
 	var id HandleID
 	if n := len(c.free); n > 0 {
@@ -103,7 +99,6 @@ func (c *PersistentCache) Alloc(env envelope.Envelope, parts int, user any) (Han
 		env:    env,
 		key:    env.Key(),
 		shadow: shadowKey(env.Comm, env.Tag),
-		parts:  parts,
 		user:   user,
 		live:   true,
 	}
@@ -199,14 +194,6 @@ func (c *PersistentCache) Env(id HandleID) envelope.Envelope {
 		return envelope.Envelope{}
 	}
 	return c.arena[id].env
-}
-
-// Parts returns the handle's partition count.
-func (c *PersistentCache) Parts(id HandleID) int {
-	if !c.valid(id) {
-		return 0
-	}
-	return c.arena[id].parts
 }
 
 // InvalidateKey unseals every handle holding the exact tuple key,

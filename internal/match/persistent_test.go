@@ -13,7 +13,7 @@ func penv(src envelope.Rank, tag envelope.Tag, comm envelope.Comm) envelope.Enve
 func TestPersistentCacheAllocSealLookup(t *testing.T) {
 	c := NewPersistentCache()
 	e := penv(1, 7, 0)
-	id, err := c.Alloc(e, 1, "user")
+	id, err := c.Alloc(e, "user")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestPersistentCacheAllocSealLookup(t *testing.T) {
 	if u, _ := c.User(id).(string); u != "user" {
 		t.Errorf("User = %v", c.User(id))
 	}
-	if c.Env(id) != e || c.Parts(id) != 1 {
-		t.Errorf("Env/Parts = %v/%d", c.Env(id), c.Parts(id))
+	if c.Env(id) != e {
+		t.Errorf("Env = %v", c.Env(id))
 	}
 	// Sealing again is a no-op, not a duplicate index entry.
 	if err := c.Seal(id); err != nil {
@@ -52,11 +52,8 @@ func TestPersistentCacheAllocSealLookup(t *testing.T) {
 
 func TestPersistentCacheAllocValidation(t *testing.T) {
 	c := NewPersistentCache()
-	if _, err := c.Alloc(penv(-1, 7, 0), 1, nil); err == nil {
+	if _, err := c.Alloc(penv(-1, 7, 0), nil); err == nil {
 		t.Error("wildcard-src envelope accepted")
-	}
-	if _, err := c.Alloc(penv(1, 7, 0), 0, nil); err == nil {
-		t.Error("0 partitions accepted")
 	}
 	if err := c.Seal(0); err == nil {
 		t.Error("Seal(0) accepted")
@@ -69,7 +66,7 @@ func TestPersistentCacheAllocValidation(t *testing.T) {
 func TestPersistentCacheReleaseRecycles(t *testing.T) {
 	c := NewPersistentCache()
 	e := penv(2, 3, 1)
-	id, _ := c.Alloc(e, 1, nil)
+	id, _ := c.Alloc(e, nil)
 	if err := c.Seal(id); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +77,7 @@ func TestPersistentCacheReleaseRecycles(t *testing.T) {
 	if len(c.SealedForKey(e.Key())) != 0 {
 		t.Error("release left the key index populated")
 	}
-	id2, _ := c.Alloc(e, 1, nil)
+	id2, _ := c.Alloc(e, nil)
 	if id2 != id {
 		t.Errorf("freed slot not recycled: got %d, want %d", id2, id)
 	}
@@ -93,9 +90,9 @@ func TestPersistentCacheInvalidationScopes(t *testing.T) {
 	// Three sealed handles: two under (comm 0, tag 7) from different
 	// sources, one under (comm 0, tag 8).
 	c := NewPersistentCache()
-	a, _ := c.Alloc(penv(1, 7, 0), 1, nil)
-	b, _ := c.Alloc(penv(2, 7, 0), 1, nil)
-	d, _ := c.Alloc(penv(1, 8, 0), 1, nil)
+	a, _ := c.Alloc(penv(1, 7, 0), nil)
+	b, _ := c.Alloc(penv(2, 7, 0), nil)
+	d, _ := c.Alloc(penv(1, 8, 0), nil)
 	for _, id := range []HandleID{a, b, d} {
 		if err := c.Seal(id); err != nil {
 			t.Fatal(err)
@@ -141,8 +138,8 @@ func TestPersistentCacheInvalidationScopes(t *testing.T) {
 func TestPersistentCacheSameKeyFIFO(t *testing.T) {
 	c := NewPersistentCache()
 	e := penv(1, 7, 0)
-	a, _ := c.Alloc(e, 1, nil)
-	b, _ := c.Alloc(e, 1, nil)
+	a, _ := c.Alloc(e, nil)
+	b, _ := c.Alloc(e, nil)
 	if err := c.Seal(a); err != nil {
 		t.Fatal(err)
 	}

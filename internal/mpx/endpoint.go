@@ -124,12 +124,12 @@ func (st *Stream) PostRecv(src envelope.Rank, tag envelope.Tag, comm envelope.Co
 
 // SendInit creates a persistent send channel to dst on this stream.
 func (st *Stream) SendInit(dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	return st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, [][]byte{payload}, false)
+	return st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, payload)
 }
 
 // RecvInit creates a persistent receive channel on this stream.
 func (st *Stream) RecvInit(src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*PersistentRecv, error) {
-	return st.ep.rt.recvInit(st.ep.gpu, st.id, src, tag, comm, 1, false)
+	return st.ep.rt.recvInit(st.ep.gpu, st.id, src, tag, comm)
 }
 
 // Close closes the stream: subsequent stream-qualified operations fail

@@ -196,155 +196,56 @@ func TestPersistentInvalidationByPlainPost(t *testing.T) {
 	}
 }
 
-func TestPersistentPartitioned(t *testing.T) {
-	rt := New(Config{Level: Unordered, GPUs: 2})
-	parts := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}
-	ps, err := rt.SendInitPartitioned(0, 1, 9, 0, parts)
+// TestPersistentShedRetry: a persistent Start refused by ShedReject
+// burns nothing. The refused fire holds the channel mid-iteration, so
+// Bind and Free are refused, and the next Start retries it with the
+// payload bound at the time.
+func TestPersistentShedRetry(t *testing.T) {
+	rt := New(Config{GPUs: 2, UMQCap: 1, StagingCap: 1, Shed: ShedReject})
+	ps, err := rt.SendInit(0, 1, 7, 0, []byte("bound"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := rt.RecvInitPartitioned(1, 0, 9, 0, 3)
+	pr, err := rt.RecvInit(1, 0, 7, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Partitions() != 3 || pr.Partitions() != 3 {
-		t.Fatal("partition counts wrong")
-	}
-	for iter := 0; iter < 3; iter++ {
-		if err := StartAll(pr, ps); err != nil {
-			t.Fatal(err)
-		}
-		// Fire partitions out of order: identity travels in the wire
-		// header, so arrival order cannot permute the data.
-		for _, i := range []int{2, 0, 1} {
-			if err := ps.Pready(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		drainOK(t, rt)
-		for i, want := range []string{"aa", "bb", "cc"} {
-			if !pr.Parrived(i) {
-				t.Fatalf("iter %d: partition %d not arrived", iter, i)
-			}
-			got, err := pr.Partition(i)
-			if err != nil || string(got) != want {
-				t.Fatalf("iter %d partition %d = %q, %v", iter, i, got, err)
-			}
-		}
-	}
-	st := rt.Stats()
-	if st.PersistentRecvs != 9 {
-		t.Errorf("PersistentRecvs = %d, want 9", st.PersistentRecvs)
-	}
-	// 3 partitions missed in iteration one, 6 hits after sealing.
-	if st.CacheMisses != 3 || st.CacheHits != 6 {
-		t.Errorf("misses/hits = %d/%d, want 3/6", st.CacheMisses, st.CacheHits)
-	}
-	// Rebind a partition and run another iteration.
-	if err := ps.Bind(1, []byte("BB")); err != nil {
-		t.Fatal(err)
-	}
-	if err := StartAll(pr, ps); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := ps.Pready(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drainOK(t, rt)
-	if got, _ := pr.Partition(1); string(got) != "BB" {
-		t.Errorf("rebound partition = %q", got)
-	}
-}
-
-func TestPersistentPartitionedMisuse(t *testing.T) {
-	rt := New(Config{GPUs: 2})
-	ps, _ := rt.SendInitPartitioned(0, 1, 9, 0, [][]byte{[]byte("a"), []byte("b")})
-	plain, _ := rt.SendInit(0, 1, 8, 0, []byte("p"))
-
-	if err := ps.Pready(0); err == nil {
-		t.Error("Pready before Start accepted")
-	}
-	if err := plain.Pready(0); err == nil {
-		t.Error("Pready on non-partitioned channel accepted")
-	}
-	if err := ps.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Pready(2); err == nil {
-		t.Error("out-of-range partition accepted")
-	}
-	if err := ps.Pready(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Pready(0); err == nil {
-		t.Error("duplicate Pready accepted")
-	}
-	if err := ps.Start(); err == nil {
-		t.Error("Start with unfired partitions accepted")
-	}
-	if err := ps.Bind(1, []byte("x")); err == nil {
-		t.Error("Bind mid-iteration accepted")
-	}
-	if err := ps.Free(); err == nil {
-		t.Error("Free mid-iteration accepted")
-	}
-	if err := ps.Pready(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Start(); err == nil {
-		t.Error("Start on freed channel accepted")
-	}
-
-	if _, err := rt.SendInitPartitioned(0, 1, 9, 0, nil); err == nil {
-		t.Error("0-partition channel accepted")
-	}
-	if _, err := rt.RecvInitPartitioned(1, envelope.AnySource, 9, 0, 2); err == nil {
-		t.Error("wildcard partitioned recv accepted")
-	}
-}
-
-func TestPersistentPlainSendOnPartitionedTuple(t *testing.T) {
-	// A plain 1-byte send interleaved on a partitioned tuple cannot
-	// carry a partition header: the channel reports a sticky error and
-	// the iteration terminates instead of wedging Drain.
-	rt := New(Config{GPUs: 2})
-	pr, _ := rt.RecvInitPartitioned(1, 0, 9, 0, 2)
-	if err := pr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Send(0, 1, 9, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Drain(10000); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Err() == nil {
-		t.Fatal("malformed partition frame not reported")
-	}
-	if _, err := pr.Partition(0); err == nil {
-		t.Error("Partition read succeeded after delivery error")
-	}
-	// Start clears the error and the channel remains usable.
-	ps, _ := rt.SendInitPartitioned(0, 1, 9, 0, [][]byte{[]byte("a"), []byte("b")})
-	if err := StartAll(pr, ps); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := ps.Pready(i); err != nil {
+		if err := rt.Send(0, 1, 8, 0, []byte("fill")); err != nil {
+			t.Fatalf("plain send %d: %v", i, err)
+		}
+	}
+	if err := ps.Start(); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("Start into full staging: %v, want ErrBackpressure", err)
+	}
+	if err := ps.Bind([]byte("rebound")); err == nil {
+		t.Error("Bind with a refused fire pending accepted")
+	}
+	if err := ps.Free(); err == nil {
+		t.Error("Free with a refused fire pending accepted")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := rt.PostRecv(1, 0, 8, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drainOK(t, rt)
-	if got, err := pr.Partition(1); err != nil || string(got) != "b" {
-		t.Fatalf("recovery iteration partition = %q, %v", got, err)
+	if err := StartAll(pr, ps); err != nil {
+		t.Fatal(err)
+	}
+	drainOK(t, rt)
+	m, err := pr.Message()
+	if err != nil || string(m.Payload) != "bound" {
+		t.Fatalf("retried fire delivered %q, %v; want %q", m.Payload, err, "bound")
+	}
+	if n := pr.Iterations(); n != 1 {
+		t.Errorf("Iterations = %d, want 1", n)
+	}
+	if st := rt.Stats(); st.PersistentSends != 1 {
+		t.Errorf("PersistentSends = %d, want 1", st.PersistentSends)
+	}
+	if err := ps.Free(); err != nil {
+		t.Fatal(err)
 	}
 }
 

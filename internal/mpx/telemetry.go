@@ -32,7 +32,6 @@ var (
 	argState          = telemetry.Name("state")
 	argOcc            = telemetry.Name("occupancy_millis")
 	argHandle         = telemetry.Name("handle")
-	argParts          = telemetry.Name("parts")
 )
 
 // statCounters is the runtime's registry counter set: each row names a

@@ -224,9 +224,8 @@ func NewRuntime(cfg RuntimeConfig) *Runtime { return mpx.New(cfg) }
 
 // Persistent channels (DESIGN.md §15): match once, re-fire in O(1)
 // through the sealed match-handle cache. Build with
-// Runtime.SendInit/RecvInit (MPI_Send_init/Recv_init) or the
-// *Partitioned variants (MPI-4 partitioned communication with Pready),
-// re-arm with Start, and observe cache behaviour via the
+// Runtime.SendInit/RecvInit (MPI_Send_init/Recv_init), re-arm with
+// Start (one message per iteration), and observe cache behaviour via the
 // CacheHits/CacheMisses/CacheSeals/CacheInvalidations counters in
 // RuntimeStats. Disable with RuntimeConfig.DisablePersistentCache.
 type (
